@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +27,11 @@ from .strata import Population, marginal_shares, marginalize
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """One simulated sample: instrument, chosen field, outcome."""
+    """One simulated sample: instrument, chosen field, outcome.
+
+    `z` and `d` are stored as integer codes in {0, 1, 2}; float-coded input
+    such as 1.0 is accepted and converted, any other value is rejected.
+    """
 
     z: np.ndarray
     d: np.ndarray
@@ -45,10 +48,27 @@ class Dataset:
             )
         if self.n == 0:
             raise ConfigError("dataset is empty")
+        for name, label in (("z", "instrument z"), ("d", "field d")):
+            object.__setattr__(self, name, _as_codes(label, getattr(self, name)))
 
     @property
     def n(self) -> int:
         return self.z.shape[0]
+
+
+def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
+    """Integer codes of a z or d vector; ConfigError naming any value
+    outside {0, 1, 2}."""
+    if arr.dtype.kind not in "biuf":
+        raise ConfigError(f"{label} must hold numeric codes 0, 1, 2, got dtype {arr.dtype}")
+    if arr.dtype.kind in "biu" and arr.min() >= 0 and arr.max() <= 2:
+        return arr.astype(np.intp, copy=False)
+    bad = (arr != 0) & (arr != 1) & (arr != 2)
+    if bad.any():
+        values = list(dict.fromkeys(str(v) for v in sorted(arr[bad].tolist())))
+        shown = ", ".join(values[:5]) + (", ..." if len(values) > 5 else "")
+        raise ConfigError(f"{label} must take codes 0, 1, 2; {int(bad.sum())} rows hold {shown}")
+    return arr.astype(np.intp)
 
 
 def generate(pop: Population, n: int, seed: int) -> Dataset:
@@ -68,15 +88,60 @@ def generate(pop: Population, n: int, seed: int) -> Dataset:
     return Dataset(z=z, d=d, y=y, seed=seed)
 
 
-def _iv_hc0(inst: np.ndarray, regs: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Just-identified IV estimate with the HC0 sandwich (OLS when
-    inst is regs)."""
-    a = inst.T @ regs
+@dataclass(frozen=True)
+class CellTable:
+    """Sufficient statistics of a Dataset over its nine (z, d) cells.
+
+    Each array is 3x3 and indexed [z, d]: the row count, the mean of y and
+    the centred sum of squares of y (both 0 for an empty cell).
+    """
+
+    count: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def from_dataset(cls, ds: Dataset) -> "CellTable":
+        cell = ds.z * 3
+        cell += ds.d
+        y = np.asarray(ds.y, dtype=float)
+        count = np.bincount(cell, minlength=9).astype(float)
+        mean = np.bincount(cell, weights=y, minlength=9) / np.maximum(count, 1.0)
+        # In place: fresh n-length temporaries cost more than the arithmetic.
+        dev = mean[cell]
+        np.subtract(y, dev, out=dev)
+        np.square(dev, out=dev)
+        m2 = np.bincount(cell, weights=dev, minlength=9)
+        return cls(count=count.reshape(3, 3), mean=mean.reshape(3, 3), m2=m2.reshape(3, 3))
+
+
+# The instrument and field value of each flattened cell row z * 3 + d.
+_CELL_Z = (0, 0, 0, 1, 1, 1, 2, 2, 2)
+_CELL_D = (0, 1, 2, 0, 1, 2, 0, 1, 2)
+
+
+def _cell_rows(codes: tuple[int, ...], arms: tuple[frozenset[int], ...]) -> np.ndarray:
+    """Design rows [1, code in arms[0], code in arms[1], ...], one per cell."""
+    return np.array([[1.0] + [float(c in arm) for arm in arms] for c in codes])
+
+
+def _iv_hc0(table: CellTable, arms: tuple[frozenset[int], ...], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Just-identified IV of y on [1, d in arm, ...] instrumented by
+    [1, z in arm, ...], with the HC0 sandwich, summed over the cell table.
+
+    Instruments and regressors are constant within a (z, d) cell, so the
+    cross moments and the right-hand side are count-weighted cell sums, and
+    a cell's squared residuals (y - x'b)^2 sum to M2 + n (ybar - x'b)^2.
+    """
+    inst = _cell_rows(_CELL_Z, arms)
+    regs = _cell_rows(_CELL_D, arms)
+    n, ybar, m2 = table.count.ravel(), table.mean.ravel(), table.m2.ravel()
+    a = inst.T @ (n[:, None] * regs)
     if np.linalg.matrix_rank(a) < a.shape[0]:
         raise RankError(f"{what}: instrument-regressor cross-moment matrix is singular")
-    coef = np.linalg.solve(a, inst.T @ y)
-    resid = y - regs @ coef
-    meat = (inst * resid[:, None] ** 2).T @ inst
+    coef = np.linalg.solve(a, inst.T @ (n * ybar))
+    sq_resid = m2 + n * (ybar - regs @ coef) ** 2
+    meat = (inst * sq_resid[:, None]).T @ inst
     a_inv = np.linalg.inv(a)
     cov = a_inv @ meat @ a_inv.T
     # Exactly-fit cells can leave -1e-21 dust on the diagonal; clamp so
@@ -100,9 +165,18 @@ class EstimateSet:
     seed: Optional[int]
 
 
+_FIELDS = (frozenset({1}), frozenset({2}))
+
+
 def estimate_2sls(ds: Dataset) -> EstimateSet:
     """Two-stage least squares of y on the field indicators, instrumented
     by the assignment indicators, plus the saturated first stages.
+
+    Everything is computed from the 3x3 (z, d) cell table (count, mean and
+    centred M2 of y per cell). That is exact, not an approximation: every
+    instrument and regressor is an indicator of z or d, so the moment
+    matrices, the residual sums of squares in the HC0 sandwich and the
+    first-stage cell shares are all sums over the nine cells.
 
     Raises
     ------
@@ -110,44 +184,27 @@ def estimate_2sls(ds: Dataset) -> EstimateSet:
         If an instrument or field value never occurs (the design matrix is
         collinear), or the cross-moment matrix is otherwise singular.
     """
-    for name, arr in (("instrument z", ds.z), ("field d", ds.d)):
-        present = set(np.unique(arr).tolist())
-        missing = sorted({0, 1, 2} - present)
+    table = CellTable.from_dataset(ds)
+    n_z = table.count.sum(axis=1)
+    for name, margin in (("instrument z", n_z), ("field d", table.count.sum(axis=0))):
+        missing = [v for v in range(3) if margin[v] == 0]
         if missing:
             raise RankError(f"{name} never takes value{'s' if len(missing) > 1 else ''} {missing} in this sample")
-    ones = np.ones(ds.n)
-    inst = np.column_stack([ones, (ds.z == 1).astype(float), (ds.z == 2).astype(float)])
-    regs = np.column_stack([ones, (ds.d == 1).astype(float), (ds.d == 2).astype(float)])
-    y = ds.y.astype(float)
-    beta, cov = _iv_hc0(inst, regs, y, "second stage")
-    # The first-stage regression is saturated, so its coefficients are cell
-    # mean contrasts and the HC0 variances split across cells; computing
-    # them that way keeps pure cells (all-zero indicator) exactly at 0.
-    cells = [ds.z == v for v in (0, 1, 2)]
-    counts = [int(c.sum()) for c in cells]
-
-    def saturated(dj: np.ndarray) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        m = [float(dj[c].mean()) for c in cells]
-        v = [float(((dj[c] - m[z]) ** 2).sum()) / counts[z] ** 2 for z, c in enumerate(cells)]
-        coefs = (m[0], m[1] - m[0], m[2] - m[0])
-        ses = (math.sqrt(v[0]), math.sqrt(v[0] + v[1]), math.sqrt(v[0] + v[2]))
-        return coefs, ses
-
-    coef1, se1 = saturated((ds.d == 1).astype(float))
-    coef2, se2 = saturated((ds.d == 2).astype(float))
+    beta, cov = _iv_hc0(table, _FIELDS, "second stage")
+    # The first-stage regression is saturated, so its coefficients are
+    # contrasts of the field shares m[z, j] of each instrument cell, and the
+    # HC0 variance of a share is m (1 - m) / n_z; pure cells stay exactly 0.
+    m = table.count / n_z[:, None]
+    v = m * (1.0 - m) / n_z[:, None]
+    coef = (m[0], m[1] - m[0], m[2] - m[0])
+    se = (np.sqrt(v[0]), np.sqrt(v[0] + v[1]), np.sqrt(v[0] + v[2]))
     return EstimateSet(
         beta1=float(beta[1]),
         beta2=float(beta[2]),
         se_beta1=float(np.sqrt(cov[1, 1])),
         se_beta2=float(np.sqrt(cov[2, 2])),
-        alphas=FirstStage(
-            a10=coef1[0], a11=coef1[1], a12=coef1[2],
-            a20=coef2[0], a21=coef2[1], a22=coef2[2],
-        ),
-        alpha_ses=FirstStage(
-            a10=se1[0], a11=se1[1], a12=se1[2],
-            a20=se2[0], a21=se2[1], a22=se2[2],
-        ),
+        alphas=FirstStage(**{f"a{j}{k}": coef[k][j] for j in (1, 2) for k in range(3)}),
+        alpha_ses=FirstStage(**{f"a{j}{k}": se[k][j] for j in (1, 2) for k in range(3)}),
         n=ds.n,
         seed=ds.seed,
     )
@@ -164,18 +221,19 @@ class WaldEstimate:
 
 
 def estimate_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstimate:
-    """Wald ratio of the collapsed outcome on the collapsed treatment."""
+    """Wald ratio of the collapsed outcome on the collapsed treatment.
+
+    Computed from the 3x3 (z, d) cell table, exactly as `estimate_2sls`:
+    the collapsed instrument and treatment are indicators of z and d, so
+    each cell maps to one pseudo-arm pair.
+    """
     if scenario.kind not in (ScenarioKind.CONTROL, ScenarioKind.TREATMENT):
         raise ConfigError(f"scenario {scenario.label!r} defines no two-arm estimator")
-    z_arm = np.isin(ds.z, sorted(scenario.s1)).astype(float)
-    d_arm = np.isin(ds.d, sorted(scenario.s1)).astype(float)
-    n1 = int(z_arm.sum())
+    table = CellTable.from_dataset(ds)
+    n1 = int(table.count[sorted(scenario.s1)].sum())
     if n1 == 0 or n1 == ds.n:
         raise RankError(f"instrument arm z~={int(n1 == 0)} is empty under scenario {scenario.label!r}")
-    ones = np.ones(ds.n)
-    inst = np.column_stack([ones, z_arm])
-    regs = np.column_stack([ones, d_arm])
-    coef, cov = _iv_hc0(inst, regs, ds.y.astype(float), f"clustered Wald ({scenario.label})")
+    coef, cov = _iv_hc0(table, (scenario.s1,), f"clustered Wald ({scenario.label})")
     return WaldEstimate(estimate=float(coef[1]), se=float(np.sqrt(cov[1, 1])), n=ds.n, seed=ds.seed)
 
 
@@ -253,16 +311,20 @@ def replicate(
     estimates = np.empty((reps, len(truths)))
     ses = np.empty((reps, len(truths)))
     for rep in range(reps):
-        ds = generate(pop, n, replication_seed(master_seed, rep))
-        if target is Target.CLUSTER_WALD:
-            w = estimate_cluster_wald(ds, scenario)
-            estimates[rep, 0] = w.estimate
-            ses[rep, 0] = w.se
-        else:
-            est = estimate_2sls(ds)
-            a, s = est.alphas, est.alpha_ses
-            estimates[rep] = (est.beta1, est.beta2, a.a10, a.a11, a.a12, a.a20, a.a21, a.a22)
-            ses[rep] = (est.se_beta1, est.se_beta2, s.a10, s.a11, s.a12, s.a20, s.a21, s.a22)
+        seed = replication_seed(master_seed, rep)
+        ds = generate(pop, n, seed)
+        try:
+            if target is Target.CLUSTER_WALD:
+                w = estimate_cluster_wald(ds, scenario)
+                estimates[rep, 0] = w.estimate
+                ses[rep, 0] = w.se
+            else:
+                est = estimate_2sls(ds)
+                a, s = est.alphas, est.alpha_ses
+                estimates[rep] = (est.beta1, est.beta2, a.a10, a.a11, a.a12, a.a20, a.a21, a.a22)
+                ses[rep] = (est.se_beta1, est.se_beta2, s.a10, s.a11, s.a12, s.a20, s.a21, s.a22)
+        except RankError as err:
+            raise RankError(f"replication {rep} (replication_seed {seed}): {err}") from err
     rows = []
     for j, (param, truth) in enumerate(truths):
         col = estimates[:, j]

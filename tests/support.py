@@ -5,7 +5,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ivstrata import JointStratum, MarginalSpec, Population, StratumEntry
+from ivstrata import (
+    ClusterScenario,
+    Dataset,
+    EstimateSet,
+    FirstStage,
+    JointStratum,
+    MarginalSpec,
+    Population,
+    RankError,
+    StratumEntry,
+    WaldEstimate,
+)
 
 EFFECT_SLOTS = (
     "eff_c1", "eff_c2", "eff_id1", "eff_id2",
@@ -104,3 +115,71 @@ def grid_population(rng: np.random.Generator, step: float = 0.02, alpha: float =
         if c > 0
     )
     return Population(entries=entries)
+
+
+FIELD_ARMS = (frozenset({1}), frozenset({2}))
+
+
+def indicator_design(codes: np.ndarray, arms: tuple[frozenset[int], ...]) -> np.ndarray:
+    """n-row design [1, codes in arms[0], codes in arms[1], ...]."""
+    return np.column_stack([np.ones(codes.size)] + [np.isin(codes, sorted(arm)) for arm in arms]).astype(float)
+
+
+def cross_moment_cond(ds: Dataset, arms: tuple[frozenset[int], ...]) -> float:
+    """Condition number of the IV cross-moment matrix Z'X for these arms."""
+    return float(np.linalg.cond(indicator_design(ds.z, arms).T @ indicator_design(ds.d, arms)))
+
+
+def _reference_iv_hc0(ds: Dataset, arms: tuple[frozenset[int], ...], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Just-identified IV with the HC0 sandwich over n-row design matrices."""
+    inst, regs, y = indicator_design(ds.z, arms), indicator_design(ds.d, arms), ds.y.astype(float)
+    a = inst.T @ regs
+    if np.linalg.matrix_rank(a) < a.shape[0]:
+        raise RankError(f"{what}: instrument-regressor cross-moment matrix is singular")
+    coef = np.linalg.solve(a, inst.T @ y)
+    resid = y - regs @ coef
+    meat = (inst * resid[:, None] ** 2).T @ inst
+    a_inv = np.linalg.inv(a)
+    cov = a_inv @ meat @ a_inv.T
+    diag = cov.diagonal().copy()
+    np.fill_diagonal(cov, np.maximum(diag, 0.0))
+    return coef, cov
+
+
+def reference_2sls(ds: Dataset) -> EstimateSet:
+    """Row-level restatement of `estimate_2sls`: 2SLS and HC0 on n x 3
+    indicator matrices, the first stage from per-cell means of the field
+    indicators. Independent of the cell-table layer the package uses."""
+    for name, arr in (("instrument z", ds.z), ("field d", ds.d)):
+        missing = sorted({0, 1, 2} - set(np.unique(arr).tolist()))
+        if missing:
+            raise RankError(f"{name} never takes value{'s' if len(missing) > 1 else ''} {missing} in this sample")
+    beta, cov = _reference_iv_hc0(ds, FIELD_ARMS, "second stage")
+    cells = [ds.z == v for v in (0, 1, 2)]
+    coefs, ses = {}, {}
+    for j in (1, 2):
+        dj = (ds.d == j).astype(float)
+        m = [float(dj[c].mean()) for c in cells]
+        v = [float(((dj[c] - m[z]) ** 2).sum()) / float(c.sum()) ** 2 for z, c in enumerate(cells)]
+        for k, (coef, var) in enumerate(((m[0], v[0]), (m[1] - m[0], v[0] + v[1]), (m[2] - m[0], v[0] + v[2]))):
+            coefs[f"a{j}{k}"] = coef
+            ses[f"a{j}{k}"] = var ** 0.5
+    return EstimateSet(
+        beta1=float(beta[1]),
+        beta2=float(beta[2]),
+        se_beta1=float(np.sqrt(cov[1, 1])),
+        se_beta2=float(np.sqrt(cov[2, 2])),
+        alphas=FirstStage(**coefs),
+        alpha_ses=FirstStage(**ses),
+        n=ds.n,
+        seed=ds.seed,
+    )
+
+
+def reference_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstimate:
+    """Row-level restatement of `estimate_cluster_wald` on n x 2 matrices."""
+    n1 = int(np.isin(ds.z, sorted(scenario.s1)).sum())
+    if n1 == 0 or n1 == ds.n:
+        raise RankError(f"instrument arm z~={int(n1 == 0)} is empty under scenario {scenario.label!r}")
+    coef, cov = _reference_iv_hc0(ds, (scenario.s1,), f"clustered Wald ({scenario.label})")
+    return WaldEstimate(estimate=float(coef[1]), se=float(np.sqrt(cov[1, 1])), n=ds.n, seed=ds.seed)

@@ -149,12 +149,12 @@ def test_c05_monte_carlo_consistency():
 def test_c06_bounds_containment_and_scan():
     # Populations are snapped to the 0.02 grid so the scan enumerates the
     # feasible set exactly (no quantization overhang). Containment and
-    # never-exits then hold strictly. Endpoint attainment within 0.04 is
-    # asserted as stated even though the closed-form upper bound is not
-    # sharp in general, so this sub-clause can fail honestly; the line
-    # reports the measured gap. An LP over the exact joint-probability
-    # constraints confirms the scan endpoints are the true sharp ones
-    # (see tests/test_identification.py for a pinned structural witness).
+    # never-exits then hold strictly. The closed-form bounds are sharp (the
+    # projection of the joint feasible set), so the scan attains every
+    # endpoint; the line reports the measured gap. An LP over the exact
+    # joint-probability constraints confirms the scan endpoints are the
+    # true sharp ones (see tests/test_identification.py for a pinned
+    # structural witness of the looser per-instrument cap).
     rng = np.random.default_rng(606)
     contain_failures = 0
     max_exit = 0.0
@@ -180,7 +180,7 @@ def test_c06_bounds_containment_and_scan():
     assert _report(6, ok, f"bounds: containment failures {contain_failures}/100 (need 0); "
                           f"max scan exit beyond the closed-form interval {max_exit:.1e} (need <=1e-9); "
                           f"endpoint attainment worst gap {worst_attain:.4f} on {attain_fail_pops}/100 populations "
-                          f"(need <=0.04; fails where the closed-form upper bound is not sharp)")
+                          f"(need <=0.04; the closed-form bounds are sharp)")
 
 
 def test_c07_corollary_refutation(capsys):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ivstrata import replication_seed
 from ivstrata.cli import main
 
 ANCHOR_SPEC = {
@@ -232,6 +233,17 @@ def test_simulate_cluster_wald_target(write_json, capsys):
     assert "target,cluster-wald" in out
     rows = out[out.index("param,truth,mean,sd,bias,coverage") + 1:]
     assert len(rows) == 1 and rows[0].startswith("wald,216.6667,")
+
+
+def test_simulate_degenerate_replication_names_rep_and_seed(write_json, capsys):
+    # At n=12 some replication draws a sample with a singular design; the
+    # one error line names that replication and its derived seed.
+    code, out, err = run(capsys, ["simulate", write_json(BENCHMARK_POP), "--n", "12", "--reps", "200", "--seed", "1"])
+    assert code == 4 and out == []
+    assert err.splitlines() == [
+        f"error: replication 4 (replication_seed {replication_seed(1, 4)}): "
+        "second stage: instrument-regressor cross-moment matrix is singular"
+    ]
 
 
 def test_sweep_rows(write_json, capsys):

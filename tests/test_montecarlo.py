@@ -1,12 +1,16 @@
 """Deterministic sampling, the two estimators on simulated data, and the
 replication harness."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from ivstrata import (
     ClusterScenario,
     ConfigError,
+    Dataset,
+    FirstStage,
     JointStratum,
     Population,
     RankError,
@@ -23,6 +27,8 @@ from ivstrata import (
     replication_seed,
     solve_moment_system,
 )
+
+from support import FIELD_ARMS, cross_moment_cond, random_population, reference_2sls, reference_cluster_wald
 
 J = JointStratum
 
@@ -58,6 +64,90 @@ def test_noise_sd_does_not_shift_the_assignment_stream():
 def test_generate_validation():
     with pytest.raises(ConfigError):
         generate(benchmark_pop(), 0, seed=1)
+
+
+def test_dataset_rejects_codes_outside_0_1_2():
+    z = np.array([0, 1, 2, 1, 0, 2])
+    with pytest.raises(ConfigError, match=r"field d must take codes 0, 1, 2; 2 rows hold 3"):
+        Dataset(z=z, d=np.array([0, 1, 3, 3, 0, 2]), y=np.zeros(6))
+    with pytest.raises(ConfigError, match=r"instrument z .* 2 rows hold -1.0, 1.5"):
+        Dataset(z=np.array([0.0, 1.0, 2.0, -1.0, 1.5, 2.0]), d=z, y=np.zeros(6))
+    with pytest.raises(ConfigError, match="rows hold nan"):
+        Dataset(z=z, d=np.array([0.0, 1.0, np.nan, 1.0, 0.0, 2.0]), y=np.zeros(6))
+    with pytest.raises(ConfigError, match="numeric codes"):
+        Dataset(z=np.array(list("012120")), d=z, y=np.zeros(6))
+    # Float-coded 0/1/2 input is stored as integer codes and estimates as before.
+    pop = benchmark_pop(noise_sd=150.0)
+    ds = generate(pop, 3000, seed=4)
+    as_float = Dataset(z=ds.z.astype(float), d=ds.d.astype(float), y=ds.y, seed=ds.seed)
+    assert as_float.z.dtype.kind == as_float.d.dtype.kind == "i"
+    assert np.array_equal(as_float.z, ds.z) and np.array_equal(as_float.d, ds.d)
+    assert estimate_2sls(as_float) == estimate_2sls(ds)
+
+
+def _numbers(est) -> dict:
+    """Every float of an EstimateSet or WaldEstimate, first stages flattened."""
+    out = {}
+    for key, value in vars(est).items():
+        if isinstance(value, FirstStage):
+            out.update({f"{key}.{k}": v for k, v in vars(value).items()})
+        elif isinstance(value, float):
+            out[key] = value
+    return out
+
+
+def test_cell_table_estimators_match_the_design_matrix_reference():
+    rng = np.random.default_rng(2027)
+    estimators = [(estimate_2sls, reference_2sls, FIELD_ARMS, "2sls")] + [
+        (partial(estimate_cluster_wald, scenario=s), partial(reference_cluster_wald, scenario=s), (s.s1,), s.label)
+        for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.treatment())
+    ]
+    pure = Population(entries=(
+        StratumEntry(J.C1C2, 0.6, (0.0, 1000.0, 500.0)),
+        StratumEntry(J.NT1NT2, 0.4, (0.0, 0.0, 0.0)),
+    ))
+    datasets = [generate(pure, 5_000, seed=5)]
+    for i in range(90):
+        n = int(np.exp(rng.uniform(np.log(12), np.log(50_000))))
+        if i % 3 == 0:
+            # All ten strata; zero-noise strata in a third of them.
+            pop = random_population(rng, noise_sd=float(rng.choice([0.0, 50.0, 300.0])))
+        elif i % 3 == 1:
+            # One to four strata, leaving (z, d) cells empty.
+            strata = tuple(rng.choice(list(J), size=int(rng.integers(1, 5)), replace=False))
+            pop = random_population(rng, strata=strata, noise_sd=float(rng.choice([0.0, 100.0])))
+        else:
+            datasets.append(Dataset(z=rng.integers(0, 3, n), d=rng.integers(0, 3, n), y=rng.normal(0.0, 1000.0, n)))
+            continue
+        datasets.append(generate(pop, n, seed=int(rng.integers(2**32))))
+    checked = degenerate = weak = 0
+    for ds in datasets:
+        y_scale = float(np.abs(ds.y).max())
+        for new, ref, arms, what in estimators:
+            try:
+                want = _numbers(ref(ds))
+            except RankError as err:
+                degenerate += 1
+                with pytest.raises(RankError) as got:
+                    new(ds)
+                assert str(got.value) == str(err), what
+                continue
+            got = _numbers(new(ds))
+            assert got.keys() == want.keys()
+            # Both paths sum the same terms in another order, so each
+            # carries rounding error of order cond(Z'X) * eps * max|y|.
+            # Below `dust` a value is zero to float precision (an exactly
+            # fit SE). A well-conditioned design must agree to 1e-9
+            # relative; a weak first stage (cond > 1e3) only to `dust`.
+            cond = cross_moment_cond(ds, arms)
+            dust = 1e-12 * cond * y_scale
+            for key in want:
+                a, b = got[key], want[key]
+                close = abs(a - b) <= 1e-9 * abs(b) or (abs(a - b) if cond > 1e3 else max(abs(a), abs(b))) <= dust
+                assert close, (what, ds.n, cond, key, a, b)
+            checked += 1
+            weak += cond > 1e3
+    assert checked > 200 and degenerate > 10 and weak > 0
 
 
 def test_2sls_recovers_the_exact_estimands():
