@@ -45,14 +45,16 @@ from .identification import (
 )
 from .montecarlo import Target, estimate_2sls, generate, replicate
 from .strata import (
+    EFFECT_SLOTS,
     MarginalGroup,
     MarginalSpec,
     Population,
-    _EFFECT_SLOTS,
+    as_float,
     marginal_shares,
     marginalize,
     marginal_spec_from_dict,
     population_from_dict,
+    reject_unknown,
 )
 
 _GROUP_ORDER = ("C1", "ID1", "ND1", "AT1", "NT1", "OT1", "C2", "ID2", "ND2", "AT2", "NT2", "OT2")
@@ -79,12 +81,6 @@ class ScenarioFile:
         return marginalize(self.population)
 
 
-def _reject_unknown(doc: dict, allowed: tuple[str, ...], what: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
 def load_scenario(path: str) -> ScenarioFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,7 +91,7 @@ def load_scenario(path: str) -> ScenarioFile:
         raise ConfigError(f"scenario file {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"scenario file {path} must hold a JSON object")
-    _reject_unknown(doc, ("population", "marginal_spec", "sweep", "simulate", "cluster"), "scenario")
+    reject_unknown(doc, ("population", "marginal_spec", "sweep", "simulate", "cluster"), "scenario")
     has_pop = "population" in doc
     has_spec = "marginal_spec" in doc
     if has_pop == has_spec:
@@ -109,7 +105,7 @@ def load_scenario(path: str) -> ScenarioFile:
         block = doc.get(name, {})
         if not isinstance(block, dict):
             raise ConfigError(f"scenario block {name!r} must be a JSON object")
-        _reject_unknown(block, allowed, name)
+        reject_unknown(block, allowed, name)
         blocks[name] = block
     return ScenarioFile(
         population=population_from_dict(doc["population"]) if has_pop else None,
@@ -133,12 +129,6 @@ def _as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return value
-
-
-def _as_float(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 def _enum(cls, value, what: str):
@@ -166,7 +156,7 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 def _block_float_list(value, what: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{what} must be a nonempty list of numbers")
-    return [_as_float(v, what) for v in value]
+    return [as_float(v, what) for v in value]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -189,7 +179,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print("kind,marginal_spec")
         for attr in ("pC1", "pID1", "pND1", "pC2", "pID2", "pND2"):
             print(f"share,{attr[1:]},{_fmt(getattr(spec, attr), p)}")
-        for slot in _EFFECT_SLOTS:
+        for slot in EFFECT_SLOTS:
             value = getattr(spec, slot)
             if value is not None:
                 print(f"effect,{slot},{_fmt(value, p)}")
@@ -268,7 +258,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     sc = load_scenario(args.config)
     pop = sc.require_population("cluster")
     block = sc.cluster
-    sig_level = _as_float(_pick(args.sig_level, block, "sig_level", 0.05), "sig_level")
+    sig_level = as_float(_pick(args.sig_level, block, "sig_level", 0.05), "sig_level")
     rule = _enum(NegNegRule, _pick(args.neg_neg_rule, block, "neg_neg_rule", "undefined"), "neg_neg_rule")
     semantics = _enum(Semantics, _pick(args.semantics, block, "semantics", "pooled"), "semantics")
     label = _pick(args.scenario, block, "scenario", None)

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
 
-from .estimands import DEN_TOL
 from .exceptions import ConfigError, AssumptionError, RankError
 from .identification import FirstStage
-from .strata import MarginalGroup, Population, group_effect, group_prob, marginal_shares
+from .strata import DEN_TOL, MarginalGroup, Population, group_effect, group_prob
 
 _STD_NORMAL = NormalDist()
 
@@ -226,12 +225,41 @@ class ClusterDecomposition:
         return self.a_total + self.bias
 
 
-def _require_estimand_scenario(scenario: ClusterScenario) -> None:
-    if scenario.kind not in (ScenarioKind.CONTROL, ScenarioKind.TREATMENT):
-        raise ConfigError(
-            f"no clustered estimand under scenario {scenario.label!r}; "
-            "only control and treatment clustering define one"
+def _wiring(scenario: ClusterScenario):
+    """Which marginal groups enter the clustered estimand, and how.
+
+    Returns `(pi_groups, a_rows, bias_rows, constant_bias_label)`:
+    the groups whose union probability pi is the clustered first stage;
+    two average-effect rows `(label, groups, j, k)`, each weighting
+    E[y(j)-y(k)] over the union of `groups`; two defier bias rows
+    `(label, group, j, k, sign)`; and the label of the single bias term
+    left when effects are constant. Raises ConfigError for scenarios
+    without a clustered estimand.
+    """
+    g = MarginalGroup
+    if scenario.kind is ScenarioKind.CONTROL:
+        f = scenario.treatment_field
+        o = 3 - f
+        return (
+            (g.C1, g.C2, g.ND1, g.ND2),
+            (
+                (f"C{f}|ND{o}", (g[f"C{f}"], g[f"ND{o}"]), f, 0),
+                (f"C{o}|ND{f}", (g[f"C{o}"], g[f"ND{f}"]), f, o),
+            ),
+            (("w~1", g[f"ID{f}"], o, 0, 1), ("w~2", g[f"ID{o}"], o, 0, -1)),
+            "w.1",
         )
+    if scenario.kind is ScenarioKind.TREATMENT:
+        return (
+            (g.C1, g.C2, g.ID1, g.ID2),
+            (("C1|ID2", (g.C1, g.ID2), 1, 0), ("C2|ID1", (g.C2, g.ID1), 2, 0)),
+            (("w~3", g.ND1, 1, 2, 1), ("w~4", g.ND2, 1, 2, -1)),
+            "w.2",
+        )
+    raise ConfigError(
+        f"no clustered estimand under scenario {scenario.label!r}; "
+        "only control and treatment clustering define one"
+    )
 
 
 def _pi(pop: Population, groups: tuple[MarginalGroup, ...], scenario: ClusterScenario) -> float:
@@ -254,41 +282,16 @@ def cluster_estimand_formula(pop: Population, scenario: ClusterScenario) -> Clus
     -P(IDo)/pi * E[y(o)-y(0) | IDo]. Treatment clustering mirrors with the
     roles of irrelevance and next-best defiers exchanged.
     """
-    _require_estimand_scenario(scenario)
-    g = MarginalGroup
-    if scenario.kind is ScenarioKind.CONTROL:
-        f = scenario.treatment_field
-        o = 3 - f
-        cf, co = g[f"C{f}"], g[f"C{o}"]
-        ndf, ndo = g[f"ND{f}"], g[f"ND{o}"]
-        idf, ido = g[f"ID{f}"], g[f"ID{o}"]
-        pi = _pi(pop, (g.C1, g.C2, g.ND1, g.ND2), scenario)
-        a_specs = (
-            (f"C{f}|ND{o}", (cf, ndo), f, 0),
-            (f"C{o}|ND{f}", (co, ndf), f, o),
-        )
-        bias_specs = (
-            ("w~1", idf, o, 0, 1),
-            ("w~2", ido, o, 0, -1),
-        )
-    else:
-        pi = _pi(pop, (g.C1, g.C2, g.ID1, g.ID2), scenario)
-        a_specs = (
-            ("C1|ID2", (g.C1, g.ID2), 1, 0),
-            ("C2|ID1", (g.C2, g.ID1), 2, 0),
-        )
-        bias_specs = (
-            ("w~3", g.ND1, 1, 2, 1),
-            ("w~4", g.ND2, 1, 2, -1),
-        )
+    pi_groups, a_rows, bias_rows, _ = _wiring(scenario)
+    pi = _pi(pop, pi_groups, scenario)
     a_terms = []
-    for label, groups, j, kk in a_specs:
+    for label, groups, j, kk in a_rows:
         p = group_prob(pop, groups)
         if p == 0.0:
             continue
         a_terms.append(ClusterATerm(label=label, weight=p / pi, effect=group_effect(pop, groups, j, kk)))
     bias_terms = []
-    for label, grp, j, kk, sign in bias_specs:
+    for label, grp, j, kk, sign in bias_rows:
         p = group_prob(pop, (grp,))
         if p == 0.0:
             continue
@@ -321,37 +324,22 @@ def cluster_estimand_constant_effects(pop: Population, scenario: ClusterScenario
     of the two defier shares, so equal shares cancel the bias exactly even
     though both defier types are present.
     """
-    _require_estimand_scenario(scenario)
-    tau1, tau2 = _constant_effects(pop)
-    shares = marginal_shares(pop)
-    g = MarginalGroup
-    if scenario.kind is ScenarioKind.CONTROL:
-        f = scenario.treatment_field
-        o = 3 - f
-        tf = tau1 if f == 1 else tau2
-        to = tau2 if f == 1 else tau1
-        pi = _pi(pop, (g.C1, g.C2, g.ND1, g.ND2), scenario)
-        a_specs = (
-            (f"C{f}|ND{o}", group_prob(pop, (g[f"C{f}"], g[f"ND{o}"])), tf),
-            (f"C{o}|ND{f}", group_prob(pop, (g[f"C{o}"], g[f"ND{f}"])), tf - to),
-        )
-        diff = shares[g[f"ID{f}"]] - shares[g[f"ID{o}"]]
-        bias_label, delta = "w.1", to
-    else:
-        pi = _pi(pop, (g.C1, g.C2, g.ID1, g.ID2), scenario)
-        a_specs = (
-            ("C1|ID2", group_prob(pop, (g.C1, g.ID2)), tau1),
-            ("C2|ID1", group_prob(pop, (g.C2, g.ID1)), tau2),
-        )
-        diff = shares[g.ND1] - shares[g.ND2]
-        bias_label, delta = "w.2", tau1 - tau2
+    pi_groups, a_rows, bias_rows, bias_label = _wiring(scenario)
+    tau = (0.0, *_constant_effects(pop))
+    pi = _pi(pop, pi_groups, scenario)
+    a_specs = ((label, group_prob(pop, groups), tau[j] - tau[kk]) for label, groups, j, kk in a_rows)
     a_terms = tuple(
         ClusterATerm(label=label, weight=p / pi, effect=effect) for label, p, effect in a_specs if p != 0.0
     )
+    # Both bias rows share one contrast; only the difference of their shares survives.
+    (_, plus, j, kk, _), (_, minus, _, _, _) = bias_rows
+    diff = group_prob(pop, (plus,)) - group_prob(pop, (minus,))
     bias_terms = ()
     if diff != 0.0:
         bias_terms = (
-            ClusterBiasTerm(label=bias_label, weight=abs(diff) / pi, delta=delta, sign=1 if diff > 0.0 else -1),
+            ClusterBiasTerm(
+                label=bias_label, weight=abs(diff) / pi, delta=tau[j] - tau[kk], sign=1 if diff > 0.0 else -1
+            ),
         )
     return ClusterDecomposition(scenario=scenario, pi=pi, a_terms=a_terms, bias_terms=bias_terms)
 
@@ -375,15 +363,8 @@ def check_cluster_exclusion(pop: Population, scenario: ClusterScenario) -> Exclu
     stratum with different outcomes across the two treated fields breaks
     the pooled arm. Comparisons are exact.
     """
-    _require_estimand_scenario(scenario)
-    g = MarginalGroup
-    if scenario.kind is ScenarioKind.CONTROL:
-        suspects = (g.ID1, g.ID2)
-        j, kk = 3 - scenario.treatment_field, 0
-    else:
-        suspects = (g.ND1, g.ND2)
-        j, kk = 1, 2
-    members = frozenset().union(*(grp.members() for grp in suspects))
+    (_, first, j, kk, _), (_, second, _, _, _) = _wiring(scenario)[2]
+    members = first.members() | second.members()
     violations = tuple(
         e.stratum.name
         for e in pop.entries
@@ -414,10 +395,10 @@ def cluster_wald_oracle(
     whenever no stratum is double-counted by the group union (control: no
     double compliers; treatment: additionally no irrelevance defiers).
     """
-    _require_estimand_scenario(scenario)
+    wiring = _wiring(scenario)
     if semantics is Semantics.POOLED:
         return _pooled_wald(pop, scenario)
-    return _group_relevant_wald(pop, scenario)
+    return _group_relevant_wald(pop, scenario, wiring)
 
 
 def _pooled_wald(pop: Population, scenario: ClusterScenario) -> float:
@@ -449,30 +430,10 @@ def _pooled_wald(pop: Population, scenario: ClusterScenario) -> float:
     return (ey[1] / p_z1 - ey[0] / p_z0) / first_stage
 
 
-def _group_relevant_wald(pop: Population, scenario: ClusterScenario) -> float:
-    g = MarginalGroup
-    if scenario.kind is ScenarioKind.CONTROL:
-        f = scenario.treatment_field
-        o = 3 - f
-        contrasts = {
-            g[f"C{f}"]: (f, 0, 1),
-            g[f"ND{o}"]: (f, 0, 1),
-            g[f"C{o}"]: (f, o, 1),
-            g[f"ND{f}"]: (f, o, 1),
-            g[f"ID{f}"]: (o, 0, 1),
-            g[f"ID{o}"]: (o, 0, -1),
-        }
-        den_groups = (g.C1, g.C2, g.ND1, g.ND2)
-    else:
-        contrasts = {
-            g.C1: (1, 0, 1),
-            g.ID2: (1, 0, 1),
-            g.C2: (2, 0, 1),
-            g.ID1: (2, 0, 1),
-            g.ND1: (1, 2, 1),
-            g.ND2: (1, 2, -1),
-        }
-        den_groups = (g.C1, g.C2, g.ID1, g.ID2)
+def _group_relevant_wald(pop: Population, scenario: ClusterScenario, wiring) -> float:
+    den_groups, a_rows, bias_rows, _ = wiring
+    contrasts = {grp: (j, kk, 1) for _, groups, j, kk in a_rows for grp in groups}
+    contrasts.update((grp, (j, kk, sign)) for _, grp, j, kk, sign in bias_rows)
     num = 0.0
     for e in pop.entries:
         if e.prob == 0.0:
@@ -480,8 +441,7 @@ def _group_relevant_wald(pop: Population, scenario: ClusterScenario) -> float:
         for grp, (j, kk, sign) in contrasts.items():
             if grp.contains(e.stratum):
                 num += sign * e.prob * (e.means[j] - e.means[kk])
-    shares = marginal_shares(pop)
-    den = math.fsum(shares[grp] for grp in den_groups)
+    den = math.fsum(group_prob(pop, (grp,)) for grp in den_groups)
     if den <= DEN_TOL:
         raise RankError(
             f"relevant-group mass is {den:.6g} under scenario {scenario.label!r}; "

@@ -18,9 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .exceptions import AssumptionError, ConfigError, RankError
-from .strata import MarginalSpec
-
-DEN_TOL = 1e-10  # singularity threshold for system determinant and regime denominators
+from .strata import DEN_TOL, MarginalSpec
 
 
 class Regime(enum.Enum):

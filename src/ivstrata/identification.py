@@ -21,9 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .exceptions import AssumptionError, ConfigError, InfeasibleError
-from .strata import MarginalGroup
-
-SHARE_ATOL = 1e-9  # slack for float dust when shares derive from arithmetic
+from .strata import SHARE_ATOL, MarginalGroup
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,10 @@ from .exceptions import ConfigError
 Field = int
 Instrument = int
 
+# Tolerances shared by every module.
 PROB_SUM_TOL = 1e-12  # probability vectors must sum to 1 this tightly; never renormalized
+SHARE_ATOL = 1e-9  # slack for float dust when shares derive from arithmetic
+DEN_TOL = 1e-10  # singularity threshold for determinants and estimand denominators
 
 _VALID_LEVELS = (0, 1, 2)
 
@@ -68,11 +71,10 @@ class JointStratum(enum.Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "JointStratum":
-        try:
+        if isinstance(tag, str) and tag in cls.__members__:
             return cls[tag]
-        except KeyError:
-            valid = ", ".join(s.name for s in cls)
-            raise ConfigError(f"unknown stratum tag {tag!r}; expected one of: {valid}") from None
+        valid = ", ".join(s.name for s in cls)
+        raise ConfigError(f"unknown stratum tag {tag!r}; expected one of: {valid}")
 
 
 def potential_choice(stratum: JointStratum, z: Instrument) -> Field:
@@ -106,24 +108,35 @@ class MarginalGroup(enum.Enum):
         return self.name[:-1]
 
     def contains(self, stratum: JointStratum) -> bool:
-        k = self.instrument
-        other = 3 - k
-        d0 = stratum.trajectory[0]
-        dk = stratum.trajectory[k]
-        if self.kind == "C":
-            return d0 == 0 and dk == k
-        if self.kind == "ID":
-            return d0 == 0 and dk == other
-        if self.kind == "ND":
-            return d0 == other and dk == k
-        if self.kind == "AT":
-            return d0 == k and dk == k
-        if self.kind == "NT":
-            return d0 == 0 and dk == 0
-        return d0 == other and dk == other  # OT
+        return stratum in _MEMBERS[self]
 
     def members(self) -> frozenset[JointStratum]:
-        return frozenset(s for s in JointStratum if self.contains(s))
+        return _MEMBERS[self]
+
+
+# The (d0, dk) trajectory entries each group kind requires, for instrument k
+# whose other non-reference field is 3 - k.
+_KIND_RULES = {
+    "C": lambda k: (0, k),
+    "ID": lambda k: (0, 3 - k),
+    "ND": lambda k: (3 - k, k),
+    "AT": lambda k: (k, k),
+    "NT": lambda k: (0, 0),
+    "OT": lambda k: (3 - k, 3 - k),
+}
+
+# Membership of every marginal group, decided once from the trajectories.
+_MEMBERS: dict[MarginalGroup, frozenset[JointStratum]] = {
+    g: frozenset(
+        s for s in JointStratum
+        if (s.trajectory[0], s.trajectory[g.instrument]) == _KIND_RULES[g.kind](g.instrument)
+    )
+    for g in MarginalGroup
+}
+
+
+def _union(groups: Iterable[MarginalGroup]) -> frozenset[JointStratum]:
+    return frozenset().union(*(_MEMBERS[g] for g in groups))
 
 
 @dataclass(frozen=True)
@@ -221,18 +234,13 @@ def marginal_shares(pop: Population) -> dict[MarginalGroup, float]:
     Satisfies, exactly as computed, the two adding-up identities
     P(C_k) + P(AT_k) + P(NT_k) + P(OT_k) + P(ID_k) + P(ND_k) = 1.
     """
-    return {
-        g: math.fsum(e.prob for e in pop.entries if g.contains(e.stratum))
-        for g in MarginalGroup
-    }
+    return {g: math.fsum(e.prob for e in pop.entries if e.stratum in _MEMBERS[g]) for g in MarginalGroup}
 
 
 def group_prob(pop: Population, groups: Iterable[MarginalGroup]) -> float:
     """Probability of the union of `groups` (each stratum counted once)."""
-    gs = tuple(groups)
-    return math.fsum(
-        e.prob for e in pop.entries if any(g.contains(e.stratum) for g in gs)
-    )
+    members = _union(groups)
+    return math.fsum(e.prob for e in pop.entries if e.stratum in members)
 
 
 def group_effect(pop: Population, groups: Iterable[MarginalGroup], j: Field, k: Field) -> float:
@@ -251,7 +259,8 @@ def group_effect(pop: Population, groups: Iterable[MarginalGroup], j: Field, k: 
     _check_level(j, "field j")
     _check_level(k, "field k")
     gs = tuple(groups)
-    members = [e for e in pop.entries if any(g.contains(e.stratum) for g in gs)]
+    union = _union(gs)
+    members = [e for e in pop.entries if e.stratum in union]
     total = math.fsum(e.prob for e in members)
     if total <= 0.0:
         names = ",".join(sorted(g.name for g in gs))
@@ -259,9 +268,13 @@ def group_effect(pop: Population, groups: Iterable[MarginalGroup], j: Field, k: 
     return math.fsum(e.prob * (e.means[j] - e.means[k]) for e in members) / total
 
 
+# JSON share keys (the six complier/defier group names) and the MarginalSpec
+# fields that hold them.
+_SHARE_KEYS = {"C1": "pC1", "C2": "pC2", "ID1": "pID1", "ID2": "pID2", "ND1": "pND1", "ND2": "pND2"}
+
 # Effect slots a MarginalSpec can carry, with the (j, k) contrast and the
 # group whose conditional mean each one is.
-_EFFECT_SLOTS = {
+EFFECT_SLOTS = {
     "eff_c1": (MarginalGroup.C1, 1, 0),
     "eff_c2": (MarginalGroup.C2, 2, 0),
     "eff_id1": (MarginalGroup.ID1, 2, 0),
@@ -270,6 +283,12 @@ _EFFECT_SLOTS = {
     "eff_nd1_2": (MarginalGroup.ND1, 2, 0),
     "eff_nd2_1": (MarginalGroup.ND2, 1, 0),
     "eff_nd2_2": (MarginalGroup.ND2, 2, 0),
+}
+
+# The effect slots behind each JSON effect key (a group name); an ND key
+# holds the pair [vs field 1, vs field 2].
+_EFFECT_KEYS = {
+    key: tuple(slot for slot, (group, _, _) in EFFECT_SLOTS.items() if group.name == key) for key in _SHARE_KEYS
 }
 
 
@@ -311,19 +330,17 @@ class MarginalSpec:
     eff_nd2_1: Optional[float] = None
     eff_nd2_2: Optional[float] = None
 
-    _SUM_TOL = 1e-9  # slack for float dust when shares come from arithmetic
-
     def __post_init__(self):
-        for name in ("pC1", "pC2", "pID1", "pID2", "pND1", "pND2"):
+        for name in _SHARE_KEYS.values():
             v = getattr(self, name)
             if not (math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ConfigError(f"share {name}={v} outside [0, 1]")
             object.__setattr__(self, name, float(v))
         for k in (1, 2):
             s = getattr(self, f"pC{k}") + getattr(self, f"pID{k}") + getattr(self, f"pND{k}")
-            if s > 1.0 + self._SUM_TOL:
+            if s > 1.0 + SHARE_ATOL:
                 raise ConfigError(f"instrument-{k} shares sum to {s}, exceeding 1")
-        for name in _EFFECT_SLOTS:
+        for name in EFFECT_SLOTS:
             v = getattr(self, name)
             if v is not None:
                 if not math.isfinite(v):
@@ -334,7 +351,7 @@ class MarginalSpec:
         """Value of an effect slot, or ConfigError naming the group if absent."""
         value = getattr(self, slot)
         if value is None:
-            group, j, k = _EFFECT_SLOTS[slot]
+            group, j, k = EFFECT_SLOTS[slot]
             raise ConfigError(
                 f"effect E[y{j}-y{k} | {group.name}] is required here but absent from the spec"
             )
@@ -369,15 +386,8 @@ def marginalize(pop: Population) -> MarginalSpec:
     estimand formulas consume. Effect slots of zero-share groups are absent.
     """
     shares = marginal_shares(pop)
-    kwargs: dict[str, float] = {
-        "pC1": shares[MarginalGroup.C1],
-        "pC2": shares[MarginalGroup.C2],
-        "pID1": shares[MarginalGroup.ID1],
-        "pID2": shares[MarginalGroup.ID2],
-        "pND1": shares[MarginalGroup.ND1],
-        "pND2": shares[MarginalGroup.ND2],
-    }
-    for slot, (group, j, k) in _EFFECT_SLOTS.items():
+    kwargs = {attr: shares[MarginalGroup[key]] for key, attr in _SHARE_KEYS.items()}
+    for slot, (group, j, k) in EFFECT_SLOTS.items():
         if shares[group] > 0.0:
             kwargs[slot] = group_effect(pop, (group,), j, k)
     return MarginalSpec(**kwargs)
@@ -401,10 +411,24 @@ def population_to_dict(pop: Population) -> dict:
     }
 
 
-def _reject_unknown(doc: Mapping, allowed: Iterable[str], what: str) -> None:
+def reject_unknown(doc: Mapping, allowed: Iterable[str], what: str) -> None:
+    """Raise ConfigError naming every key of `doc` outside `allowed`."""
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {what}: {', '.join(unknown)}")
+
+
+def as_float(value, what: str) -> float:
+    """A JSON number as a float; strings, nulls, lists and bools are ConfigErrors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_floats(value, what: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of 3 numbers")
+    return tuple(as_float(v, what) for v in value)
 
 
 def population_from_dict(doc: Mapping) -> Population:
@@ -420,7 +444,7 @@ def population_from_dict(doc: Mapping) -> Population:
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(f"population must be an object, got {type(doc).__name__}")
-    _reject_unknown(doc, ("assignment", "strata"), "population")
+    reject_unknown(doc, ("assignment", "strata"), "population")
     if "strata" not in doc:
         raise ConfigError("population is missing the 'strata' list")
     raw = doc["strata"]
@@ -430,42 +454,29 @@ def population_from_dict(doc: Mapping) -> Population:
     for i, item in enumerate(raw):
         if not isinstance(item, Mapping):
             raise ConfigError(f"strata[{i}] must be an object")
-        _reject_unknown(item, ("tag", "prob", "means", "noise_sd"), f"strata[{i}]")
+        reject_unknown(item, ("tag", "prob", "means", "noise_sd"), f"strata[{i}]")
         for req in ("tag", "prob", "means"):
             if req not in item:
                 raise ConfigError(f"strata[{i}] is missing '{req}'")
         entries.append(
             StratumEntry(
                 stratum=JointStratum.from_tag(item["tag"]),
-                prob=item["prob"],
-                means=tuple(item["means"]),
-                noise_sd=item.get("noise_sd", 0.0),
+                prob=as_float(item["prob"], f"strata[{i}].prob"),
+                means=_as_floats(item["means"], f"strata[{i}].means"),
+                noise_sd=as_float(item.get("noise_sd", 0.0), f"strata[{i}].noise_sd"),
             )
         )
-    assignment = doc.get("assignment", UNIFORM_ASSIGNMENT)
-    if not isinstance(assignment, (list, tuple)):
-        raise ConfigError("'assignment' must be a list of 3 probabilities")
-    return Population(entries=tuple(entries), assignment=tuple(assignment))
-
-
-_SHARE_KEYS = {"C1": "pC1", "C2": "pC2", "ID1": "pID1", "ID2": "pID2", "ND1": "pND1", "ND2": "pND2"}
+    assignment = _as_floats(doc.get("assignment", UNIFORM_ASSIGNMENT), "assignment")
+    return Population(entries=tuple(entries), assignment=assignment)
 
 
 def marginal_spec_to_dict(spec: MarginalSpec) -> dict:
     shares = {key: getattr(spec, attr) for key, attr in _SHARE_KEYS.items()}
     effects: dict[str, object] = {}
-    if spec.eff_c1 is not None:
-        effects["C1"] = spec.eff_c1
-    if spec.eff_c2 is not None:
-        effects["C2"] = spec.eff_c2
-    if spec.eff_id1 is not None:
-        effects["ID1"] = spec.eff_id1
-    if spec.eff_id2 is not None:
-        effects["ID2"] = spec.eff_id2
-    if spec.eff_nd1_1 is not None or spec.eff_nd1_2 is not None:
-        effects["ND1"] = [spec.eff_nd1_1, spec.eff_nd1_2]
-    if spec.eff_nd2_1 is not None or spec.eff_nd2_2 is not None:
-        effects["ND2"] = [spec.eff_nd2_1, spec.eff_nd2_2]
+    for key, slots in _EFFECT_KEYS.items():
+        values = [getattr(spec, slot) for slot in slots]
+        if any(v is not None for v in values):
+            effects[key] = values if len(values) == 2 else values[0]
     return {"shares": shares, "effects": effects}
 
 
@@ -482,23 +493,22 @@ def marginal_spec_from_dict(doc: Mapping) -> MarginalSpec:
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(f"marginal_spec must be an object, got {type(doc).__name__}")
-    _reject_unknown(doc, ("shares", "effects"), "marginal_spec")
+    reject_unknown(doc, ("shares", "effects"), "marginal_spec")
     shares = doc.get("shares", {})
     if not isinstance(shares, Mapping):
         raise ConfigError("'shares' must be an object")
-    _reject_unknown(shares, _SHARE_KEYS, "shares")
-    kwargs: dict[str, object] = {attr: shares.get(key, 0.0) for key, attr in _SHARE_KEYS.items()}
+    reject_unknown(shares, _SHARE_KEYS, "shares")
+    kwargs = {attr: as_float(shares.get(key, 0.0), f"shares.{key}") for key, attr in _SHARE_KEYS.items()}
     effects = doc.get("effects", {})
     if not isinstance(effects, Mapping):
         raise ConfigError("'effects' must be an object")
-    _reject_unknown(effects, ("C1", "C2", "ID1", "ID2", "ND1", "ND2"), "effects")
-    for key, slot in (("C1", "eff_c1"), ("C2", "eff_c2"), ("ID1", "eff_id1"), ("ID2", "eff_id2")):
-        if key in effects:
-            kwargs[slot] = effects[key]
-    for key, (slot1, slot2) in (("ND1", ("eff_nd1_1", "eff_nd1_2")), ("ND2", ("eff_nd2_1", "eff_nd2_2"))):
-        if key in effects:
-            pair = effects[key]
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"effects.{key} must be a two-element list [vs field 1, vs field 2]")
-            kwargs[slot1], kwargs[slot2] = pair
+    reject_unknown(effects, _EFFECT_KEYS, "effects")
+    for key, slots in _EFFECT_KEYS.items():
+        if key not in effects:
+            continue
+        values = effects[key] if len(slots) == 2 else [effects[key]]
+        if not isinstance(values, (list, tuple)) or len(values) != len(slots):
+            raise ConfigError(f"effects.{key} must be a two-element list [vs field 1, vs field 2]")
+        for slot, v in zip(slots, values):
+            kwargs[slot] = None if v is None else as_float(v, f"effects.{key}")
     return MarginalSpec(**kwargs)

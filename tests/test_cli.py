@@ -107,7 +107,7 @@ def test_validate_marginal_spec(write_json, capsys):
 def test_config_errors_exit_2(write_json, capsys):
     bad_key = dict(ANCHOR_SPEC, extra={"x": 1})
     code, _, err = run(capsys, ["analyze", write_json(bad_key)])
-    assert code == 2 and "unknown scenario key" in err
+    assert code == 2 and err == "error: unknown key(s) in scenario: extra\n"
 
     code, _, err = run(capsys, ["analyze", write_json({})])
     assert code == 2 and "exactly one" in err
@@ -121,6 +121,29 @@ def test_config_errors_exit_2(write_json, capsys):
 
     code, _, err = run(capsys, ["bounds", "--a10", "0.0"])
     assert code == 2 and "all-or-none" in err
+
+
+def _one_stratum(**fields):
+    return {"population": {"strata": [dict({"tag": "C1C2", "prob": 1.0, "means": [0.0, 1.0, 2.0]}, **fields)]}}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _one_stratum(prob="1"),
+        _one_stratum(prob=True),
+        _one_stratum(means=5),
+        _one_stratum(tag=["x"]),
+        {"marginal_spec": {"shares": {"C1": "0.5"}}},
+        {"population": dict(_one_stratum()["population"], assignment=[0.5, "a", 0.5])},
+        _one_stratum(noise_sd=None),
+    ],
+    ids=["prob-string", "prob-bool", "means-number", "tag-list", "share-string", "assignment-string", "noise-null"],
+)
+def test_bad_value_types_exit_2(write_json, capsys, doc):
+    code, out, err = run(capsys, ["validate", write_json(doc)])
+    assert code == 2 and out == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_singular_spec_exits_4(write_json, capsys):
