@@ -6,7 +6,8 @@ byte-identical to direct library calls with the same inputs and seeds.
 Numbers print with 4 decimal places by default; --precision=full switches
 to repr for lossless round-trips. Errors print one line to stderr and set
 the exit code: 2 for configuration problems, 3 for refuted maintained
-assumptions, 4 for infeasible or rank-deficient problems, 1 otherwise.
+assumptions, 4 for infeasible or rank-deficient problems, 1 for any other
+failure (such as running out of memory).
 
 Scenario files hold a "population" (joint strata) or a "marginal_spec"
 (shares plus effect contrasts), and optional "sweep", "simulate", and
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = add("bounds", _cmd_bounds, "defier-share bounds from a first stage", config_optional=True)
     for coef in ("a10", "a11", "a12", "a20", "a21", "a22"):
         bounds.add_argument(f"--{coef}", type=float, default=None, help=f"first-stage coefficient {coef}")
-    bounds.add_argument("--scan", action="store_true", help="add brute-force feasibility-scan intervals")
+    bounds.add_argument("--scan", action="store_true", help="add grid feasibility-scan intervals")
     bounds.add_argument("--step", type=float, default=0.05, help="scan grid step (default 0.05)")
     bounds.add_argument("--maintained", choices=("next-best", "irrelevance"), default=None,
                         help="point-identify all group shares under this assumption")
@@ -429,6 +430,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except IVStrataError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except Exception as err:  # e.g. MemoryError: still one line and exit 1, not a traceback
+        detail = " ".join(str(err).split())
+        print(f"error: {type(err).__name__}{': ' + detail if detail else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

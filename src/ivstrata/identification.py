@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .exceptions import AssumptionError, ConfigError, InfeasibleError
 from .strata import SHARE_ATOL, MarginalGroup
 
@@ -214,27 +212,32 @@ def defier_bounds(fs: FirstStage) -> DefierBounds:
 
 
 def feasible_set_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:
-    """Attained defier-share ranges from brute-force feasibility, the
+    """Attained defier-share ranges from exact feasibility on a grid, the
     independent check on `defier_bounds`.
 
-    Enumerates every probability vector over the ten joint strata on the
-    1/round(1/step) grid that sums to one and reproduces all six first-stage
-    coefficients within step/2, and reports the min/max of each defier share
-    over the kept set. The six coefficient equations pin seven of the ten
-    probabilities given the two next-best defier masses and the mass of the
-    double-complier stratum, so only those three dimensions are enumerated;
-    the kept set is identical to a full ten-dimensional scan.
+    Keeps every probability vector over the ten joint strata on the 1/k
+    grid, k = round(1/step), that sums to one and reproduces all six
+    first-stage coefficients within step/2 (one or two grid values m per
+    coefficient), and reports the min/max of each defier share over the
+    kept set. For each combination of m values, all ten masses stay
+    nonnegative for some double-complier mass iff the next-best defier
+    masses (n1, n2) lie in the box [max(0, -m21), m20] x [max(0, -m12), m10]
+    with n1 + n2 <= u = min(m11 - m12, m22 - m21), and
+    u >= m10 + m20 + m11 + m22 - k. So n1 and n2 each range over an interval
+    read off the box and the cap; cost and memory do not depend on `step`.
 
     Raises
     ------
     ConfigError
-        If step is outside (0, 0.1].
+        If step is outside [1e-15, 0.1].
     InfeasibleError
         If the kept set is empty (the first stage is infeasible at this
         resolution).
     """
-    if not (0.0 < step <= 0.1):
-        raise ConfigError(f"scan step must be in (0, 0.1], got {step}")
+    # At k = 1e15 the product alpha * k may already be off by k * 2**-53, a
+    # tenth of a grid unit; past k = 2**53 grid values are not representable.
+    if not (1e-15 <= step <= 0.1):
+        raise ConfigError(f"scan step must be in [1e-15, 0.1], got {step}")
     k = round(1.0 / step)
     tol = k * step / 2.0 + 1e-9  # grid units; half-step match window, boundary-inclusive
 
@@ -251,31 +254,22 @@ def feasible_set_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:
                 for m22 in candidates(fs.a22):
                     for m21 in candidates(fs.a21):
                         for m12 in candidates(fs.a12):
-                            # Free masses: n1 = P(ND1)*k, n2 = P(ND2)*k. For a given
-                            # pair, a valid double-complier mass exists iff the
-                            # remaining strata stay nonnegative, which is an interval
-                            # condition.
-                            n1 = np.arange(max(0, -m21), m20 + 1)
-                            n2 = np.arange(max(0, -m12), m10 + 1)
-                            if n1.size == 0 or n2.size == 0:
-                                continue
-                            s = n1[:, None] + n2[None, :]
-                            upper = min(m11 - m12, m22 - m21) - s
-                            lower = (m10 + m20 + m11 + m22 - k) - s
-                            mask = (upper >= 0) & (upper >= lower)
-                            if not mask.any():
+                            # Grid masses n1 = P(ND1)*k over [l1, h1], n2 = P(ND2)*k over
+                            # [l2, h2]: the box, each upper end cut by the joint cap u.
+                            l1, l2 = max(0, -m21), max(0, -m12)
+                            u = min(m11 - m12, m22 - m21)
+                            h1, h2 = min(m20, u - l2), min(m10, u - l1)
+                            if u < m10 + m20 + m11 + m22 - k or l1 > h1 or l2 > h2:
                                 continue
                             found = True
-                            n1_ok = n1[mask.any(axis=1)]
-                            n2_ok = n2[mask.any(axis=0)]
-                            for name, values in (
-                                ("nd1", n1_ok),
-                                ("id1", m21 + n1_ok),
-                                ("nd2", n2_ok),
-                                ("id2", m12 + n2_ok),
+                            for name, first, last in (
+                                ("nd1", l1, h1),
+                                ("id1", m21 + l1, m21 + h1),
+                                ("nd2", l2, h2),
+                                ("id2", m12 + l2, m12 + h2),
                             ):
-                                lo[name] = min(lo[name], int(values.min()) / k)
-                                hi[name] = max(hi[name], int(values.max()) / k)
+                                lo[name] = min(lo[name], first / k)
+                                hi[name] = max(hi[name], last / k)
     if not found:
         raise InfeasibleError(
             f"no stratum probability vector on the 1/{k} grid reproduces these "

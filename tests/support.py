@@ -3,13 +3,18 @@ explicit numpy Generator so test modules stay reproducible."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ivstrata import (
     ClusterScenario,
+    ConfigError,
     Dataset,
+    DefierBounds,
     EstimateSet,
     FirstStage,
+    InfeasibleError,
     JointStratum,
     MarginalSpec,
     Population,
@@ -183,3 +188,64 @@ def reference_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstima
         raise RankError(f"instrument arm z~={int(n1 == 0)} is empty under scenario {scenario.label!r}")
     coef, cov = _reference_iv_hc0(ds, (scenario.s1,), f"clustered Wald ({scenario.label})")
     return WaldEstimate(estimate=float(coef[1]), se=float(np.sqrt(cov[1, 1])), n=ds.n, seed=ds.seed)
+
+
+def reference_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:
+    """Outer-product restatement of `feasible_set_scan`: for each grid value
+    of the six coefficients it builds the n1 x n2 block of next-best defier
+    masses and keeps the pairs for which a double-complier mass leaves every
+    stratum nonnegative. O((1/step)^2) memory; use only at coarse steps."""
+    if not (0.0 < step <= 0.1):
+        raise ConfigError(f"scan step must be in (0, 0.1], got {step}")
+    k = round(1.0 / step)
+    tol = k * step / 2.0 + 1e-9  # grid units; half-step match window, boundary-inclusive
+
+    def candidates(alpha: float) -> range:
+        target = alpha * k
+        return range(math.ceil(target - tol), math.floor(target + tol) + 1)
+
+    lo = {name: math.inf for name in ("nd1", "id1", "nd2", "id2")}
+    hi = {name: -math.inf for name in ("nd1", "id1", "nd2", "id2")}
+    found = False
+    for m10 in candidates(fs.a10):
+        for m20 in candidates(fs.a20):
+            for m11 in candidates(fs.a11):
+                for m22 in candidates(fs.a22):
+                    for m21 in candidates(fs.a21):
+                        for m12 in candidates(fs.a12):
+                            # Free masses: n1 = P(ND1)*k, n2 = P(ND2)*k. For a given
+                            # pair, a valid double-complier mass exists iff the
+                            # remaining strata stay nonnegative, which is an interval
+                            # condition.
+                            n1 = np.arange(max(0, -m21), m20 + 1)
+                            n2 = np.arange(max(0, -m12), m10 + 1)
+                            if n1.size == 0 or n2.size == 0:
+                                continue
+                            s = n1[:, None] + n2[None, :]
+                            upper = min(m11 - m12, m22 - m21) - s
+                            lower = (m10 + m20 + m11 + m22 - k) - s
+                            mask = (upper >= 0) & (upper >= lower)
+                            if not mask.any():
+                                continue
+                            found = True
+                            n1_ok = n1[mask.any(axis=1)]
+                            n2_ok = n2[mask.any(axis=0)]
+                            for name, values in (
+                                ("nd1", n1_ok),
+                                ("id1", m21 + n1_ok),
+                                ("nd2", n2_ok),
+                                ("id2", m12 + n2_ok),
+                            ):
+                                lo[name] = min(lo[name], int(values.min()) / k)
+                                hi[name] = max(hi[name], int(values.max()) / k)
+    if not found:
+        raise InfeasibleError(
+            f"no stratum probability vector on the 1/{k} grid reproduces these "
+            f"first-stage coefficients within {step / 2:g}"
+        )
+    return DefierBounds(
+        nd1=(lo["nd1"], hi["nd1"]),
+        id1=(lo["id1"], hi["id1"]),
+        nd2=(lo["nd2"], hi["nd2"]),
+        id2=(lo["id2"], hi["id2"]),
+    )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ivstrata.cli as cli
 from ivstrata import replication_seed
 from ivstrata.cli import main
 
@@ -121,6 +122,13 @@ def test_config_errors_exit_2(write_json, capsys):
 
     code, _, err = run(capsys, ["bounds", "--a10", "0.0"])
     assert code == 2 and "all-or-none" in err
+
+    # 1/step overflows to inf; the scan rejects the step instead of crashing.
+    scan = ["bounds", "--a10", "0.0", "--a11", "0.5", "--a12", "0.0", "--a20", "0.3",
+            "--a21", "0.1", "--a22", "0.4", "--scan", "--step"]
+    for step in ("5e-324", "1e-320"):
+        code, out, err = run(capsys, scan + [step])
+        assert code == 2 and out == [] and err.startswith("error: scan step") and err.count("\n") == 1
 
 
 def _one_stratum(**fields):
@@ -284,6 +292,22 @@ def test_sweep_rows(write_json, capsys):
     # The 0.8 point is singular; it reports as nan rather than aborting.
     assert len(out) == 3
     assert out[2].startswith("0.8000,100.0000,nan")
+
+
+def test_unexpected_exception_exits_1(write_json, capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_validate", out_of_memory)
+    code, out, err = run(capsys, ["validate", write_json(ANCHOR_SPEC)])
+    assert code == 1 and out == [] and err == "error: MemoryError\n"
+
+    def broken(args):
+        raise ValueError("two\nlines")
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    code, out, err = run(capsys, ["validate", write_json(ANCHOR_SPEC)])
+    assert code == 1 and out == [] and err == "error: ValueError: two lines\n"
 
 
 def test_argparse_usage_errors_raise_system_exit(write_json, capsys):

@@ -1,5 +1,7 @@
 """First-stage identities, maintained-assumption inversion, defier bounds,
-and the brute-force feasibility scan that audits them."""
+and the grid feasibility scan that audits them."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from ivstrata import (
     marginal_shares,
     shares_from_first_stage,
 )
-from support import grid_population, random_population
+from support import ALL_STRATA, grid_population, random_population, reference_scan
 
 rng = np.random.default_rng(41)
 
@@ -145,13 +147,18 @@ def test_bounds_contain_truth_randomized():
 
 def test_scan_matches_formula_on_worked_example():
     fs = FirstStage(a10=0.0, a11=0.5, a12=0.0, a20=0.3, a21=0.1, a22=0.4)
-    scan = feasible_set_scan(fs, step=0.1)
-    assert scan.intervals() == defier_bounds(fs).intervals()
+    # On the 1/1e5 and 1/1e7 grids the scan still attains the closed form
+    # exactly; its cost does not grow with 1/step.
+    for step in (0.1, 1e-5, 1e-7):
+        scan = feasible_set_scan(fs, step=step)
+        assert scan.intervals() == defier_bounds(fs).intervals(), step
 
 
 def test_scan_step_validation():
     fs = FirstStage(a10=0.0, a11=0.5, a12=0.0, a20=0.3, a21=0.1, a22=0.4)
-    for bad in (0.0, -0.1, 0.2):
+    # 1/5e-324 and 1/1e-320 overflow to inf; 3e-17 is past k = 2**53, where
+    # the scan called feasible first stages infeasible.
+    for bad in (0.0, -0.1, 0.2, 5e-324, 1e-320, 3e-17, 9.9e-16, float("nan")):
         with pytest.raises(ConfigError, match="step"):
             feasible_set_scan(fs, step=bad)
 
@@ -200,3 +207,70 @@ def test_scan_endpoints_sit_on_the_grid():
     for lo, hi in scan.intervals().values():
         assert round(lo * 20) == pytest.approx(lo * 20, abs=1e-9)
         assert round(hi * 20) == pytest.approx(hi * 20, abs=1e-9)
+
+
+def _scan_outcome(scan, fs, step):
+    try:
+        return scan(fs, step=step).intervals()
+    except InfeasibleError as err:
+        return str(err)
+
+
+def test_scan_matches_outer_product_reference():
+    # The per-cell closed form against the n1 x n2 enumeration it replaced:
+    # identical intervals, or the identical InfeasibleError text, on grid
+    # first stages as they are and shifted by up to +-0.03 per coefficient.
+    local = np.random.default_rng(47)
+    outcomes = []
+    for step in (0.1, 0.05, 0.03, 0.02, 0.01, 0.005):
+        for _ in range(30):
+            fs = first_stage_from_shares(marginal_shares(grid_population(local, step=step)))
+            shifted = FirstStage(*(v + float(local.uniform(-0.03, 0.03)) for v in dataclasses.astuple(fs)))
+            for case in (fs, shifted):
+                expected = _scan_outcome(reference_scan, case, step)
+                assert _scan_outcome(feasible_set_scan, case, step) == expected, (case, step)
+                outcomes.append(expected)
+    assert any(isinstance(o, str) for o in outcomes) and any(isinstance(o, dict) for o in outcomes)
+
+
+def _unit_columns():
+    """First-stage coefficients and defier shares of each joint stratum alone;
+    both are linear in the stratum probabilities."""
+    coefs, defiers = [], []
+    for s in ALL_STRATA:
+        shares = marginal_shares(Population(entries=(StratumEntry(s, 1.0, (0.0, 0.0, 0.0)),)))
+        coefs.append(dataclasses.astuple(first_stage_from_shares(shares)))
+        defiers.append([shares[g] for g in (G.ND1, G.ID1, G.ND2, G.ID2)])
+    return np.array(coefs).T, np.array(defiers).T
+
+
+def test_defier_bounds_are_the_lp_bounds():
+    # Balke-Pearl style oracle: minimise and maximise each defier share over
+    # all ten stratum probabilities that reproduce the six coefficients. The
+    # LP shares no algebra with defier_bounds or the scan.
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+
+    coef_cols, defier_cols = _unit_columns()
+    a_eq = np.vstack([coef_cols, np.ones(len(ALL_STRATA))])
+    local = np.random.default_rng(43)
+    infeasible = 0
+    for i in range(50):
+        fs = first_stage_from_shares(marginal_shares(random_population(local)))
+        if i % 2:
+            fs = FirstStage(*(v + float(local.uniform(-0.1, 0.1)) for v in dataclasses.astuple(fs)))
+        b_eq = np.append(dataclasses.astuple(fs), 1.0)
+        feasible = linprog(np.zeros(len(ALL_STRATA)), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert feasible.status in (0, 2), feasible.message
+        if feasible.status == 2:
+            infeasible += 1
+            with pytest.raises(InfeasibleError):
+                defier_bounds(fs)
+            continue
+        for row, (lo, hi) in zip(defier_cols, defier_bounds(fs).intervals().values()):
+            low = linprog(row, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            high = linprog(-row, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            assert low.status == 0 and high.status == 0
+            assert lo == pytest.approx(low.fun, abs=1e-9)
+            assert hi == pytest.approx(-high.fun, abs=1e-9)
+    assert 0 < infeasible < 25
