@@ -141,6 +141,8 @@ POPULATION_COMMANDS = [
     ["analyze"],
     ["bounds"],
     ["bounds", "--maintained", "irrelevance"],
+    ["bounds", "--scan", "--step", "0.1"],
+    ["bounds", "--scan", "--step", "0.001"],
     ["sweep"],
     ["cluster"],
 ] + [
