@@ -265,7 +265,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     label = _pick(args.scenario, block, "scenario", None)
     n = _pick(args.n, block, "n", None)
     seed = _as_int(_pick(args.seed, block, "seed", 0), "seed")
-    constant = args.constant_effects or bool(block.get("constant_effects", False))
+    constant = block.get("constant_effects", False)
+    if not isinstance(constant, bool):
+        raise ConfigError(f"constant_effects must be true or false, got {constant!r}")
+    constant = args.constant_effects or constant
     if label is not None:
         scenario = ClusterScenario.from_label(label)
     elif n is not None:

@@ -90,13 +90,10 @@ _REGIME_TERMS = {
 }
 
 
-def _denominator(spec: MarginalSpec, regime: Regime) -> float:
-    if regime is Regime.NEXT_BEST_ONLY:
-        return spec.pC1 * spec.pC2 - spec.pID1 * spec.pID2
-    if regime is Regime.IRRELEVANCE_ONLY:
-        return spec.pC1 * spec.pC2 + spec.pC1 * spec.pND2 + spec.pND1 * spec.pC2
-    # Full denominator; reduces bitwise to the two above when the excluded
-    # shares are exactly zero (term order matters for that).
+def _denominator(spec: MarginalSpec) -> float:
+    # One formula for every regime: `_check_regime` makes the shares a regime
+    # excludes zero, so their products add exact zeros and a nonzero value is
+    # the regime's own closed form bit for bit (term order matters for that).
     return (
         spec.pC1 * spec.pC2
         + spec.pC1 * spec.pND2
@@ -187,7 +184,7 @@ def _check_regime(spec: MarginalSpec, regime: Regime) -> None:
 
 
 def _decompose_first(spec: MarginalSpec, regime: Regime) -> BiasDecomposition:
-    den = _denominator(spec, regime)
+    den = _denominator(spec)
     if abs(den) <= DEN_TOL:
         raise RankError(f"degenerate identification: regime denominator {den!r} is near zero")
     late = spec.effect("eff_c1")

@@ -14,6 +14,7 @@ the cross slope a refutation test of the other assumption.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -165,6 +166,14 @@ class DefierBounds:
         return {"ND1": self.nd1, "ID1": self.id1, "ND2": self.nd2, "ID2": self.id2}
 
 
+def _polygon(a10, a11, a12, a20, a21, a22):
+    """Box [l1, h1] x [l2, h2] and joint cap u of the `defier_bounds` polygon
+    in any units, exact on grid integers; a lower end of 0 is int 0."""
+    l1, l2 = max(0, -a21), max(0, -a12)
+    u = min(a11 - a12, a22 - a21)
+    return l1, min(a20, u - l2), l2, min(a10, u - l1), u
+
+
 def defier_bounds(fs: FirstStage) -> DefierBounds:
     """Sharp bounds on the defier shares from a first stage.
 
@@ -192,28 +201,22 @@ def defier_bounds(fs: FirstStage) -> DefierBounds:
         satisfying the maintained choice model can produce this first stage.
     """
     fs.validate()
-    joint = min(fs.a11 - fs.a12, fs.a22 - fs.a21)
-
-    def one(cross: float, other_cross: float, other_intercept: float, k: int) -> tuple[tuple[float, float], tuple[float, float]]:
-        nd_lo = max(0.0, -cross)
-        nd_hi = min(other_intercept, joint - max(0.0, -other_cross))
+    l1, h1, l2, h2, u = map(float, _polygon(fs.a10, fs.a11, fs.a12, fs.a20, fs.a21, fs.a22))
+    intervals = []
+    for k, cross, nd_lo, nd_hi in ((1, fs.a21, l1, h1), (2, fs.a12, l2, h2)):
         if nd_lo > nd_hi + SHARE_ATOL:
             raise InfeasibleError(
                 f"no feasible P(ND{k}): requires at least {nd_lo:.6g} from the cross slope "
                 f"but at most {nd_hi:.6g} from the other-field intercept and the joint cap "
-                f"P(ND1) + P(ND2) <= min(a11 - a12, a22 - a21) = {joint:.6g}"
+                f"P(ND1) + P(ND2) <= min(a11 - a12, a22 - a21) = {u:.6g}"
             )
         nd_hi = max(nd_hi, nd_lo)  # float dust within SHARE_ATOL
-        return (nd_lo, nd_hi), (cross + nd_lo, cross + nd_hi)
-
-    nd1, id1 = one(fs.a21, fs.a12, fs.a20, 1)
-    nd2, id2 = one(fs.a12, fs.a21, fs.a10, 2)
-    return DefierBounds(nd1=nd1, id1=id1, nd2=nd2, id2=id2)
+        intervals += [(nd_lo, nd_hi), (cross + nd_lo, cross + nd_hi)]
+    return DefierBounds(*intervals)
 
 
 def feasible_set_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:
-    """Attained defier-share ranges from exact feasibility on a grid, the
-    independent check on `defier_bounds`.
+    """Attained defier-share ranges from exact feasibility on a grid.
 
     Keeps every probability vector over the ten joint strata on the 1/k
     grid, k = round(1/step), that sums to one and reproduces all six
@@ -221,10 +224,11 @@ def feasible_set_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:
     coefficient), and reports the min/max of each defier share over the
     kept set. For each combination of m values, all ten masses stay
     nonnegative for some double-complier mass iff the next-best defier
-    masses (n1, n2) lie in the box [max(0, -m21), m20] x [max(0, -m12), m10]
-    with n1 + n2 <= u = min(m11 - m12, m22 - m21), and
-    u >= m10 + m20 + m11 + m22 - k. So n1 and n2 each range over an interval
-    read off the box and the cap; cost and memory do not depend on `step`.
+    masses lie in the `defier_bounds` polygon of the m values and
+    u >= m10 + m20 + m11 + m22 - k. So n1 and n2 each range over an
+    interval; cost and memory do not depend on `step`. The scan shares the
+    polygon with `defier_bounds`, so the independent oracles are the LP
+    bounds and the outer-product scan in the tests.
 
     Raises
     ------
@@ -243,41 +247,22 @@ def feasible_set_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:
 
     def candidates(alpha: float) -> range:
         target = alpha * k
+        # No kept cell has a value outside [-k, k]; this also keeps ceil off inf.
+        if abs(target) - tol > k:
+            return range(0)
         return range(math.ceil(target - tol), math.floor(target + tol) + 1)
 
-    lo = {name: math.inf for name in ("nd1", "id1", "nd2", "id2")}
-    hi = {name: -math.inf for name in ("nd1", "id1", "nd2", "id2")}
-    found = False
-    for m10 in candidates(fs.a10):
-        for m20 in candidates(fs.a20):
-            for m11 in candidates(fs.a11):
-                for m22 in candidates(fs.a22):
-                    for m21 in candidates(fs.a21):
-                        for m12 in candidates(fs.a12):
-                            # Grid masses n1 = P(ND1)*k over [l1, h1], n2 = P(ND2)*k over
-                            # [l2, h2]: the box, each upper end cut by the joint cap u.
-                            l1, l2 = max(0, -m21), max(0, -m12)
-                            u = min(m11 - m12, m22 - m21)
-                            h1, h2 = min(m20, u - l2), min(m10, u - l1)
-                            if u < m10 + m20 + m11 + m22 - k or l1 > h1 or l2 > h2:
-                                continue
-                            found = True
-                            for name, first, last in (
-                                ("nd1", l1, h1),
-                                ("id1", m21 + l1, m21 + h1),
-                                ("nd2", l2, h2),
-                                ("id2", m12 + l2, m12 + h2),
-                            ):
-                                lo[name] = min(lo[name], first / k)
-                                hi[name] = max(hi[name], last / k)
-    if not found:
+    lo, hi = [math.inf] * 4, [-math.inf] * 4  # indexed like DefierBounds
+    grid = map(candidates, (fs.a10, fs.a11, fs.a12, fs.a20, fs.a21, fs.a22))
+    for m10, m11, m12, m20, m21, m22 in itertools.product(*grid):
+        l1, h1, l2, h2, u = _polygon(m10, m11, m12, m20, m21, m22)
+        if u >= m10 + m20 + m11 + m22 - k and l1 <= h1 and l2 <= h2:
+            for i, (first, last) in enumerate(((l1, h1), (m21 + l1, m21 + h1), (l2, h2), (m12 + l2, m12 + h2))):
+                lo[i] = min(lo[i], first / k)
+                hi[i] = max(hi[i], last / k)
+    if lo[0] == math.inf:  # no kept cell
         raise InfeasibleError(
             f"no stratum probability vector on the 1/{k} grid reproduces these "
             f"first-stage coefficients within {step / 2:g}"
         )
-    return DefierBounds(
-        nd1=(lo["nd1"], hi["nd1"]),
-        id1=(lo["id1"], hi["id1"]),
-        nd2=(lo["nd2"], hi["nd2"]),
-        id2=(lo["id2"], hi["id2"]),
-    )
+    return DefierBounds(*zip(lo, hi))

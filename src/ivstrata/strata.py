@@ -215,18 +215,6 @@ class Population:
         if abs(a_total - 1.0) > PROB_SUM_TOL:
             raise ConfigError(f"assignment probabilities sum to {a_total!r}, expected 1 within {PROB_SUM_TOL}")
 
-    def prob(self, stratum: JointStratum) -> float:
-        for e in self.entries:
-            if e.stratum is stratum:
-                return e.prob
-        return 0.0
-
-    def entry(self, stratum: JointStratum) -> Optional[StratumEntry]:
-        for e in self.entries:
-            if e.stratum is stratum:
-                return e
-        return None
-
 
 def marginal_shares(pop: Population) -> dict[MarginalGroup, float]:
     """Probability of each of the twelve marginal groups.

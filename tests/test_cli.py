@@ -235,6 +235,16 @@ def test_cluster_block_and_flag_precedence(write_json, capsys):
     assert "oracle_gap,0.0000" in out
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_cluster_constant_effects_must_be_boolean(write_json, capsys, value):
+    # "false" is a truthy string: it must not switch the decomposition on.
+    doc = dict(CLUSTER_POP, cluster={"scenario": "control-1", "constant_effects": value})
+    for extra in ([], ["--constant-effects"]):
+        code, out, err = run(capsys, ["cluster", write_json(doc), *extra])
+        assert code == 2 and out == []
+        assert err == f"error: constant_effects must be true or false, got {value!r}\n"
+
+
 def test_cluster_degenerate_scenario_prints_no_table(write_json, capsys):
     code, out, _ = run(capsys, ["cluster", write_json(CLUSTER_POP), "--scenario", "no-clustering"])
     assert code == 0

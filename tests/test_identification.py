@@ -1,5 +1,6 @@
-"""First-stage identities, maintained-assumption inversion, defier bounds,
-and the grid feasibility scan that audits them."""
+"""First-stage identities, maintained-assumption inversion, defier bounds
+and the grid feasibility scan, both checked against independent oracles
+(a linear program and the outer-product scan in support.py)."""
 
 import dataclasses
 
@@ -231,6 +232,32 @@ def test_scan_matches_outer_product_reference():
                 assert _scan_outcome(feasible_set_scan, case, step) == expected, (case, step)
                 outcomes.append(expected)
     assert any(isinstance(o, str) for o in outcomes) and any(isinstance(o, dict) for o in outcomes)
+
+
+def test_scan_skips_coefficients_beyond_the_grid():
+    # A coefficient whose half-step window lies wholly outside [-1, 1]
+    # matches no grid vector. A huge one must give the grid InfeasibleError,
+    # not an OverflowError, and windows at the edge +-(1 + step/2) must give
+    # the outer-product reference's outcome on every one-stratum first stage.
+    huge = FirstStage(a10=1e300, a11=0.5, a12=0.0, a20=0.3, a21=0.1, a22=0.4)
+    with pytest.raises(InfeasibleError, match="on the 1/10000000000 grid"):
+        feasible_set_scan(huge, step=1e-10)
+    bases = [
+        first_stage_from_shares(marginal_shares(Population(entries=(StratumEntry(s, 1.0, (0.0, 0.0, 0.0)),))))
+        for s in ALL_STRATA
+    ]
+    names = [f.name for f in dataclasses.fields(FirstStage)]
+    outcomes = []
+    for step in (0.1, 0.05, 0.02):
+        for shift in (1e-12, -1e-12, 1e-9, -1e-9, 0.3 * step, -0.3 * step):
+            for edge in (1.0 + step / 2 + shift, -1.0 - step / 2 + shift):
+                for fs in bases:
+                    for name in names:
+                        case = dataclasses.replace(fs, **{name: edge})
+                        expected = _scan_outcome(reference_scan, case, step)
+                        assert _scan_outcome(feasible_set_scan, case, step) == expected, (case, step)
+                        outcomes.append(expected)
+    assert sum(isinstance(o, dict) for o in outcomes) > 100 and any(isinstance(o, str) for o in outcomes)
 
 
 def _unit_columns():
