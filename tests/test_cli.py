@@ -327,3 +327,133 @@ def test_argparse_usage_errors_raise_system_exit(write_json, capsys):
     with pytest.raises(SystemExit):
         main(["analyze", write_json(ANCHOR_SPEC), "--regime", "bogus"])
     capsys.readouterr()
+
+
+# Cross slopes a21 = -0.03 and a12 = 0: the exact first stage selects
+# control-1; a small sample cannot tell a21 from zero.
+WEAK_CROSS_POP = {
+    "population": {
+        "strata": [
+            {"tag": "C1C2", "prob": 0.97, "means": [0.0, 1.0, 2.0]},
+            {"tag": "ND1AT2", "prob": 0.03, "means": [0.0, 1.0, 2.0]},
+        ]
+    }
+}
+
+
+def test_cluster_n_chooses_from_an_estimated_first_stage(write_json, capsys):
+    path = write_json(WEAK_CROSS_POP)
+    code, exact, _ = run(capsys, ["cluster", path])
+    assert code == 0 and exact[1] == "control-1,0;2,1"
+
+    code, out, err = run(capsys, ["cluster", path, "--n", "200", "--seed", "3"])
+    assert code == 0 and err == ""
+    assert out == ["scenario,s0,s1", "no-clustering,,"]
+
+    code, out, _ = run(capsys, ["cluster", path, "--n", "20000", "--seed", "3"])
+    assert code == 0 and out == exact
+
+    # The block's n and seed do the same as the flags; a flag still wins.
+    path = write_json(dict(WEAK_CROSS_POP, cluster={"n": 200, "seed": 3}))
+    code, out, _ = run(capsys, ["cluster", path])
+    assert code == 0 and out == ["scenario,s0,s1", "no-clustering,,"]
+    code, out, _ = run(capsys, ["cluster", path, "--n", "20000"])
+    assert code == 0 and out == exact
+
+
+def test_simulate_cluster_wald_chooses_the_scenario(write_json, capsys):
+    # Without a scenario, the exact first stage of CLUSTER_POP (a21 > 0,
+    # a12 = 0) selects treatment clustering, not the cluster block's control-1.
+    argv = ["simulate", write_json(CLUSTER_POP), "--target", "cluster-wald", "--n", "2000", "--reps", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out[3] == "target,cluster-wald"
+    assert out[-1] == "wald,440.0000,439.9724,3.9464,-0.0276,1.0000"
+    code, explicit, _ = run(capsys, argv + ["--scenario", "treatment"])
+    assert code == 0 and explicit == out
+
+    doc = dict(CLUSTER_POP, simulate={"target": "cluster-wald", "n": 2000, "reps": 3})
+    code, from_block, _ = run(capsys, ["simulate", write_json(doc)])
+    assert code == 0 and from_block == out
+
+
+def test_sweep_block_grid_and_levels(write_json, capsys):
+    path = write_json(dict(ANCHOR_SPEC, sweep={"grid": [0.0, 0.2], "levels": [100.0, 250]}))
+    code, out, err = run(capsys, ["sweep", path])
+    assert code == 0 and err == ""
+    assert out == [
+        "axis,level,beta,late,bias",
+        "0.0000,100.0000,1000.0000,1000.0000,0.0000",
+        "0.0000,250.0000,1000.0000,1000.0000,0.0000",
+        "0.2000,100.0000,1006.6667,1000.0000,6.6667",
+        "0.2000,250.0000,1016.6667,1000.0000,16.6667",
+    ]
+    # A flag replaces the block's list; the block's levels still apply.
+    code, out, _ = run(capsys, ["sweep", path, "--grid", "0.1"])
+    assert code == 0
+    assert out[1:] == ["0.1000,100.0000,1002.8571,1000.0000,2.8571", "0.1000,250.0000,1007.1429,1000.0000,7.1429"]
+
+
+_SCENARIO_CHOICES = "['control-1', 'control-2', 'no-clustering', 'treatment', 'undefined']"
+
+
+BAD_BLOCK_VALUES = [
+    ("cluster", {"scenario": "both"}, f"unknown cluster scenario 'both'; expected one of {_SCENARIO_CHOICES}"),
+    ("cluster", {"sig_level": "x"}, "sig_level must be a number, got 'x'"),
+    ("cluster", {"neg_neg_rule": "never"},
+     "neg_neg_rule must be one of ['fail', 'larger-magnitude', 'undefined'], got 'never'"),
+    ("cluster", {"semantics": 1}, "semantics must be one of ['group-relevant', 'pooled'], got 1"),
+    ("cluster", {"n": 100.0}, "n must be an integer, got 100.0"),
+    ("cluster", {"seed": "1"}, "seed must be an integer, got '1'"),
+    ("simulate", {"n": "many"}, "n must be an integer, got 'many'"),
+    ("simulate", {"reps": 2.5}, "reps must be an integer, got 2.5"),
+    ("simulate", {"seed": True}, "seed must be an integer, got True"),
+    ("simulate", {"target": "wald"}, "target must be one of ['cluster-wald', 'field-2sls'], got 'wald'"),
+    ("simulate", {"target": "cluster-wald", "scenario": "control-3"},
+     f"unknown cluster scenario 'control-3'; expected one of {_SCENARIO_CHOICES}"),
+    ("sweep", {"axis": "share"}, "axis must be one of ['defier-share', 'effect-gap'], got 'share'"),
+    ("sweep", {"grid": 0.5}, "sweep grid must be a nonempty list of numbers"),
+    ("sweep", {"grid": []}, "sweep grid must be a nonempty list of numbers"),
+    ("sweep", {"levels": [1.0, "2"]}, "sweep levels must be a number, got '2'"),
+    ("sweep", {"levels": None}, "sweep levels must be a nonempty list of numbers"),
+    ("sweep", {"defier": "nd2"}, "defier must be 'id1' or 'nd1', got 'nd2'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, block, err", BAD_BLOCK_VALUES, ids=[f"{cmd}-{'-'.join(block)}" for cmd, block, _ in BAD_BLOCK_VALUES]
+)
+def test_bad_block_value_error_line(write_json, capsys, command, block, err):
+    doc = dict(BENCHMARK_POP, **{command: block})
+    code, out, stderr = run(capsys, [command, write_json(doc)])
+    assert code == 2 and out == []
+    assert stderr == f"error: {err}\n"
+
+
+# The block values of this file are bad for the commands that read them.
+BAD_BLOCKS = dict(BENCHMARK_POP, cluster={"constant_effects": "false", "sig_level": "x"}, simulate={"n": "many"})
+
+
+@pytest.mark.xfail(strict=True, reason="block values are converted only by the command that reads them")
+@pytest.mark.parametrize(
+    "doc, argv, err",
+    [
+        (BAD_BLOCKS, ["validate"], "n must be an integer, got 'many'"),
+        (BAD_BLOCKS, ["analyze"], "n must be an integer, got 'many'"),
+        (BAD_BLOCKS, ["bounds"], "n must be an integer, got 'many'"),
+        (dict(BENCHMARK_POP, cluster={"scenario": ["x"]}), ["validate"],
+         f"unknown cluster scenario ['x']; expected one of {_SCENARIO_CHOICES}"),
+        (dict(BENCHMARK_POP, cluster={"scenario": ["x"]}), ["cluster"],
+         f"unknown cluster scenario ['x']; expected one of {_SCENARIO_CHOICES}"),
+        (dict(BENCHMARK_POP, simulate={"target": "cluster-wald", "scenario": ["x"]}), ["simulate"],
+         f"unknown cluster scenario ['x']; expected one of {_SCENARIO_CHOICES}"),
+        (dict(BENCHMARK_POP, simulate={"scenario": {"label": "treatment"}}), ["validate"],
+         f"unknown cluster scenario {{'label': 'treatment'}}; expected one of {_SCENARIO_CHOICES}"),
+    ],
+    ids=["found-validate", "found-analyze", "found-bounds", "list-validate", "list-cluster", "list-simulate",
+         "dict-validate"],
+)
+def test_every_command_rejects_bad_block_values(write_json, capsys, doc, argv, err):
+    code, out, stderr = run(capsys, [argv[0], write_json(doc), *argv[1:]])
+    assert code == 2 and out == []
+    assert stderr == f"error: {err}\n"
