@@ -11,8 +11,8 @@ failure (such as running out of memory).
 
 Scenario files hold a "population" (joint strata) or a "marginal_spec"
 (shares plus effect contrasts), and optional "sweep", "simulate", and
-"cluster" blocks with per-command defaults; command-line flags override
-block values.
+"cluster" blocks with per-command defaults, all checked when the file
+loads; command-line flags override block values.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .clustering import (
     ClusterScenario,
     NegNegRule,
-    ScenarioKind,
     Semantics,
     check_cluster_exclusion,
     choose_clustering,
@@ -34,7 +34,7 @@ from .clustering import (
     cluster_estimand_formula,
     cluster_wald_oracle,
 )
-from .estimands import Regime, SweepAxis, bias_sweep, decompose, solve_moment_system
+from .estimands import SWEEP_DEFIERS, Regime, SweepAxis, bias_sweep, decompose, solve_moment_system, sweep_defier
 from .exceptions import ConfigError, IVStrataError
 from .identification import (
     FirstStage,
@@ -63,13 +63,11 @@ _GROUP_ORDER = ("C1", "ID1", "ND1", "AT1", "NT1", "OT1", "C2", "ID2", "ND2", "AT
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Parsed scenario file: the primitive plus per-command option blocks."""
+    """Parsed scenario file: the primitive plus each command's converted block values."""
 
     population: Optional[Population]
     spec: Optional[MarginalSpec]
-    sweep: dict
-    simulate: dict
-    cluster: dict
+    options: dict[str, dict]
 
     def require_population(self, command: str) -> Population:
         if self.population is None:
@@ -82,53 +80,15 @@ class ScenarioFile:
         return marginalize(self.population)
 
 
-def load_scenario(path: str) -> ScenarioFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read scenario file {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"scenario file {path} is not valid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ConfigError(f"scenario file {path} must hold a JSON object")
-    reject_unknown(doc, ("population", "marginal_spec", "sweep", "simulate", "cluster"), "scenario")
-    has_pop = "population" in doc
-    has_spec = "marginal_spec" in doc
-    if has_pop == has_spec:
-        raise ConfigError("scenario file must hold exactly one of 'population' or 'marginal_spec'")
-    blocks = {}
-    for name, allowed in (
-        ("sweep", ("axis", "grid", "levels", "defier")),
-        ("simulate", ("n", "reps", "seed", "target", "scenario")),
-        ("cluster", ("scenario", "sig_level", "neg_neg_rule", "semantics", "n", "seed", "constant_effects")),
-    ):
-        block = doc.get(name, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"scenario block {name!r} must be a JSON object")
-        reject_unknown(block, allowed, name)
-        blocks[name] = block
-    return ScenarioFile(
-        population=population_from_dict(doc["population"]) if has_pop else None,
-        spec=marginal_spec_from_dict(doc["marginal_spec"]) if has_spec else None,
-        sweep=blocks["sweep"],
-        simulate=blocks["simulate"],
-        cluster=blocks["cluster"],
-    )
-
-
-def _pick(flag, block: dict, key: str, default):
-    """Flag beats scenario block beats default."""
-    if flag is not None:
-        return flag
-    if key in block:
-        return block[key]
-    return default
-
-
 def _as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _as_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
     return value
 
 
@@ -138,6 +98,80 @@ def _enum(cls, value, what: str):
     except ValueError:
         choices = sorted(m.value for m in cls)
         raise ConfigError(f"{what} must be one of {choices}, got {value!r}") from None
+
+
+def _sweep_floats(value, what: str) -> list[float]:
+    what = f"sweep {what}"
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a nonempty list of numbers")
+    return [as_float(v, what) for v in value]
+
+
+# Each command's scenario-block options: key -> (convert, default). A block
+# value is converted when the file loads; a flag of the same name (argparse
+# gives it the JSON type) overrides it through the same converter.
+_OPTIONS = {
+    "sweep": {
+        "axis": (partial(_enum, SweepAxis), SweepAxis.DEFIER_SHARE),
+        "grid": (_sweep_floats, [round(0.05 * i, 10) for i in range(11)]),
+        "levels": (_sweep_floats, None),  # None: 10, 20 and 50 percent of the C1 effect
+        "defier": (lambda value, what: sweep_defier(value), "id1"),
+    },
+    "simulate": {
+        "n": (_as_int, 200000),
+        "reps": (_as_int, 100),
+        "seed": (_as_int, 0),
+        "target": (partial(_enum, Target), Target.FIELD_2SLS),
+        "scenario": (lambda value, what: ClusterScenario.from_label(value), None),
+    },
+    "cluster": {
+        "scenario": (lambda value, what: ClusterScenario.from_label(value), None),
+        "sig_level": (as_float, 0.05),
+        "neg_neg_rule": (partial(_enum, NegNegRule), NegNegRule.UNDEFINED),
+        "semantics": (partial(_enum, Semantics), Semantics.POOLED),
+        "n": (_as_int, None),
+        "seed": (_as_int, 0),
+        "constant_effects": (_as_bool, False),
+    },
+}
+
+
+def load_scenario(path: str) -> ScenarioFile:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read scenario file {path}: {err}") from err
+    except ValueError as err:  # bad JSON, bad UTF-8, or an integer literal past Python's digit limit
+        raise ConfigError(f"scenario file {path} is not valid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise ConfigError(f"scenario file {path} must hold a JSON object")
+    reject_unknown(doc, ("population", "marginal_spec", *_OPTIONS), "scenario")
+    has_pop = "population" in doc
+    has_spec = "marginal_spec" in doc
+    if has_pop == has_spec:
+        raise ConfigError("scenario file must hold exactly one of 'population' or 'marginal_spec'")
+    options = {}
+    for command, table in _OPTIONS.items():
+        block = doc.get(command, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"scenario block {command!r} must be a JSON object")
+        reject_unknown(block, table, command)
+        options[command] = {key: table[key][0](value, key) for key, value in block.items()}
+    return ScenarioFile(
+        population=population_from_dict(doc["population"]) if has_pop else None,
+        spec=marginal_spec_from_dict(doc["marginal_spec"]) if has_spec else None,
+        options=options,
+    )
+
+
+def _options(args: argparse.Namespace, sc: ScenarioFile) -> dict:
+    """Each option of the command: its flag, else its block value, else its default."""
+    block, flags = sc.options[args.command], vars(args)
+    return {
+        key: block.get(key, default) if flags[key] is None else convert(flags[key], key)
+        for key, (convert, default) in _OPTIONS[args.command].items()
+    }
 
 
 def _fmt(x, precision: str) -> str:
@@ -152,12 +186,6 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as err:
         raise ConfigError(f"{what} must be comma-separated numbers, got {text!r}") from err
-
-
-def _block_float_list(value, what: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{what} must be a nonempty list of numbers")
-    return [as_float(v, what) for v in value]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -190,7 +218,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     sc = load_scenario(args.config)
     spec = sc.any_spec()
-    regime = _enum(Regime, args.regime, "--regime") if args.regime else Regime.NEITHER
+    regime = Regime(args.regime) if args.regime else Regime.NEITHER
     dec1, dec2 = decompose(spec, regime)
     oracle1, oracle2 = solve_moment_system(spec)
     p = args.precision
@@ -237,7 +265,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     p = args.precision
     rows: list[str] = []
     if args.maintained:
-        shares = shares_from_first_stage(fs, _enum(Maintained, args.maintained, "--maintained"))
+        shares = shares_from_first_stage(fs, Maintained(args.maintained))
         for name in _GROUP_ORDER:
             v = _fmt(shares[MarginalGroup[name]], p)
             rows.append(f"{name},{v},{v}")
@@ -258,36 +286,25 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     sc = load_scenario(args.config)
     pop = sc.require_population("cluster")
-    block = sc.cluster
-    sig_level = as_float(_pick(args.sig_level, block, "sig_level", 0.05), "sig_level")
-    rule = _enum(NegNegRule, _pick(args.neg_neg_rule, block, "neg_neg_rule", "undefined"), "neg_neg_rule")
-    semantics = _enum(Semantics, _pick(args.semantics, block, "semantics", "pooled"), "semantics")
-    label = _pick(args.scenario, block, "scenario", None)
-    n = _pick(args.n, block, "n", None)
-    seed = _as_int(_pick(args.seed, block, "seed", 0), "seed")
-    constant = block.get("constant_effects", False)
-    if not isinstance(constant, bool):
-        raise ConfigError(f"constant_effects must be true or false, got {constant!r}")
-    constant = args.constant_effects or constant
-    if label is not None:
-        scenario = ClusterScenario.from_label(label)
-    elif n is not None:
-        est = estimate_2sls(generate(pop, _as_int(n, "n"), seed))
-        scenario = choose_clustering(est.alphas, est.alpha_ses.a21, est.alpha_ses.a12, sig_level, rule)
-    else:
-        scenario = choose_clustering(
-            first_stage_from_shares(marginal_shares(pop)), sig_level=sig_level, neg_neg_rule=rule
-        )
+    opts = _options(args, sc)
+    scenario = opts["scenario"]
+    if scenario is None:
+        if opts["n"] is None:
+            fs, ses = first_stage_from_shares(marginal_shares(pop)), (None, None)
+        else:
+            est = estimate_2sls(generate(pop, opts["n"], opts["seed"]))
+            fs, ses = est.alphas, (est.alpha_ses.a21, est.alpha_ses.a12)
+        scenario = choose_clustering(fs, *ses, opts["sig_level"], opts["neg_neg_rule"])
     p = args.precision
     print("scenario,s0,s1")
     s0 = ";".join(str(v) for v in sorted(scenario.s0)) if scenario.s0 is not None else ""
     s1 = ";".join(str(v) for v in sorted(scenario.s1)) if scenario.s1 is not None else ""
     print(f"{scenario.label},{s0},{s1}")
-    if scenario.kind not in (ScenarioKind.CONTROL, ScenarioKind.TREATMENT):
+    if scenario.s1 is None:  # no collapse, so no clustered estimand
         return 0
-    dec = (cluster_estimand_constant_effects if constant else cluster_estimand_formula)(pop, scenario)
+    dec = (cluster_estimand_constant_effects if opts["constant_effects"] else cluster_estimand_formula)(pop, scenario)
     verdict = check_cluster_exclusion(pop, scenario)
-    oracle = cluster_wald_oracle(pop, scenario, semantics)
+    oracle = cluster_wald_oracle(pop, scenario, opts["semantics"])
     print()
     print(f"pi,{_fmt(dec.pi, p)}")
     print("component,label,weight,value,sign,contribution")
@@ -300,7 +317,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     print(f"bias_total,{_fmt(dec.bias, p)}")
     print(f"total,{_fmt(dec.total, p)}")
     print("exclusion," + ("holds" if verdict.holds else "violated:" + ";".join(verdict.violations)))
-    print(f"semantics,{semantics.value}")
+    print(f"semantics,{opts['semantics'].value}")
     print(f"oracle,{_fmt(oracle, p)}")
     print(f"oracle_gap,{_fmt(oracle - dec.total, p)}")
     return 0
@@ -309,19 +326,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     sc = load_scenario(args.config)
     pop = sc.require_population("simulate")
-    block = sc.simulate
-    n = _as_int(_pick(args.n, block, "n", 200000), "n")
-    reps = _as_int(_pick(args.reps, block, "reps", 100), "reps")
-    seed = _as_int(_pick(args.seed, block, "seed", 0), "seed")
-    target = _enum(Target, _pick(args.target, block, "target", "field-2sls"), "target")
-    scenario = None
-    if target is Target.CLUSTER_WALD:
-        label = _pick(args.scenario, block, "scenario", None)
-        if label is not None:
-            scenario = ClusterScenario.from_label(label)
-        else:
-            scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)))
-    summary = replicate(pop, n=n, reps=reps, master_seed=seed, target=target, scenario=scenario)
+    opts = _options(args, sc)
+    scenario = opts["scenario"]
+    if opts["target"] is Target.CLUSTER_WALD and scenario is None:
+        scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)))
+    summary = replicate(pop, opts["n"], opts["reps"], opts["seed"], opts["target"], scenario)
     p = args.precision
     print(f"n,{summary.n}")
     print(f"reps,{summary.reps}")
@@ -340,23 +349,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sc = load_scenario(args.config)
     spec = sc.any_spec()
-    block = sc.sweep
-    axis = _enum(SweepAxis, _pick(args.axis, block, "axis", "defier-share"), "axis")
-    defier = _pick(args.defier, block, "defier", "id1")
-    if args.grid is not None:
-        grid = _parse_float_list(args.grid, "--grid")
-    elif "grid" in block:
-        grid = _block_float_list(block["grid"], "sweep grid")
-    else:
-        grid = [round(0.05 * i, 10) for i in range(11)]
-    if args.levels is not None:
-        levels = _parse_float_list(args.levels, "--levels")
-    elif "levels" in block:
-        levels = _block_float_list(block["levels"], "sweep levels")
-    else:
+    opts = _options(args, sc)
+    levels = opts["levels"]
+    if levels is None:
         late = spec.effect("eff_c1")
         levels = [0.1 * late, 0.2 * late, 0.5 * late]
-    rows = bias_sweep(spec, axis, grid, levels, defier=defier)
+    rows = bias_sweep(spec, opts["axis"], opts["grid"], levels, defier=opts["defier"])
     p = args.precision
     print("axis,level,beta,late,bias")
     for row in rows:
@@ -365,6 +363,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{_fmt(row.late, p)},{_fmt(row.bias, p)}"
         )
     return 0
+
+
+def _values(cls) -> list[str]:
+    return [m.value for m in cls]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,48 +389,49 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", _cmd_validate, "parse and echo a scenario file")
 
     analyze = add("analyze", _cmd_analyze, "exact estimands and bias decomposition")
-    analyze.add_argument("--regime", choices=("neither", "next-best", "irrelevance"), default=None)
+    analyze.add_argument("--regime", choices=_values(Regime), default=None)
 
     bounds = add("bounds", _cmd_bounds, "defier-share bounds from a first stage", config_optional=True)
     for coef in ("a10", "a11", "a12", "a20", "a21", "a22"):
         bounds.add_argument(f"--{coef}", type=float, default=None, help=f"first-stage coefficient {coef}")
     bounds.add_argument("--scan", action="store_true", help="add grid feasibility-scan intervals")
     bounds.add_argument("--step", type=float, default=0.05, help="scan grid step (default 0.05)")
-    bounds.add_argument("--maintained", choices=("next-best", "irrelevance"), default=None,
+    bounds.add_argument("--maintained", choices=_values(Maintained), default=None,
                         help="point-identify all group shares under this assumption")
 
     cluster = add("cluster", _cmd_cluster, "choose a clustering and decompose its estimand")
-    cluster.add_argument("--scenario", choices=("control-1", "control-2", "treatment", "no-clustering", "undefined"),
-                         default=None, help="override the sign-based scenario choice")
+    cluster.add_argument("--scenario", choices=_values(ClusterScenario), default=None,
+                         help="override the sign-based scenario choice")
     cluster.add_argument("--sig-level", dest="sig_level", type=float, default=None)
-    cluster.add_argument("--neg-neg-rule", dest="neg_neg_rule",
-                         choices=("undefined", "larger-magnitude", "fail"), default=None)
-    cluster.add_argument("--semantics", choices=("pooled", "group-relevant"), default=None)
+    cluster.add_argument("--neg-neg-rule", dest="neg_neg_rule", choices=_values(NegNegRule), default=None)
+    cluster.add_argument("--semantics", choices=_values(Semantics), default=None)
     cluster.add_argument("--n", type=int, default=None,
                          help="choose the scenario from an estimated first stage on a sample of this size")
     cluster.add_argument("--seed", type=int, default=None)
-    cluster.add_argument("--constant-effects", dest="constant_effects", action="store_true",
+    cluster.add_argument("--constant-effects", dest="constant_effects", action="store_true", default=None,
                          help="use the constant-effects decomposition")
 
     simulate = add("simulate", _cmd_simulate, "seeded replication study against exact estimands")
     simulate.add_argument("--n", type=int, default=None)
     simulate.add_argument("--reps", type=int, default=None)
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--target", choices=("field-2sls", "cluster-wald"), default=None)
-    simulate.add_argument("--scenario", choices=("control-1", "control-2", "treatment"), default=None)
+    simulate.add_argument("--target", choices=_values(Target), default=None)
+    simulate.add_argument("--scenario", choices=[s.value for s in ClusterScenario if s.s1 is not None], default=None)
 
     sweep = add("sweep", _cmd_sweep, "bias curves over defier share or effect gap")
-    sweep.add_argument("--axis", choices=("defier-share", "effect-gap"), default=None)
-    sweep.add_argument("--grid", type=str, default=None, help="comma-separated grid points")
-    sweep.add_argument("--levels", type=str, default=None, help="comma-separated curve levels")
-    sweep.add_argument("--defier", choices=("id1", "nd1"), default=None)
+    sweep.add_argument("--axis", choices=_values(SweepAxis), default=None)
+    sweep.add_argument("--grid", type=lambda text: _parse_float_list(text, "--grid"), default=None,
+                       help="comma-separated grid points")
+    sweep.add_argument("--levels", type=lambda text: _parse_float_list(text, "--levels"), default=None,
+                       help="comma-separated curve levels")
+    sweep.add_argument("--defier", choices=SWEEP_DEFIERS, default=None)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # --grid and --levels raise ConfigError while parsing
         return args.func(args)
     except IVStrataError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -33,36 +33,31 @@ class ScenarioKind(enum.Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class ClusterScenario:
-    """A two-arm collapse of the three fields.
+class ClusterScenario(enum.Enum):
+    """A two-arm collapse of the three fields, one member per label.
 
-    `s0` and `s1` are the sets of original field values mapped to the
-    pseudo-control and pseudo-treatment arms; they are None when the kind
-    carries no collapse (no clustering needed, or the sign pattern is
-    outside the catalogue). `treatment_field` is the field clustered with
-    control under a control-clustering scenario, None otherwise.
+    Each member carries its `kind`, its `treatment_field` (the field kept
+    as the treatment arm under control clustering, None otherwise) and its
+    arm sets `s0` and `s1`: the original field values mapped to the
+    pseudo-control and pseudo-treatment arms, or None when the kind carries
+    no collapse (no clustering needed, or the sign pattern is outside the
+    catalogue). The arm sets of each collapse partition {0, 1, 2}.
     """
 
-    kind: ScenarioKind
-    treatment_field: Optional[int] = None
-    s0: Optional[frozenset[int]] = None
-    s1: Optional[frozenset[int]] = None
+    CONTROL_1 = ("control-1", ScenarioKind.CONTROL, 1, frozenset({0, 2}), frozenset({1}))
+    CONTROL_2 = ("control-2", ScenarioKind.CONTROL, 2, frozenset({0, 1}), frozenset({2}))
+    TREATMENT = ("treatment", ScenarioKind.TREATMENT, None, frozenset({0}), frozenset({1, 2}))
+    NO_CLUSTERING = ("no-clustering", ScenarioKind.NO_CLUSTERING, None, None, None)
+    UNDEFINED = ("undefined", ScenarioKind.UNDEFINED, None, None, None)
 
-    def __post_init__(self):
-        if self.kind is ScenarioKind.CONTROL:
-            if self.treatment_field not in (1, 2):
-                raise ConfigError("control clustering must name treatment field 1 or 2")
-        elif self.treatment_field is not None:
-            raise ConfigError(f"{self.kind.value} scenario does not take a treatment field")
-        has_sets = self.s0 is not None and self.s1 is not None
-        if self.kind in (ScenarioKind.CONTROL, ScenarioKind.TREATMENT):
-            if not has_sets:
-                raise ConfigError(f"{self.kind.value} scenario requires both arm sets")
-            if self.s0 | self.s1 != {0, 1, 2} or self.s0 & self.s1:
-                raise ConfigError(f"arms {set(self.s0)}, {set(self.s1)} must partition {{0, 1, 2}}")
-        elif self.s0 is not None or self.s1 is not None:
-            raise ConfigError(f"{self.kind.value} scenario does not take arm sets")
+    def __new__(cls, label, kind, treatment_field, s0, s1):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.kind = kind
+        member.treatment_field = treatment_field
+        member.s0 = s0
+        member.s1 = s1
+        return member
 
     @classmethod
     def control(cls, treatment_field: int) -> "ClusterScenario":
@@ -70,45 +65,32 @@ class ClusterScenario:
         field joins the control arm."""
         if treatment_field not in (1, 2):
             raise ConfigError(f"treatment field must be 1 or 2, got {treatment_field}")
-        other = 3 - treatment_field
-        return cls(
-            kind=ScenarioKind.CONTROL,
-            treatment_field=treatment_field,
-            s0=frozenset({0, other}),
-            s1=frozenset({treatment_field}),
-        )
+        return cls.CONTROL_1 if treatment_field == 1 else cls.CONTROL_2
 
     @classmethod
     def treatment(cls) -> "ClusterScenario":
         """Both treated fields pool into one arm against control."""
-        return cls(kind=ScenarioKind.TREATMENT, s0=frozenset({0}), s1=frozenset({1, 2}))
+        return cls.TREATMENT
 
     @classmethod
     def no_clustering(cls) -> "ClusterScenario":
-        return cls(kind=ScenarioKind.NO_CLUSTERING)
+        return cls.NO_CLUSTERING
 
     @classmethod
     def undefined(cls) -> "ClusterScenario":
-        return cls(kind=ScenarioKind.UNDEFINED)
+        return cls.UNDEFINED
 
     @property
     def label(self) -> str:
-        if self.kind is ScenarioKind.CONTROL:
-            return f"control-{self.treatment_field}"
-        return self.kind.value
+        return self.value
 
     @classmethod
     def from_label(cls, label: str) -> "ClusterScenario":
-        table = {
-            "control-1": lambda: cls.control(1),
-            "control-2": lambda: cls.control(2),
-            "treatment": cls.treatment,
-            "no-clustering": cls.no_clustering,
-            "undefined": cls.undefined,
-        }
-        if label not in table:
-            raise ConfigError(f"unknown cluster scenario {label!r}; expected one of {sorted(table)}")
-        return table[label]()
+        try:
+            return cls(label)
+        except ValueError:
+            labels = sorted(m.value for m in cls)
+            raise ConfigError(f"unknown cluster scenario {label!r}; expected one of {labels}") from None
 
 
 class NegNegRule(enum.Enum):

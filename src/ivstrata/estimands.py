@@ -30,9 +30,9 @@ class Regime(enum.Enum):
     monotonicity.
     """
 
+    NEITHER = "neither"
     NEXT_BEST_ONLY = "next-best"
     IRRELEVANCE_ONLY = "irrelevance"
-    NEITHER = "neither"
 
 
 @dataclass(frozen=True)
@@ -270,6 +270,16 @@ def _sweep_spec(base: MarginalSpec, p: float, gap: float, defier: str) -> Margin
     )
 
 
+SWEEP_DEFIERS = ("id1", "nd1")
+
+
+def sweep_defier(defier: str) -> str:
+    """`defier` if it names a group `bias_sweep` can vary, else ConfigError."""
+    if defier not in SWEEP_DEFIERS:
+        raise ConfigError(f"defier must be 'id1' or 'nd1', got {defier!r}")
+    return defier
+
+
 def bias_sweep(
     base: MarginalSpec,
     axis: SweepAxis,
@@ -287,8 +297,7 @@ def bias_sweep(
     order; a grid point with invalid shares or a degenerate denominator
     yields a NaN-valued row rather than being dropped.
     """
-    if defier not in ("id1", "nd1"):
-        raise ConfigError(f"defier must be 'id1' or 'nd1', got {defier!r}")
+    sweep_defier(defier)
     if axis is SweepAxis.DEFIER_SHARE:
         points = [(g, lv, g, lv) for g in grid for lv in levels]  # (axis, level, p, gap)
     else:

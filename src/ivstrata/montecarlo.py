@@ -75,6 +75,8 @@ def generate(pop: Population, n: int, seed: int) -> Dataset:
     """Draw an i.i.d. sample of size n from the population."""
     if n < 1:
         raise ConfigError(f"sample size must be at least 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     probs = np.array([e.prob for e in pop.entries])
     idx = rng.choice(len(pop.entries), size=n, p=probs)

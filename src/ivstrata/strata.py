@@ -410,7 +410,10 @@ def as_float(value, what: str) -> float:
     """A JSON number as a float; strings, nulls, lists and bools are ConfigErrors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is an integer too large for a float") from None
 
 
 def _as_floats(value, what: str) -> tuple[float, ...]:

@@ -1,5 +1,6 @@
 """End-to-end CLI runs through main(), checking CSV output and exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -116,12 +117,26 @@ def test_config_errors_exit_2(write_json, capsys):
     code, _, err = run(capsys, ["analyze", "/nonexistent/scenario.json"])
     assert code == 2 and "cannot read" in err
 
+    # Python refuses integer literals past its digit limit while parsing.
+    huge = write_json({})
+    with open(huge, "w") as fh:
+        fh.write('{"population": {"strata": [{"tag": "C1C2", "prob": 1' + "0" * 5000 + ', "means": [0, 1, 2]}]}}')
+    code, out, err = run(capsys, ["validate", huge])
+    assert code == 2 and out == [] and err.startswith("error: scenario file") and err.count("\n") == 1
+
     both = dict(ANCHOR_SPEC, **BENCHMARK_POP)
     code, _, err = run(capsys, ["analyze", write_json(both)])
     assert code == 2
 
     code, _, err = run(capsys, ["bounds", "--a10", "0.0"])
     assert code == 2 and "all-or-none" in err
+
+    # A --grid or --levels flag is checked like a block list, so it needs a number.
+    for flag in ("--grid", "--levels"):
+        code, out, err = run(capsys, ["sweep", write_json(ANCHOR_SPEC), flag, ","])
+        assert code == 2 and out == [] and err == f"error: sweep {flag[2:]} must be a nonempty list of numbers\n"
+    code, out, err = run(capsys, ["sweep", write_json(ANCHOR_SPEC), "--grid", "0.1,x"])
+    assert code == 2 and out == [] and err == "error: --grid must be comma-separated numbers, got '0.1,x'\n"
 
     # 1/step overflows to inf; the scan rejects the step instead of crashing.
     scan = ["bounds", "--a10", "0.0", "--a11", "0.5", "--a12", "0.0", "--a20", "0.3",
@@ -145,8 +160,10 @@ def _one_stratum(**fields):
         {"marginal_spec": {"shares": {"C1": "0.5"}}},
         {"population": dict(_one_stratum()["population"], assignment=[0.5, "a", 0.5])},
         _one_stratum(noise_sd=None),
+        _one_stratum(prob=10**400),
     ],
-    ids=["prob-string", "prob-bool", "means-number", "tag-list", "share-string", "assignment-string", "noise-null"],
+    ids=["prob-string", "prob-bool", "means-number", "tag-list", "share-string", "assignment-string", "noise-null",
+         "prob-overflow"],
 )
 def test_bad_value_types_exit_2(write_json, capsys, doc):
     code, out, err = run(capsys, ["validate", write_json(doc)])
@@ -434,7 +451,6 @@ def test_bad_block_value_error_line(write_json, capsys, command, block, err):
 BAD_BLOCKS = dict(BENCHMARK_POP, cluster={"constant_effects": "false", "sig_level": "x"}, simulate={"n": "many"})
 
 
-@pytest.mark.xfail(strict=True, reason="block values are converted only by the command that reads them")
 @pytest.mark.parametrize(
     "doc, argv, err",
     [
@@ -457,3 +473,20 @@ def test_every_command_rejects_bad_block_values(write_json, capsys, doc, argv, e
     code, out, stderr = run(capsys, [argv[0], write_json(doc), *argv[1:]])
     assert code == 2 and out == []
     assert stderr == f"error: {err}\n"
+
+
+def test_negative_seed_exits_2_only_where_it_seeds_a_sample(write_json, capsys):
+    code, out, err = run(capsys, ["cluster", write_json(BENCHMARK_POP), "--n", "100", "--seed", "-1"])
+    assert code == 2 and out == [] and err == "error: seed must be nonnegative, got -1\n"
+    # simulate hashes its master seed into per-replication seeds.
+    code, out, _ = run(capsys, ["simulate", write_json(BENCHMARK_POP), "--n", "2000", "--reps", "2", "--seed", "-1"])
+    assert code == 0 and out[2] == "seed,-1"
+
+
+def test_option_table_keys_are_the_command_flags():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command, table in cli._OPTIONS.items():
+        dests = {action.dest for action in commands[command]._actions} - {"help", "config", "precision"}
+        assert set(table) == dests, command
+    assert set(cli._OPTIONS) == {"cluster", "simulate", "sweep"}

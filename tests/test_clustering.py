@@ -107,14 +107,20 @@ def test_scenario_shapes_and_labels():
     c2 = ClusterScenario.control(2)
     assert c2.s0 == frozenset({0, 1}) and c2.s1 == frozenset({2})
     assert TREATMENT.s0 == frozenset({0}) and TREATMENT.s1 == frozenset({1, 2})
-    for label in ("control-1", "control-2", "treatment", "no-clustering", "undefined"):
+    labels = ("control-1", "control-2", "treatment", "no-clustering", "undefined")
+    assert [s.label for s in ClusterScenario] == list(labels)
+    for label in labels:
         assert ClusterScenario.from_label(label).label == label
+    for scen in ClusterScenario:
+        if scen.kind in (ScenarioKind.CONTROL, ScenarioKind.TREATMENT):
+            assert scen.s0 | scen.s1 == {0, 1, 2} and not scen.s0 & scen.s1
+        else:
+            assert scen.s0 is None and scen.s1 is None
+        assert (scen.treatment_field is not None) == (scen.kind is ScenarioKind.CONTROL)
     with pytest.raises(ConfigError, match="unknown"):
         ClusterScenario.from_label("both")
     with pytest.raises(ConfigError):
         ClusterScenario.control(3)
-    with pytest.raises(ConfigError, match="partition"):
-        ClusterScenario(kind=ScenarioKind.TREATMENT, s0=frozenset({0, 1}), s1=frozenset({1, 2}))
 
 
 def test_no_estimand_for_degenerate_scenarios():

@@ -64,6 +64,8 @@ def test_noise_sd_does_not_shift_the_assignment_stream():
 def test_generate_validation():
     with pytest.raises(ConfigError):
         generate(benchmark_pop(), 0, seed=1)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        generate(benchmark_pop(), 10, seed=-1)
 
 
 def test_dataset_rejects_codes_outside_0_1_2():
