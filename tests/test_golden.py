@@ -145,6 +145,10 @@ POPULATION_COMMANDS = [
     ["bounds", "--scan", "--step", "0.001"],
     ["sweep"],
     ["cluster"],
+    # Seeded draws: these pin the random stream of generate and replicate.
+    ["simulate", "--n", "200", "--reps", "3", "--seed", "7"],
+    ["simulate", "--target", "cluster-wald", "--n", "200", "--reps", "3", "--seed", "7"],
+    ["cluster", "--n", "500", "--seed", "3"],
 ] + [
     ["cluster", "--scenario", scenario, "--semantics", semantics]
     for scenario in ("control-1", "control-2", "treatment")
