@@ -2,6 +2,8 @@
 treatment fields: exact estimands, bias decompositions, defier-share
 bounds, first-stage-sign clustering, and a seeded simulation harness."""
 
+from types import ModuleType as _ModuleType
+
 from .exceptions import (
     AssumptionError,
     ConfigError,
@@ -47,8 +49,6 @@ from .identification import (
     shares_from_first_stage,
 )
 from .clustering import (
-    ClusterATerm,
-    ClusterBiasTerm,
     ClusterDecomposition,
     ClusterScenario,
     ExclusionVerdict,
@@ -77,66 +77,7 @@ from .montecarlo import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionError",
-    "BiasDecomposition",
-    "BiasTerm",
-    "ClusterATerm",
-    "ClusterBiasTerm",
-    "ClusterDecomposition",
-    "ClusterScenario",
-    "ConfigError",
-    "Dataset",
-    "DefierBounds",
-    "EstimateSet",
-    "ExclusionVerdict",
-    "FirstStage",
-    "IVStrataError",
-    "InfeasibleError",
-    "JointStratum",
-    "Maintained",
-    "MarginalGroup",
-    "MarginalSpec",
-    "NegNegRule",
-    "ParamSummary",
-    "Population",
-    "RankError",
-    "Regime",
-    "ReplicationSummary",
-    "ScenarioKind",
-    "Semantics",
-    "StratumEntry",
-    "SweepAxis",
-    "SweepRow",
-    "Target",
-    "UNIFORM_ASSIGNMENT",
-    "WaldEstimate",
-    "bias_sweep",
-    "check_cluster_exclusion",
-    "choose_clustering",
-    "cluster_estimand_constant_effects",
-    "cluster_estimand_formula",
-    "cluster_wald_oracle",
-    "complier_late",
-    "decompose",
-    "defier_bounds",
-    "estimate_2sls",
-    "estimate_cluster_wald",
-    "feasible_set_scan",
-    "first_stage_from_shares",
-    "generate",
-    "group_effect",
-    "group_prob",
-    "marginal_shares",
-    "marginal_spec_from_dict",
-    "marginal_spec_to_dict",
-    "marginalize",
-    "population_from_dict",
-    "population_to_dict",
-    "potential_choice",
-    "replicate",
-    "replication_seed",
-    "shares_from_first_stage",
-    "solve_moment_system",
-    "__version__",
-]
+# Every public name imported above; the submodules themselves are not exported.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

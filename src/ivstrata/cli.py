@@ -181,6 +181,13 @@ def _fmt(x, precision: str) -> str:
     return f"{x:.4f}"
 
 
+def _print_terms(prefix: str, terms, p: str) -> None:
+    """One CSV row per term: prefix, label, weight, delta, sign, contribution."""
+    for t in terms:
+        sign = "+" if t.sign > 0 else "-"
+        print(f"{prefix},{t.label},{_fmt(t.weight, p)},{_fmt(t.delta, p)},{sign},{_fmt(t.contribution, p)}")
+
+
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
@@ -237,9 +244,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print()
     print("decomposition,term,weight,delta,sign,contribution")
     for which, dec in (("beta1", dec1), ("beta2", dec2)):
-        for t in dec.terms:
-            sign = "+" if t.sign > 0 else "-"
-            print(f"{which},{t.label},{_fmt(t.weight, p)},{_fmt(t.delta, p)},{sign},{_fmt(t.contribution, p)}")
+        _print_terms(which, dec.terms, p)
         print(f"{which},late,,,,{_fmt(dec.late, p)}")
         print(f"{which},total,,,,{_fmt(dec.total, p)}")
     return 0
@@ -308,11 +313,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     print()
     print(f"pi,{_fmt(dec.pi, p)}")
     print("component,label,weight,value,sign,contribution")
-    for t in dec.a_terms:
-        print(f"a,{t.label},{_fmt(t.weight, p)},{_fmt(t.effect, p)},+,{_fmt(t.contribution, p)}")
-    for t in dec.bias_terms:
-        sign = "+" if t.sign > 0 else "-"
-        print(f"bias,{t.label},{_fmt(t.weight, p)},{_fmt(t.delta, p)},{sign},{_fmt(t.contribution, p)}")
+    _print_terms("a", dec.a_terms, p)
+    _print_terms("bias", dec.bias_terms, p)
     print(f"a_total,{_fmt(dec.a_total, p)}")
     print(f"bias_total,{_fmt(dec.bias, p)}")
     print(f"total,{_fmt(dec.total, p)}")

@@ -16,9 +16,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from statistics import NormalDist
 from typing import Optional
 
+from .estimands import BiasTerm
 from .exceptions import ConfigError, AssumptionError, RankError
 from .identification import FirstStage
 from .strata import DEN_TOL, MarginalGroup, Population, group_effect, group_prob
@@ -159,40 +161,17 @@ def choose_clustering(
 
 
 @dataclass(frozen=True)
-class ClusterATerm:
-    """One weighted average-effect component of a clustered estimand."""
-
-    label: str
-    weight: float
-    effect: float
-
-    @property
-    def contribution(self) -> float:
-        return self.weight * self.effect
-
-
-@dataclass(frozen=True)
-class ClusterBiasTerm:
-    """One defier contamination term of a clustered estimand."""
-
-    label: str
-    weight: float
-    delta: float
-    sign: int
-
-    @property
-    def contribution(self) -> float:
-        return self.sign * self.weight * self.delta
-
-
-@dataclass(frozen=True)
 class ClusterDecomposition:
-    """A clustered Wald estimand split into average-effect terms and bias."""
+    """A clustered Wald estimand split into average-effect terms and bias.
+
+    Both are `BiasTerm`s; an average-effect term has sign +1 and carries
+    its effect in `delta`.
+    """
 
     scenario: ClusterScenario
     pi: float
-    a_terms: tuple[ClusterATerm, ...]
-    bias_terms: tuple[ClusterBiasTerm, ...]
+    a_terms: tuple[BiasTerm, ...]
+    bias_terms: tuple[BiasTerm, ...]
 
     @property
     def a_total(self) -> float:
@@ -212,11 +191,10 @@ def _wiring(scenario: ClusterScenario):
 
     Returns `(pi_groups, a_rows, bias_rows, constant_bias_label)`:
     the groups whose union probability pi is the clustered first stage;
-    two average-effect rows `(label, groups, j, k)`, each weighting
-    E[y(j)-y(k)] over the union of `groups`; two defier bias rows
-    `(label, group, j, k, sign)`; and the label of the single bias term
-    left when effects are constant. Raises ConfigError for scenarios
-    without a clustered estimand.
+    two average-effect rows and two defier bias rows, each
+    `(label, groups, j, k, sign)` weighting E[y(j)-y(k)] over the union of
+    `groups`; and the label of the single bias term left when effects are
+    constant. Raises ConfigError for scenarios without a clustered estimand.
     """
     g = MarginalGroup
     if scenario.kind is ScenarioKind.CONTROL:
@@ -225,17 +203,17 @@ def _wiring(scenario: ClusterScenario):
         return (
             (g.C1, g.C2, g.ND1, g.ND2),
             (
-                (f"C{f}|ND{o}", (g[f"C{f}"], g[f"ND{o}"]), f, 0),
-                (f"C{o}|ND{f}", (g[f"C{o}"], g[f"ND{f}"]), f, o),
+                (f"C{f}|ND{o}", (g[f"C{f}"], g[f"ND{o}"]), f, 0, 1),
+                (f"C{o}|ND{f}", (g[f"C{o}"], g[f"ND{f}"]), f, o, 1),
             ),
-            (("w~1", g[f"ID{f}"], o, 0, 1), ("w~2", g[f"ID{o}"], o, 0, -1)),
+            (("w~1", (g[f"ID{f}"],), o, 0, 1), ("w~2", (g[f"ID{o}"],), o, 0, -1)),
             "w.1",
         )
     if scenario.kind is ScenarioKind.TREATMENT:
         return (
             (g.C1, g.C2, g.ID1, g.ID2),
-            (("C1|ID2", (g.C1, g.ID2), 1, 0), ("C2|ID1", (g.C2, g.ID1), 2, 0)),
-            (("w~3", g.ND1, 1, 2, 1), ("w~4", g.ND2, 1, 2, -1)),
+            (("C1|ID2", (g.C1, g.ID2), 1, 0, 1), ("C2|ID1", (g.C2, g.ID1), 2, 0, 1)),
+            (("w~3", (g.ND1,), 1, 2, 1), ("w~4", (g.ND2,), 1, 2, -1)),
             "w.2",
         )
     raise ConfigError(
@@ -254,6 +232,17 @@ def _pi(pop: Population, groups: tuple[MarginalGroup, ...], scenario: ClusterSce
     return pi
 
 
+def _terms(pop: Population, pi: float, rows, effect) -> tuple[BiasTerm, ...]:
+    """One term per wiring row whose groups have positive probability;
+    `effect(groups, j, k)` gives its E[y(j)-y(k)]."""
+    terms = []
+    for label, groups, j, kk, sign in rows:
+        p = group_prob(pop, groups)
+        if p != 0.0:
+            terms.append(BiasTerm(label=label, weight=p / pi, delta=effect(groups, j, kk), sign=sign))
+    return tuple(terms)
+
+
 def cluster_estimand_formula(pop: Population, scenario: ClusterScenario) -> ClusterDecomposition:
     """Exact clustered Wald estimand decomposed over marginal groups.
 
@@ -266,21 +255,10 @@ def cluster_estimand_formula(pop: Population, scenario: ClusterScenario) -> Clus
     """
     pi_groups, a_rows, bias_rows, _ = _wiring(scenario)
     pi = _pi(pop, pi_groups, scenario)
-    a_terms = []
-    for label, groups, j, kk in a_rows:
-        p = group_prob(pop, groups)
-        if p == 0.0:
-            continue
-        a_terms.append(ClusterATerm(label=label, weight=p / pi, effect=group_effect(pop, groups, j, kk)))
-    bias_terms = []
-    for label, grp, j, kk, sign in bias_rows:
-        p = group_prob(pop, (grp,))
-        if p == 0.0:
-            continue
-        bias_terms.append(
-            ClusterBiasTerm(label=label, weight=p / pi, delta=group_effect(pop, (grp,), j, kk), sign=sign)
-        )
-    return ClusterDecomposition(scenario=scenario, pi=pi, a_terms=tuple(a_terms), bias_terms=tuple(bias_terms))
+    effect = partial(group_effect, pop)
+    return ClusterDecomposition(
+        scenario=scenario, pi=pi, a_terms=_terms(pop, pi, a_rows, effect), bias_terms=_terms(pop, pi, bias_rows, effect)
+    )
 
 
 def _constant_effects(pop: Population) -> tuple[float, float]:
@@ -309,20 +287,14 @@ def cluster_estimand_constant_effects(pop: Population, scenario: ClusterScenario
     pi_groups, a_rows, bias_rows, bias_label = _wiring(scenario)
     tau = (0.0, *_constant_effects(pop))
     pi = _pi(pop, pi_groups, scenario)
-    a_specs = ((label, group_prob(pop, groups), tau[j] - tau[kk]) for label, groups, j, kk in a_rows)
-    a_terms = tuple(
-        ClusterATerm(label=label, weight=p / pi, effect=effect) for label, p, effect in a_specs if p != 0.0
-    )
+    a_terms = _terms(pop, pi, a_rows, lambda groups, j, kk: tau[j] - tau[kk])
     # Both bias rows share one contrast; only the difference of their shares survives.
     (_, plus, j, kk, _), (_, minus, _, _, _) = bias_rows
-    diff = group_prob(pop, (plus,)) - group_prob(pop, (minus,))
+    diff = group_prob(pop, plus) - group_prob(pop, minus)
     bias_terms = ()
     if diff != 0.0:
-        bias_terms = (
-            ClusterBiasTerm(
-                label=bias_label, weight=abs(diff) / pi, delta=tau[j] - tau[kk], sign=1 if diff > 0.0 else -1
-            ),
-        )
+        sign = 1 if diff > 0.0 else -1
+        bias_terms = (BiasTerm(label=bias_label, weight=abs(diff) / pi, delta=tau[j] - tau[kk], sign=sign),)
     return ClusterDecomposition(scenario=scenario, pi=pi, a_terms=a_terms, bias_terms=bias_terms)
 
 
@@ -345,7 +317,7 @@ def check_cluster_exclusion(pop: Population, scenario: ClusterScenario) -> Exclu
     stratum with different outcomes across the two treated fields breaks
     the pooled arm. Comparisons are exact.
     """
-    (_, first, j, kk, _), (_, second, _, _, _) = _wiring(scenario)[2]
+    (_, (first,), j, kk, _), (_, (second,), _, _, _) = _wiring(scenario)[2]
     members = first.members() | second.members()
     violations = tuple(
         e.stratum.name
@@ -414,8 +386,7 @@ def _pooled_wald(pop: Population, scenario: ClusterScenario) -> float:
 
 def _group_relevant_wald(pop: Population, scenario: ClusterScenario, wiring) -> float:
     den_groups, a_rows, bias_rows, _ = wiring
-    contrasts = {grp: (j, kk, 1) for _, groups, j, kk in a_rows for grp in groups}
-    contrasts.update((grp, (j, kk, sign)) for _, grp, j, kk, sign in bias_rows)
+    contrasts = {grp: (j, kk, sign) for _, groups, j, kk, sign in a_rows + bias_rows for grp in groups}
     num = 0.0
     for e in pop.entries:
         if e.prob == 0.0:

@@ -136,9 +136,9 @@ def test_control_decomposition_frozen_exhibit():
     assert dec.pi == pytest.approx(0.8, abs=1e-15)
     by_label = {t.label: t for t in dec.a_terms}
     assert by_label["C1|ND2"].weight == pytest.approx(0.375, abs=1e-12)
-    assert by_label["C1|ND2"].effect == pytest.approx(300.0, abs=1e-12)
+    assert by_label["C1|ND2"].delta == pytest.approx(300.0, abs=1e-12)
     assert by_label["C2|ND1"].weight == pytest.approx(0.625, abs=1e-12)
-    assert by_label["C2|ND1"].effect == pytest.approx(-200.0, abs=1e-12)
+    assert by_label["C2|ND1"].delta == pytest.approx(-200.0, abs=1e-12)
     (w,) = dec.bias_terms
     assert (w.label, w.sign) == ("w~1", 1)
     assert w.weight == pytest.approx(0.25, abs=1e-15)
@@ -174,8 +174,8 @@ def test_treatment_decomposition_frozen_exhibit():
     assert dec.pi == pytest.approx(1.0, abs=1e-12)
     by_label = {t.label: t for t in dec.a_terms}
     assert by_label["C1|ID2"].weight == pytest.approx(0.8, abs=1e-12)
-    assert by_label["C1|ID2"].effect == pytest.approx(1000.0, abs=1e-9)
-    assert by_label["C2|ID1"].effect == pytest.approx(500.0, abs=1e-12)
+    assert by_label["C1|ID2"].delta == pytest.approx(1000.0, abs=1e-9)
+    assert by_label["C2|ID1"].delta == pytest.approx(500.0, abs=1e-12)
     assert dec.bias_terms == ()
     assert dec.total == pytest.approx(1200.0, abs=1e-9)
     # Double compliers and irrelevance defiers both overlap group unions
@@ -288,6 +288,8 @@ def test_rank_errors():
     with pytest.raises(RankError) as exc:
         cluster_estimand_formula(inert, CONTROL_1)
     assert exc.value.exit_code == 4
+    with pytest.raises(RankError, match="relevant-group mass"):
+        cluster_wald_oracle(inert, CONTROL_1, Semantics.GROUP_RELEVANT)
     with pytest.raises(RankError, match="first stage"):
         cluster_wald_oracle(make_pop([(J.NT1NT2, 1.0, (0.0, 0.0, 0.0))]), CONTROL_1)
     starved = make_pop([(J.C1NT2, 1.0, (0.0, 1.0, 2.0))], assignment=(0.5, 0.0, 0.5))
