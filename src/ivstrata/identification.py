@@ -60,7 +60,7 @@ class FirstStage:
     def nt2(self) -> float:
         return 1.0 - self.a10 - self.a20 - self.a22 - self.a12
 
-    def validate(self, atol: float = SHARE_ATOL) -> "FirstStage":
+    def validate(self) -> "FirstStage":
         """Check the population inequalities; raise InfeasibleError listing
         every violated one."""
         checks = (
@@ -76,7 +76,7 @@ class FirstStage:
         violations = [
             f"{name} = {value:.6g} outside [{lo:g}, {hi:g}]"
             for name, value, lo, hi in checks
-            if value < lo - atol or value > hi + atol
+            if value < lo - SHARE_ATOL or value > hi + SHARE_ATOL
         ]
         if violations:
             raise InfeasibleError("first stage is not population-consistent: " + "; ".join(violations))
