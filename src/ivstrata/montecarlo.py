@@ -71,10 +71,19 @@ def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.intp)
 
 
+# The largest sample size or replication count: numpy describes no array past
+# intp-max bytes, and replicate's result tables are reps x 8 floats.
+_MAX_COUNT = np.iinfo(np.intp).max // 64
+
+
+def _check_count(what: str, value: int, least: int) -> None:
+    if not least <= value <= _MAX_COUNT:
+        raise ConfigError(f"{what} must be between {least} and {_MAX_COUNT}, got {value}")
+
+
 def generate(pop: Population, n: int, seed: int) -> Dataset:
     """Draw an i.i.d. sample of size n from the population."""
-    if n < 1:
-        raise ConfigError(f"sample size must be at least 1, got {n}")
+    _check_count("sample size", n, 1)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -296,8 +305,8 @@ def replicate(
     replications whose nominal 95 percent interval (1.96 standard errors)
     covers the exact value.
     """
-    if reps < 2:
-        raise ConfigError(f"need at least 2 replications, got {reps}")
+    _check_count("replications", reps, 2)
+    _check_count("sample size", n, 1)
     if target is Target.CLUSTER_WALD:
         if scenario is None:
             raise ConfigError("cluster-wald replication requires a cluster scenario")

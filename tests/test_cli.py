@@ -131,6 +131,16 @@ def test_config_errors_exit_2(write_json, capsys):
     code, _, err = run(capsys, ["bounds", "--a10", "0.0"])
     assert code == 2 and "all-or-none" in err
 
+    code, out, err = run(capsys, ["bounds"])
+    assert code == 2 and out == [] and err.startswith("error: bounds needs a scenario file") and err.count("\n") == 1
+
+    # Sizes past what numpy can describe are refused before anything is drawn or allocated.
+    pop = write_json(BENCHMARK_POP)
+    for argv in (["cluster", pop, "--n"], ["simulate", pop, "--n"], ["simulate", pop, "--n", "10", "--reps"]):
+        for value in (str(10**20), str(2**62)):
+            code, out, err = run(capsys, argv + [value])
+            assert code == 2 and out == [] and err.startswith("error: ") and err.count("\n") == 1 and value in err
+
     # A --grid or --levels flag is checked like a block list, so it needs a number.
     for flag in ("--grid", "--levels"):
         code, out, err = run(capsys, ["sweep", write_json(ANCHOR_SPEC), flag, ","])
@@ -161,9 +171,26 @@ def _one_stratum(**fields):
         {"population": dict(_one_stratum()["population"], assignment=[0.5, "a", 0.5])},
         _one_stratum(noise_sd=None),
         _one_stratum(prob=10**400),
+        _one_stratum(means=[0.0, float("inf"), 2.0]),  # written as JSON Infinity
+        {"population": {"strata": []}},
+        {"population": {"strata": _one_stratum()["population"]["strata"] * 2}},
+        {"population": dict(_one_stratum()["population"], assignment=[0.5, 0.5])},
+        {"population": dict(_one_stratum()["population"], assignment=[1.5, -0.5, 0.0])},
+        {"population": [1]},
+        {"population": {"strata": {}}},
+        {"population": {"strata": [1]}},
+        {"population": {}},
+        {"population": {"strata": [{"tag": "C1C2", "means": [0.0, 1.0, 2.0]}]}},
+        {"marginal_spec": 1},
+        {"marginal_spec": {"shares": [0.5]}},
+        {"marginal_spec": {"effects": [1.0]}},
+        {"marginal_spec": {"effects": {"ND1": 1.0}}},
+        [1],
     ],
     ids=["prob-string", "prob-bool", "means-number", "tag-list", "share-string", "assignment-string", "noise-null",
-         "prob-overflow"],
+         "prob-overflow", "means-infinity", "no-strata", "duplicate-stratum", "assignment-length",
+         "assignment-negative", "population-list", "strata-object", "stratum-number", "strata-missing",
+         "prob-missing", "spec-number", "shares-list", "effects-list", "nd1-effect-number", "file-list"],
 )
 def test_bad_value_types_exit_2(write_json, capsys, doc):
     code, out, err = run(capsys, ["validate", write_json(doc)])
@@ -465,9 +492,13 @@ BAD_BLOCKS = dict(BENCHMARK_POP, cluster={"constant_effects": "false", "sig_leve
          f"unknown cluster scenario ['x']; expected one of {_SCENARIO_CHOICES}"),
         (dict(BENCHMARK_POP, simulate={"scenario": {"label": "treatment"}}), ["validate"],
          f"unknown cluster scenario {{'label': 'treatment'}}; expected one of {_SCENARIO_CHOICES}"),
+        (dict(BENCHMARK_POP, simulate=[1]), ["validate"], "scenario block 'simulate' must be a JSON object"),
+        (ANCHOR_SPEC, ["cluster"], "cluster requires a scenario file with a population"),
+        (ANCHOR_SPEC, ["simulate"], "simulate requires a scenario file with a population"),
+        (ANCHOR_SPEC, ["bounds"], "bounds (without explicit --aXY flags) requires a scenario file with a population"),
     ],
     ids=["found-validate", "found-analyze", "found-bounds", "list-validate", "list-cluster", "list-simulate",
-         "dict-validate"],
+         "dict-validate", "block-list", "spec-cluster", "spec-simulate", "spec-bounds"],
 )
 def test_every_command_rejects_bad_block_values(write_json, capsys, doc, argv, err):
     code, out, stderr = run(capsys, [argv[0], write_json(doc), *argv[1:]])

@@ -129,6 +129,8 @@ def test_regime_guards():
         decompose(id_spec, Regime.IRRELEVANCE_ONLY)
     with pytest.raises(AssumptionError):
         complier_late(id_spec)
+    with pytest.raises(AssumptionError, match="next-best violated"):
+        complier_late(nd_spec)
 
 
 def test_singular_moment_system_raises():
@@ -140,6 +142,8 @@ def test_singular_moment_system_raises():
     assert exc.value.exit_code == 4
     with pytest.raises(RankError):
         decompose(spec)
+    with pytest.raises(RankError, match="no complier mass"):
+        complier_late(MarginalSpec(pC2=1.0, eff_c2=1.0))
 
 
 def test_decompose_requires_the_complier_effect():

@@ -66,6 +66,14 @@ def test_generate_validation():
         generate(benchmark_pop(), 0, seed=1)
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
         generate(benchmark_pop(), 10, seed=-1)
+    # Sizes numpy cannot describe are refused before anything is drawn or allocated.
+    for n in (10**20, 2**62):
+        with pytest.raises(ConfigError, match=f"sample size must be between 1 and .*, got {n}"):
+            generate(benchmark_pop(), n, seed=1)
+        with pytest.raises(ConfigError, match=f"sample size .* got {n}"):
+            replicate(benchmark_pop(), n=n, reps=3, master_seed=0)
+        with pytest.raises(ConfigError, match=f"replications must be between 2 and .*, got {n}"):
+            replicate(benchmark_pop(), n=10, reps=n, master_seed=0)
 
 
 def test_dataset_rejects_codes_outside_0_1_2():
@@ -78,6 +86,10 @@ def test_dataset_rejects_codes_outside_0_1_2():
         Dataset(z=z, d=np.array([0.0, 1.0, np.nan, 1.0, 0.0, 2.0]), y=np.zeros(6))
     with pytest.raises(ConfigError, match="numeric codes"):
         Dataset(z=np.array(list("012120")), d=z, y=np.zeros(6))
+    with pytest.raises(ConfigError, match="equal-length vectors"):
+        Dataset(z=z, d=z[:5], y=np.zeros(6))
+    with pytest.raises(ConfigError, match="dataset is empty"):
+        Dataset(z=z[:0], d=z[:0], y=np.zeros(0))
     # Float-coded 0/1/2 input is stored as integer codes and estimates as before.
     pop = benchmark_pop(noise_sd=150.0)
     ds = generate(pop, 3000, seed=4)
@@ -205,6 +217,8 @@ def test_cluster_wald_estimator_tracks_the_pooled_oracle():
     )
     with pytest.raises(RankError, match="z~=1"):
         estimate_cluster_wald(empty_arm, scen)
+    with pytest.raises(ConfigError, match="defines no two-arm estimator"):
+        estimate_cluster_wald(empty_arm, ClusterScenario.no_clustering())
 
 
 def test_replication_seed_is_frozen():
