@@ -4,7 +4,9 @@ Every run's exit code, stdout and stderr is compared byte for byte with
 `golden_expected.json`. The scenarios cover equal-means strata, constant
 effects (with and without cancelling defier shares), non-uniform and
 degenerate assignment, zero-probability strata and groups, and first
-stages that select each clustering scenario.
+stages that select each clustering scenario. Argument handling is pinned
+too: the `--help` text of the program and of every subcommand, the bare
+usage error, and one bad value for each flag that has choices or a type.
 
 After a deliberate output change, rewrite the expected file with
 `PYTHONPATH=src python tests/test_golden.py` and review its diff.
@@ -15,8 +17,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from ivstrata.cli import main
 
@@ -164,6 +168,37 @@ SPEC_COMMANDS = [
     ["sweep", "--axis", "effect-gap", "--defier", "nd1", "--levels", "0,1.5"],
 ]
 
+# Argument vectors that argparse settles before any scenario file is read.
+PARSER_ARGVS = [
+    ["--help"],
+    *([command, "--help"] for command in ("validate", "analyze", "bounds", "cluster", "simulate", "sweep")),
+    [],
+    ["validate", "x.json", "--precision", "bogus"],
+    ["analyze", "x.json", "--regime", "bogus"],
+    ["bounds", "--maintained", "bogus"],
+    ["cluster", "x.json", "--scenario", "bogus"],
+    ["cluster", "x.json", "--neg-neg-rule", "bogus"],
+    ["cluster", "x.json", "--semantics", "bogus"],
+    ["cluster", "x.json", "--sig-level", "bogus"],
+    ["simulate", "x.json", "--target", "bogus"],
+    ["simulate", "x.json", "--scenario", "no-clustering"],
+    ["simulate", "x.json", "--n", "bogus"],
+    ["sweep", "x.json", "--axis", "bogus"],
+    ["sweep", "x.json", "--defier", "bogus"],
+    ["sweep", "x.json", "--grid", "bogus"],
+]
+
+
+def _run(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of one CLI call; argparse exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
 
 def _runs():
     for name, doc in POPULATIONS.items():
@@ -184,10 +219,10 @@ def run_all() -> dict[str, dict]:
             path = Path(tmp) / f"{name}.json"
             if not path.exists():
                 path.write_text(json.dumps(doc))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([cmd[0], str(path), *cmd[1:], "--precision", "full"])
-            results[" ".join([name, *cmd])] = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+            results[" ".join([name, *cmd])] = _run([cmd[0], str(path), *cmd[1:], "--precision", "full"])
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse wraps to the terminal width
+        for argv in PARSER_ARGVS:
+            results[" ".join(["parser", *argv])] = _run(argv)
     return results
 
 
