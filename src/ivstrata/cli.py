@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -37,6 +38,7 @@ from .clustering import (
 from .estimands import SWEEP_DEFIERS, Regime, SweepAxis, bias_sweep, decompose, solve_moment_system, sweep_defier
 from .exceptions import ConfigError, IVStrataError
 from .identification import (
+    COEFFICIENTS,
     FirstStage,
     Maintained,
     defier_bounds,
@@ -104,34 +106,58 @@ def _sweep_floats(value, what: str) -> list[float]:
     what = f"sweep {what}"
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{what} must be a nonempty list of numbers")
-    return [as_float(v, what) for v in value]
+    floats = [as_float(v, what) for v in value]
+    if not all(map(math.isfinite, floats)):
+        raise ConfigError(f"{what} must be finite numbers, got {floats}")
+    return floats
 
 
-# Each command's scenario-block options: key -> (convert, default). A block
-# value is converted when the file loads; a flag of the same name (argparse
-# gives it the JSON type) overrides it through the same converter.
+def _parse_float_list(text: str, what: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError as err:
+        raise ConfigError(f"{what} must be comma-separated numbers, got {text!r}") from err
+
+
+def _values(cls) -> list[str]:
+    return [m.value for m in cls]
+
+
+def _scenario(value, what: str) -> ClusterScenario:
+    return ClusterScenario.from_label(value)
+
+
+# Each command's scenario-block options: key -> (convert, default, flag). A
+# block value is converted when the file loads; the command's --key flag,
+# declared by the argparse keywords in `flag`, overrides it through the same
+# converter (argparse gives the flag the JSON type).
 _OPTIONS = {
     "sweep": {
-        "axis": (partial(_enum, SweepAxis), SweepAxis.DEFIER_SHARE),
-        "grid": (_sweep_floats, [round(0.05 * i, 10) for i in range(11)]),
-        "levels": (_sweep_floats, None),  # None: 10, 20 and 50 percent of the C1 effect
-        "defier": (lambda value, what: sweep_defier(value), "id1"),
+        "axis": (partial(_enum, SweepAxis), SweepAxis.DEFIER_SHARE, {"choices": _values(SweepAxis)}),
+        "grid": (_sweep_floats, [round(0.05 * i, 10) for i in range(11)],
+                 {"type": lambda text: _parse_float_list(text, "--grid"), "help": "comma-separated grid points"}),
+        "levels": (_sweep_floats, None,  # None: 10, 20 and 50 percent of the C1 effect
+                   {"type": lambda text: _parse_float_list(text, "--levels"), "help": "comma-separated curve levels"}),
+        "defier": (lambda value, what: sweep_defier(value), "id1", {"choices": SWEEP_DEFIERS}),
     },
     "simulate": {
-        "n": (_as_int, 200000),
-        "reps": (_as_int, 100),
-        "seed": (_as_int, 0),
-        "target": (partial(_enum, Target), Target.FIELD_2SLS),
-        "scenario": (lambda value, what: ClusterScenario.from_label(value), None),
+        "n": (_as_int, 200000, {"type": int}),
+        "reps": (_as_int, 100, {"type": int}),
+        "seed": (_as_int, 0, {"type": int}),
+        "target": (partial(_enum, Target), Target.FIELD_2SLS, {"choices": _values(Target)}),
+        "scenario": (_scenario, None, {"choices": [s.value for s in ClusterScenario if s.s1 is not None]}),
     },
     "cluster": {
-        "scenario": (lambda value, what: ClusterScenario.from_label(value), None),
-        "sig_level": (as_float, 0.05),
-        "neg_neg_rule": (partial(_enum, NegNegRule), NegNegRule.UNDEFINED),
-        "semantics": (partial(_enum, Semantics), Semantics.POOLED),
-        "n": (_as_int, None),
-        "seed": (_as_int, 0),
-        "constant_effects": (_as_bool, False),
+        "scenario": (_scenario, None,
+                     {"choices": _values(ClusterScenario), "help": "override the sign-based scenario choice"}),
+        "sig_level": (as_float, 0.05, {"type": float}),
+        "neg_neg_rule": (partial(_enum, NegNegRule), NegNegRule.UNDEFINED, {"choices": _values(NegNegRule)}),
+        "semantics": (partial(_enum, Semantics), Semantics.POOLED, {"choices": _values(Semantics)}),
+        "n": (_as_int, None,
+              {"type": int, "help": "choose the scenario from an estimated first stage on a sample of this size"}),
+        "seed": (_as_int, 0, {"type": int}),
+        "constant_effects": (_as_bool, False,
+                             {"action": "store_true", "help": "use the constant-effects decomposition"}),
     },
 }
 
@@ -170,7 +196,7 @@ def _options(args: argparse.Namespace, sc: ScenarioFile) -> dict:
     block, flags = sc.options[args.command], vars(args)
     return {
         key: block.get(key, default) if flags[key] is None else convert(flags[key], key)
-        for key, (convert, default) in _OPTIONS[args.command].items()
+        for key, (convert, default, _) in _OPTIONS[args.command].items()
     }
 
 
@@ -188,13 +214,6 @@ def _print_terms(prefix: str, terms, p: str) -> None:
         print(f"{prefix},{t.label},{_fmt(t.weight, p)},{_fmt(t.delta, p)},{sign},{_fmt(t.contribution, p)}")
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as err:
-        raise ConfigError(f"{what} must be comma-separated numbers, got {text!r}") from err
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     sc = load_scenario(args.config)
     p = args.precision
@@ -208,7 +227,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for name in _GROUP_ORDER:
             print(f"share,{name},{_fmt(shares[MarginalGroup[name]], p)}")
         fs = first_stage_from_shares(shares)
-        for coef in ("a10", "a11", "a12", "a20", "a21", "a22"):
+        for coef in COEFFICIENTS:
             print(f"first_stage,{coef},{_fmt(getattr(fs, coef), p)}")
     else:
         spec = sc.spec
@@ -251,7 +270,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _first_stage_from_args(args: argparse.Namespace) -> FirstStage:
-    flags = {name: getattr(args, name) for name in ("a10", "a11", "a12", "a20", "a21", "a22")}
+    flags = {name: getattr(args, name) for name in COEFFICIENTS}
     given = {name: v for name, v in flags.items() if v is not None}
     if given:
         missing = sorted(set(flags) - set(given))
@@ -367,10 +386,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _values(cls) -> list[str]:
-    return [m.value for m in cls]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ivstrata",
@@ -378,63 +393,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, config_optional: bool = False) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, config_optional: bool = False) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         if config_optional:
             cmd.add_argument("config", nargs="?", default=None, help="scenario JSON file")
         else:
             cmd.add_argument("config", help="scenario JSON file")
         cmd.add_argument("--precision", choices=("4", "full"), default="4", help="output precision (default 4 dp)")
-        cmd.set_defaults(func=func)
+        for key, (_, _, flag) in _OPTIONS.get(name, {}).items():
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **flag)
         return cmd
 
-    add("validate", _cmd_validate, "parse and echo a scenario file")
+    add("validate", "parse and echo a scenario file")
 
-    analyze = add("analyze", _cmd_analyze, "exact estimands and bias decomposition")
+    analyze = add("analyze", "exact estimands and bias decomposition")
     analyze.add_argument("--regime", choices=_values(Regime), default=None)
 
-    bounds = add("bounds", _cmd_bounds, "defier-share bounds from a first stage", config_optional=True)
-    for coef in ("a10", "a11", "a12", "a20", "a21", "a22"):
+    bounds = add("bounds", "defier-share bounds from a first stage", config_optional=True)
+    for coef in COEFFICIENTS:
         bounds.add_argument(f"--{coef}", type=float, default=None, help=f"first-stage coefficient {coef}")
     bounds.add_argument("--scan", action="store_true", help="add grid feasibility-scan intervals")
     bounds.add_argument("--step", type=float, default=0.05, help="scan grid step (default 0.05)")
     bounds.add_argument("--maintained", choices=_values(Maintained), default=None,
                         help="point-identify all group shares under this assumption")
 
-    cluster = add("cluster", _cmd_cluster, "choose a clustering and decompose its estimand")
-    cluster.add_argument("--scenario", choices=_values(ClusterScenario), default=None,
-                         help="override the sign-based scenario choice")
-    cluster.add_argument("--sig-level", dest="sig_level", type=float, default=None)
-    cluster.add_argument("--neg-neg-rule", dest="neg_neg_rule", choices=_values(NegNegRule), default=None)
-    cluster.add_argument("--semantics", choices=_values(Semantics), default=None)
-    cluster.add_argument("--n", type=int, default=None,
-                         help="choose the scenario from an estimated first stage on a sample of this size")
-    cluster.add_argument("--seed", type=int, default=None)
-    cluster.add_argument("--constant-effects", dest="constant_effects", action="store_true", default=None,
-                         help="use the constant-effects decomposition")
-
-    simulate = add("simulate", _cmd_simulate, "seeded replication study against exact estimands")
-    simulate.add_argument("--n", type=int, default=None)
-    simulate.add_argument("--reps", type=int, default=None)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--target", choices=_values(Target), default=None)
-    simulate.add_argument("--scenario", choices=[s.value for s in ClusterScenario if s.s1 is not None], default=None)
-
-    sweep = add("sweep", _cmd_sweep, "bias curves over defier share or effect gap")
-    sweep.add_argument("--axis", choices=_values(SweepAxis), default=None)
-    sweep.add_argument("--grid", type=lambda text: _parse_float_list(text, "--grid"), default=None,
-                       help="comma-separated grid points")
-    sweep.add_argument("--levels", type=lambda text: _parse_float_list(text, "--levels"), default=None,
-                       help="comma-separated curve levels")
-    sweep.add_argument("--defier", choices=SWEEP_DEFIERS, default=None)
-
+    add("cluster", "choose a clustering and decompose its estimand")
+    add("simulate", "seeded replication study against exact estimands")
+    add("sweep", "bias curves over defier share or effect gap")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)  # --grid and --levels raise ConfigError while parsing
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)  # by name at call time; the parser holds no handler
     except IVStrataError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

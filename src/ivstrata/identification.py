@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .exceptions import AssumptionError, ConfigError, InfeasibleError
@@ -45,7 +45,7 @@ class FirstStage:
     a22: float
 
     def __post_init__(self):
-        for name in ("a10", "a11", "a12", "a20", "a21", "a22"):
+        for name in COEFFICIENTS:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"first-stage coefficient {name}={v} is not finite")
@@ -81,6 +81,10 @@ class FirstStage:
         if violations:
             raise InfeasibleError("first stage is not population-consistent: " + "; ".join(violations))
         return self
+
+
+# The coefficient names in field order: a10, a11, a12, a20, a21, a22.
+COEFFICIENTS = tuple(f.name for f in fields(FirstStage))
 
 
 def first_stage_from_shares(shares: Mapping[MarginalGroup, float]) -> FirstStage:

@@ -21,7 +21,7 @@ import numpy as np
 from .clustering import ClusterScenario, ScenarioKind, Semantics, cluster_wald_oracle
 from .estimands import solve_moment_system
 from .exceptions import ConfigError, RankError
-from .identification import FirstStage, first_stage_from_shares
+from .identification import COEFFICIENTS, FirstStage, first_stage_from_shares
 from .strata import Population, marginal_shares, marginalize
 
 
@@ -314,11 +314,7 @@ def replicate(
     else:
         beta1, beta2 = solve_moment_system(marginalize(pop))
         fs = first_stage_from_shares(marginal_shares(pop))
-        truths = [
-            ("beta1", beta1), ("beta2", beta2),
-            ("a10", fs.a10), ("a11", fs.a11), ("a12", fs.a12),
-            ("a20", fs.a20), ("a21", fs.a21), ("a22", fs.a22),
-        ]
+        truths = [("beta1", beta1), ("beta2", beta2), *((name, getattr(fs, name)) for name in COEFFICIENTS)]
     estimates = np.empty((reps, len(truths)))
     ses = np.empty((reps, len(truths)))
     for rep in range(reps):
@@ -331,9 +327,8 @@ def replicate(
                 ses[rep, 0] = w.se
             else:
                 est = estimate_2sls(ds)
-                a, s = est.alphas, est.alpha_ses
-                estimates[rep] = (est.beta1, est.beta2, a.a10, a.a11, a.a12, a.a20, a.a21, a.a22)
-                ses[rep] = (est.se_beta1, est.se_beta2, s.a10, s.a11, s.a12, s.a20, s.a21, s.a22)
+                estimates[rep] = (est.beta1, est.beta2, *(getattr(est.alphas, c) for c in COEFFICIENTS))
+                ses[rep] = (est.se_beta1, est.se_beta2, *(getattr(est.alpha_ses, c) for c in COEFFICIENTS))
         except RankError as err:
             raise RankError(f"replication {rep} (replication_seed {seed}): {err}") from err
     rows = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional
 
 from .exceptions import ConfigError
@@ -349,24 +349,11 @@ class MarginalSpec:
         """The same spec with instrument (and field) labels 1 and 2 exchanged.
 
         Relabeling maps C1<->C2, ID1<->ID2, ND1<->ND2 and transposes the
-        two next-best-defier effect contrasts.
+        two next-best-defier effect contrasts: every field takes the value of
+        the field whose name has its 1s and 2s exchanged.
         """
-        return MarginalSpec(
-            pC1=self.pC2,
-            pC2=self.pC1,
-            pID1=self.pID2,
-            pID2=self.pID1,
-            pND1=self.pND2,
-            pND2=self.pND1,
-            eff_c1=self.eff_c2,
-            eff_c2=self.eff_c1,
-            eff_id1=self.eff_id2,
-            eff_id2=self.eff_id1,
-            eff_nd1_1=self.eff_nd2_2,
-            eff_nd1_2=self.eff_nd2_1,
-            eff_nd2_1=self.eff_nd1_2,
-            eff_nd2_2=self.eff_nd1_1,
-        )
+        swap = str.maketrans("12", "21")
+        return MarginalSpec(**{f.name: getattr(self, f.name.translate(swap)) for f in fields(self)})
 
 
 def marginalize(pop: Population) -> MarginalSpec:

@@ -147,6 +147,9 @@ def test_config_errors_exit_2(write_json, capsys):
         assert code == 2 and out == [] and err == f"error: sweep {flag[2:]} must be a nonempty list of numbers\n"
     code, out, err = run(capsys, ["sweep", write_json(ANCHOR_SPEC), "--grid", "0.1,x"])
     assert code == 2 and out == [] and err == "error: --grid must be comma-separated numbers, got '0.1,x'\n"
+    for flag, text, values in (("--grid", "nan", "[nan]"), ("--levels", "1,inf", "[1.0, inf]")):
+        code, out, err = run(capsys, ["sweep", write_json(ANCHOR_SPEC), flag, text])
+        assert code == 2 and out == [] and err == f"error: sweep {flag[2:]} must be finite numbers, got {values}\n"
 
     # 1/step overflows to inf; the scan rejects the step instead of crashing.
     scan = ["bounds", "--a10", "0.0", "--a11", "0.5", "--a12", "0.0", "--a20", "0.3",
@@ -461,6 +464,9 @@ BAD_BLOCK_VALUES = [
     ("sweep", {"levels": [1.0, "2"]}, "sweep levels must be a number, got '2'"),
     ("sweep", {"levels": None}, "sweep levels must be a nonempty list of numbers"),
     ("sweep", {"defier": "nd2"}, "defier must be 'id1' or 'nd1', got 'nd2'"),
+    # Written as JSON NaN and Infinity.
+    ("sweep", {"grid": [0.1, float("nan")]}, "sweep grid must be finite numbers, got [0.1, nan]"),
+    ("sweep", {"levels": [float("inf")]}, "sweep levels must be finite numbers, got [inf]"),
 ]
 
 
