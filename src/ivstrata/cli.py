@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -423,8 +424,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """argv with "--grid -1,2" rewritten as "--grid=-1,2": argparse takes a
+    value that starts with "-" and is not a single number for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--grid", "--levels") and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
+        argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
         args = build_parser().parse_args(argv)  # --grid and --levels raise ConfigError while parsing
         return globals()[f"_cmd_{args.command}"](args)  # by name at call time; the parser holds no handler
     except IVStrataError as err:

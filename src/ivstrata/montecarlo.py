@@ -81,22 +81,65 @@ def _check_count(what: str, value: int, least: int) -> None:
         raise ConfigError(f"{what} must be between {least} and {_MAX_COUNT}, got {value}")
 
 
+# The version of the random stream: which sample a (population, n, seed)
+# draws. Any change that draws different bytes for some seed bumps it.
+STREAM_VERSION = 1
+
+
+def _cdf(probs) -> np.ndarray:
+    """The cdf `Generator.choice` builds: the cumsum over its last entry."""
+    cdf = np.cumsum(probs, dtype=float)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _category(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The category `Generator.choice` picks for each uniform in u: the
+    count of cdf entries at or below it (searchsorted side="right"; the last
+    entry, 1.0, exceeds every u). At most ten strata: the count fits a byte."""
+    idx = np.zeros(u.shape, dtype=np.uint8)
+    for edge in cdf[:-1]:
+        idx += u >= edge
+    return idx
+
+
+class _Sampler:
+    """A population's sampling arrays, built once and drawn from per seed.
+    `trajectories` and `means` are flat, indexed by stratum * 3 + z and
+    stratum * 3 + d."""
+
+    def __init__(self, pop: Population):
+        self.stratum_cdf = _cdf([e.prob for e in pop.entries])
+        self.arm_cdf = _cdf(pop.assignment)
+        self.trajectories = np.array([e.stratum.trajectory for e in pop.entries], dtype=np.uint8).ravel()
+        self.means = np.array([e.means for e in pop.entries]).ravel()
+        self.sds = np.array([e.noise_sd for e in pop.entries])
+
+    def draw(self, n: int, seed: int) -> Dataset:
+        """Three blocks of one PCG64 stream, in order: n stratum uniforms, n
+        instrument uniforms, n noise normals (drawn even where noise_sd is 0)."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        stratum = _category(rng.random(n), self.stratum_cdf)
+        z = _category(rng.random(n), self.arm_cdf)
+        cell = stratum * 3
+        cell += z
+        d = self.trajectories[cell]
+        # In place, in the order sds * noise + means: IEEE * and + commute,
+        # so y has the bytes of the out-of-place sum.
+        y = rng.standard_normal(n)
+        y *= self.sds[stratum]
+        cell -= z
+        cell += d
+        y += self.means[cell]
+        return Dataset(z=z, d=d, y=y, seed=seed)
+
+
 def generate(pop: Population, n: int, seed: int) -> Dataset:
     """Draw an i.i.d. sample of size n from the population."""
     _check_count("sample size", n, 1)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    probs = np.array([e.prob for e in pop.entries])
-    idx = rng.choice(len(pop.entries), size=n, p=probs)
-    z = rng.choice(3, size=n, p=np.array(pop.assignment))
-    trajectories = np.array([e.stratum.trajectory for e in pop.entries])
-    means = np.array([e.means for e in pop.entries])
-    sds = np.array([e.noise_sd for e in pop.entries])
-    d = trajectories[idx, z]
-    # Noise is drawn unconditionally to keep the stream layout fixed.
-    y = means[idx, d] + sds[idx] * rng.standard_normal(n)
-    return Dataset(z=z, d=d, y=y, seed=seed)
+    return _Sampler(pop).draw(n, seed)
 
 
 @dataclass(frozen=True)
@@ -315,11 +358,12 @@ def replicate(
         beta1, beta2 = solve_moment_system(marginalize(pop))
         fs = first_stage_from_shares(marginal_shares(pop))
         truths = [("beta1", beta1), ("beta2", beta2), *((name, getattr(fs, name)) for name in COEFFICIENTS)]
+    sampler = _Sampler(pop)
     estimates = np.empty((reps, len(truths)))
     ses = np.empty((reps, len(truths)))
     for rep in range(reps):
         seed = replication_seed(master_seed, rep)
-        ds = generate(pop, n, seed)
+        ds = sampler.draw(n, seed)
         try:
             if target is Target.CLUSTER_WALD:
                 w = estimate_cluster_wald(ds, scenario)

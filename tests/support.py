@@ -122,6 +122,20 @@ def grid_population(rng: np.random.Generator, step: float = 0.02, alpha: float =
     return Population(entries=entries)
 
 
+def reference_generate(pop: Population, n: int, seed: int) -> Dataset:
+    """`generate` drawn with `Generator.choice` and out-of-place arithmetic:
+    the stream layout the package's sampler must reproduce byte for byte."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    idx = rng.choice(len(pop.entries), size=n, p=np.array([e.prob for e in pop.entries]))
+    z = rng.choice(3, size=n, p=np.array(pop.assignment))
+    trajectories = np.array([e.stratum.trajectory for e in pop.entries])
+    means = np.array([e.means for e in pop.entries])
+    sds = np.array([e.noise_sd for e in pop.entries])
+    d = trajectories[idx, z]
+    y = means[idx, d] + sds[idx] * rng.standard_normal(n)
+    return Dataset(z=z, d=d, y=y, seed=seed)
+
+
 FIELD_ARMS = (frozenset({1}), frozenset({2}))
 
 

@@ -334,6 +334,15 @@ def test_simulate_degenerate_replication_names_rep_and_seed(write_json, capsys):
     ]
 
 
+@pytest.mark.xfail(strict=True, reason="finite-output contract not enforced: noise overflows to nan rows and warnings")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_overflowing_noise_exits_2(write_json, capsys):
+    doc = {"population": {"strata": [dict(s, noise_sd=1e308) for s in BENCHMARK_POP["population"]["strata"]]}}
+    code, out, err = run(capsys, ["simulate", write_json(doc), "--n", "50", "--reps", "3", "--seed", "1"])
+    assert code == 2 and out == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_sweep_rows(write_json, capsys):
     path = write_json(ANCHOR_SPEC)
     code, out, _ = run(capsys, ["sweep", path])
@@ -439,6 +448,10 @@ def test_sweep_block_grid_and_levels(write_json, capsys):
     code, out, _ = run(capsys, ["sweep", path, "--grid", "0.1"])
     assert code == 0
     assert out[1:] == ["0.1000,100.0000,1002.8571,1000.0000,2.8571", "0.1000,250.0000,1007.1429,1000.0000,7.1429"]
+    # A list that starts with a minus sign may follow its flag or be attached with "=".
+    plain = run(capsys, ["sweep", path, "--grid", "0.1", "--levels", "-100,250"])
+    assert plain[0] == 0 and plain[1][1] == "0.1000,-100.0000,997.1429,1000.0000,-2.8571"
+    assert plain == run(capsys, ["sweep", path, "--grid", "0.1", "--levels=-100,250"])
 
 
 _SCENARIO_CHOICES = "['control-1', 'control-2', 'no-clustering', 'treatment', 'undefined']"

@@ -166,6 +166,9 @@ SPEC_COMMANDS = [
     ["analyze", "--regime", "irrelevance"],
     ["sweep"],
     ["sweep", "--axis", "effect-gap", "--defier", "nd1", "--levels", "0,1.5"],
+    # A list flag takes a value that starts with a minus sign as a separate argument.
+    ["sweep", "--levels", "-100,200"],
+    ["sweep", "--axis", "effect-gap", "--grid", "-100,50", "--levels", "0.1,0.2"],
 ]
 
 # Argument vectors that argparse settles before any scenario file is read.
