@@ -1,7 +1,8 @@
-"""Golden CLI output: exact `--precision full` bytes for literal scenarios.
+"""Golden CLI output: exact bytes for literal scenarios.
 
 Every run's exit code, stdout and stderr is compared byte for byte with
-`golden_expected.json`. The scenarios cover equal-means strata, constant
+`golden_expected.json`. Every scenario runs at `--precision full`; a few
+also run at the default precision (4 dp), keyed with a trailing "[4 dp]". The scenarios cover equal-means strata, constant
 effects (with and without cancelling defier shares), non-uniform and
 degenerate assignment, zero-probability strata and groups, and first
 stages that select each clustering scenario. Argument handling is pinned
@@ -214,28 +215,59 @@ def _runs():
             yield name, doc, cmd
 
 
-def run_all() -> dict[str, dict]:
-    """Run every (scenario, command) pair; key each result by name and argv."""
+# Scenarios that also run at the default precision, each with every command of its kind.
+DEFAULT_PRECISION = {"benchmark": POPULATION_COMMANDS, "all_ten": POPULATION_COMMANDS, "anchor_spec": SPEC_COMMANDS}
+DEFAULT_KEY = " [4 dp]"
+
+
+def _default_runs():
+    for name, commands in DEFAULT_PRECISION.items():
+        for cmd in commands:
+            yield name, {**POPULATIONS, **SPECS}[name], cmd
+
+
+def _run_scenarios(runs, extra: list[str], key_suffix: str = "") -> dict[str, dict]:
+    """Run each (scenario, command) pair with `extra` flags; key each result by name and argv."""
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc, cmd in _runs():
+        for name, doc, cmd in runs:
             path = Path(tmp) / f"{name}.json"
             if not path.exists():
                 path.write_text(json.dumps(doc))
-            results[" ".join([name, *cmd])] = _run([cmd[0], str(path), *cmd[1:], "--precision", "full"])
+            results[" ".join([name, *cmd]) + key_suffix] = _run([cmd[0], str(path), *cmd[1:], *extra])
+    return results
+
+
+def run_full_precision() -> dict[str, dict]:
+    """Every scenario run at --precision full, then every parser-only argv."""
+    results = _run_scenarios(_runs(), ["--precision", "full"])
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse wraps to the terminal width
         for argv in PARSER_ARGVS:
             results[" ".join(["parser", *argv])] = _run(argv)
     return results
 
 
-def test_full_precision_output_is_unchanged():
-    expected = json.loads(EXPECTED.read_text())
-    actual = run_all()
+def run_default_precision() -> dict[str, dict]:
+    return _run_scenarios(_default_runs(), [], DEFAULT_KEY)
+
+
+def _assert_expected(actual: dict[str, dict], default_precision: bool) -> None:
+    expected = {
+        key: want for key, want in json.loads(EXPECTED.read_text()).items()
+        if key.endswith(DEFAULT_KEY) == default_precision
+    }
     assert list(actual) == list(expected)
     for key, want in expected.items():
         assert actual[key] == want, key
 
 
+def test_full_precision_output_is_unchanged():
+    _assert_expected(run_full_precision(), default_precision=False)
+
+
+def test_default_precision_output_is_unchanged():
+    _assert_expected(run_default_precision(), default_precision=True)
+
+
 if __name__ == "__main__":
-    EXPECTED.write_text(json.dumps(run_all(), indent=1) + "\n")
+    EXPECTED.write_text(json.dumps({**run_full_precision(), **run_default_precision()}, indent=1) + "\n")
