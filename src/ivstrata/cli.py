@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Every subcommand reads a JSON scenario file (and/or explicit flags), calls
-the library, and prints small CSV blocks to stdout, so results are
-byte-identical to direct library calls with the same inputs and seeds.
-Numbers print with 4 decimal places by default; --precision=full switches
-to repr for lossless round-trips. Errors print one line to stderr and set
-the exit code: 2 for configuration problems, 3 for refuted maintained
-assumptions, 4 for infeasible or rank-deficient problems, 1 for any other
-failure (such as running out of memory).
+the library, and yields rows of raw values that `main` prints as CSV as
+they are produced (so an error after `cluster`'s scenario rows leaves those
+rows on stdout); results are byte-identical to direct library calls with
+the same inputs and seeds. Numbers print with 4 decimal places by default;
+--precision=full switches to repr for lossless round-trips. Errors print
+one line to stderr and set the exit code: 2 for configuration problems, 3
+for refuted maintained assumptions, 4 for infeasible or rank-deficient
+problems, 1 for any other failure (such as running out of memory).
 
 Scenario files hold a "population" (joint strata) or a "marginal_spec"
 (shares plus effect contrasts), and optional "sweep", "simulate", and
@@ -24,7 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 from .clustering import (
     ClusterScenario,
@@ -47,7 +48,7 @@ from .identification import (
     first_stage_from_shares,
     shares_from_first_stage,
 )
-from .montecarlo import Target, estimate_2sls, generate, replicate
+from .montecarlo import CellTable, Target, first_stage_from_cells, generate, replicate
 from .strata import (
     EFFECT_SLOTS,
     MarginalGroup,
@@ -201,73 +202,61 @@ def _options(args: argparse.Namespace, sc: ScenarioFile) -> dict:
     }
 
 
-def _fmt(x, precision: str) -> str:
-    x = float(x)
-    if precision == "full":
-        return repr(x)
-    return f"{x:.4f}"
-
-
-def _print_terms(prefix: str, terms, p: str) -> None:
-    """One CSV row per term: prefix, label, weight, delta, sign, contribution."""
+def _term_rows(prefix: str, terms) -> Iterator[tuple]:
+    """One row per term: prefix, label, weight, delta, sign, contribution."""
     for t in terms:
-        sign = "+" if t.sign > 0 else "-"
-        print(f"{prefix},{t.label},{_fmt(t.weight, p)},{_fmt(t.delta, p)},{sign},{_fmt(t.contribution, p)}")
+        yield prefix, t.label, t.weight, t.delta, "+" if t.sign > 0 else "-", t.contribution
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> Iterator[tuple]:
     sc = load_scenario(args.config)
-    p = args.precision
-    print("status,ok")
+    yield "status", "ok"
     if sc.population is not None:
         pop = sc.population
-        print("kind,population")
-        print(f"strata,{len(pop.entries)}")
-        print("assignment," + ";".join(_fmt(a, p) for a in pop.assignment))
+        yield "kind", "population"
+        yield "strata", len(pop.entries)
+        yield "assignment", tuple(pop.assignment)
         shares = marginal_shares(pop)
         for name in _GROUP_ORDER:
-            print(f"share,{name},{_fmt(shares[MarginalGroup[name]], p)}")
+            yield "share", name, shares[MarginalGroup[name]]
         fs = first_stage_from_shares(shares)
         for coef in COEFFICIENTS:
-            print(f"first_stage,{coef},{_fmt(getattr(fs, coef), p)}")
+            yield "first_stage", coef, getattr(fs, coef)
     else:
         spec = sc.spec
-        print("kind,marginal_spec")
+        yield "kind", "marginal_spec"
         for attr in ("pC1", "pID1", "pND1", "pC2", "pID2", "pND2"):
-            print(f"share,{attr[1:]},{_fmt(getattr(spec, attr), p)}")
+            yield "share", attr[1:], getattr(spec, attr)
         for slot in EFFECT_SLOTS:
             value = getattr(spec, slot)
             if value is not None:
-                print(f"effect,{slot},{_fmt(value, p)}")
-    return 0
+                yield "effect", slot, value
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> Iterator[tuple]:
     sc = load_scenario(args.config)
     spec = sc.any_spec()
     regime = Regime(args.regime) if args.regime else Regime.NEITHER
     dec1, dec2 = decompose(spec, regime)
     oracle1, oracle2 = solve_moment_system(spec)
-    p = args.precision
-    print(f"beta1,{_fmt(dec1.total, p)}")
-    print(f"beta2,{_fmt(dec2.total, p)}")
-    print(f"late1,{_fmt(dec1.late, p)}")
-    print(f"late2,{_fmt(dec2.late, p)}")
-    print(f"bias1,{_fmt(dec1.bias, p)}")
-    print(f"bias2,{_fmt(dec2.bias, p)}")
-    print(f"oracle_beta1,{_fmt(oracle1, p)}")
-    print(f"oracle_beta2,{_fmt(oracle2, p)}")
-    print(f"oracle_gap1,{_fmt(dec1.total - oracle1, p)}")
-    print(f"oracle_gap2,{_fmt(dec2.total - oracle2, p)}")
-    print(f"regime,{regime.value}")
-    print(f"denominator,{_fmt(dec1.denominator, p)}")
-    print()
-    print("decomposition,term,weight,delta,sign,contribution")
+    yield "beta1", dec1.total
+    yield "beta2", dec2.total
+    yield "late1", dec1.late
+    yield "late2", dec2.late
+    yield "bias1", dec1.bias
+    yield "bias2", dec2.bias
+    yield "oracle_beta1", oracle1
+    yield "oracle_beta2", oracle2
+    yield "oracle_gap1", dec1.total - oracle1
+    yield "oracle_gap2", dec2.total - oracle2
+    yield "regime", regime.value
+    yield "denominator", dec1.denominator
+    yield ()
+    yield ("decomposition", "term", "weight", "delta", "sign", "contribution")
     for which, dec in (("beta1", dec1), ("beta2", dec2)):
-        _print_terms(which, dec.terms, p)
-        print(f"{which},late,,,,{_fmt(dec.late, p)}")
-        print(f"{which},total,,,,{_fmt(dec.total, p)}")
-    return 0
+        yield from _term_rows(which, dec.terms)
+        yield which, "late", None, None, None, dec.late
+        yield which, "total", None, None, None, dec.total
 
 
 def _first_stage_from_args(args: argparse.Namespace) -> FirstStage:
@@ -285,30 +274,22 @@ def _first_stage_from_args(args: argparse.Namespace) -> FirstStage:
     return first_stage_from_shares(marginal_shares(pop))
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> Iterator[tuple]:
+    # Every row is computed before the first is yielded, so a failed scan prints nothing.
     fs = _first_stage_from_args(args)
-    p = args.precision
-    rows: list[str] = []
     if args.maintained:
         shares = shares_from_first_stage(fs, Maintained(args.maintained))
-        for name in _GROUP_ORDER:
-            v = _fmt(shares[MarginalGroup[name]], p)
-            rows.append(f"{name},{v},{v}")
+        rows = [(name, shares[MarginalGroup[name]], shares[MarginalGroup[name]]) for name in _GROUP_ORDER]
     else:
-        bounds = defier_bounds(fs)
-        for name, (lo, hi) in bounds.intervals().items():
-            rows.append(f"{name},{_fmt(lo, p)},{_fmt(hi, p)}")
+        rows = [(name, lo, hi) for name, (lo, hi) in defier_bounds(fs).intervals().items()]
         if args.scan:
             scan = feasible_set_scan(fs, step=args.step)
-            for name, (lo, hi) in scan.intervals().items():
-                rows.append(f"{name}_scan,{_fmt(lo, p)},{_fmt(hi, p)}")
-    print("group,lo,hi")
-    for row in rows:
-        print(row)
-    return 0
+            rows += [(f"{name}_scan", lo, hi) for name, (lo, hi) in scan.intervals().items()]
+    yield ("group", "lo", "hi")
+    yield from rows
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
+def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
     sc = load_scenario(args.config)
     pop = sc.require_population("cluster")
     opts = _options(args, sc)
@@ -317,35 +298,31 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         if opts["n"] is None:
             fs, ses = first_stage_from_shares(marginal_shares(pop)), (None, None)
         else:
-            est = estimate_2sls(generate(pop, opts["n"], opts["seed"]))
-            fs, ses = est.alphas, (est.alpha_ses.a21, est.alpha_ses.a12)
+            fs, fs_ses = first_stage_from_cells(CellTable.from_dataset(generate(pop, opts["n"], opts["seed"])))
+            ses = (fs_ses.a21, fs_ses.a12)
         scenario = choose_clustering(fs, *ses, opts["sig_level"], opts["neg_neg_rule"])
-    p = args.precision
-    print("scenario,s0,s1")
-    s0 = ";".join(str(v) for v in sorted(scenario.s0)) if scenario.s0 is not None else ""
-    s1 = ";".join(str(v) for v in sorted(scenario.s1)) if scenario.s1 is not None else ""
-    print(f"{scenario.label},{s0},{s1}")
+    yield ("scenario", "s0", "s1")
+    yield scenario.label, tuple(sorted(scenario.s0 or ())), tuple(sorted(scenario.s1 or ()))
     if scenario.s1 is None:  # no collapse, so no clustered estimand
-        return 0
+        return
     dec = (cluster_estimand_constant_effects if opts["constant_effects"] else cluster_estimand_formula)(pop, scenario)
     verdict = check_cluster_exclusion(pop, scenario)
     oracle = cluster_wald_oracle(pop, scenario, opts["semantics"])
-    print()
-    print(f"pi,{_fmt(dec.pi, p)}")
-    print("component,label,weight,value,sign,contribution")
-    _print_terms("a", dec.a_terms, p)
-    _print_terms("bias", dec.bias_terms, p)
-    print(f"a_total,{_fmt(dec.a_total, p)}")
-    print(f"bias_total,{_fmt(dec.bias, p)}")
-    print(f"total,{_fmt(dec.total, p)}")
-    print("exclusion," + ("holds" if verdict.holds else "violated:" + ";".join(verdict.violations)))
-    print(f"semantics,{opts['semantics'].value}")
-    print(f"oracle,{_fmt(oracle, p)}")
-    print(f"oracle_gap,{_fmt(oracle - dec.total, p)}")
-    return 0
+    yield ()
+    yield "pi", dec.pi
+    yield ("component", "label", "weight", "value", "sign", "contribution")
+    yield from _term_rows("a", dec.a_terms)
+    yield from _term_rows("bias", dec.bias_terms)
+    yield "a_total", dec.a_total
+    yield "bias_total", dec.bias
+    yield "total", dec.total
+    yield "exclusion", "holds" if verdict.holds else "violated:" + ";".join(verdict.violations)
+    yield "semantics", opts["semantics"].value
+    yield "oracle", oracle
+    yield "oracle_gap", oracle - dec.total
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> Iterator[tuple]:
     sc = load_scenario(args.config)
     pop = sc.require_population("simulate")
     opts = _options(args, sc)
@@ -353,22 +330,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if opts["target"] is Target.CLUSTER_WALD and scenario is None:
         scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)))
     summary = replicate(pop, opts["n"], opts["reps"], opts["seed"], opts["target"], scenario)
-    p = args.precision
-    print(f"n,{summary.n}")
-    print(f"reps,{summary.reps}")
-    print(f"seed,{summary.master_seed}")
-    print(f"target,{summary.target.value}")
-    print()
-    print("param,truth,mean,sd,bias,coverage")
+    yield "n", summary.n
+    yield "reps", summary.reps
+    yield "seed", summary.master_seed
+    yield "target", summary.target.value
+    yield ()
+    yield ("param", "truth", "mean", "sd", "bias", "coverage")
     for row in summary.rows:
-        print(
-            f"{row.param},{_fmt(row.truth, p)},{_fmt(row.mean, p)},"
-            f"{_fmt(row.sd, p)},{_fmt(row.bias, p)},{_fmt(row.coverage, p)}"
-        )
-    return 0
+        yield row.param, row.truth, row.mean, row.sd, row.bias, row.coverage
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Iterator[tuple]:
     sc = load_scenario(args.config)
     spec = sc.any_spec()
     opts = _options(args, sc)
@@ -377,14 +349,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         late = spec.effect("eff_c1")
         levels = [0.1 * late, 0.2 * late, 0.5 * late]
     rows = bias_sweep(spec, opts["axis"], opts["grid"], levels, defier=opts["defier"])
-    p = args.precision
-    print("axis,level,beta,late,bias")
+    yield ("axis", "level", "beta", "late", "bias")
     for row in rows:
-        print(
-            f"{_fmt(row.axis, p)},{_fmt(row.level, p)},{_fmt(row.beta, p)},"
-            f"{_fmt(row.late, p)},{_fmt(row.bias, p)}"
-        )
-    return 0
+        yield row.axis, row.level, row.beta, row.late, row.bias
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,11 +403,27 @@ def _attach_list_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _cell(x, precision: str) -> str:
+    """One CSV cell: "" for None, a tuple's cells joined by ";", a str or
+    int as it is, any other number at 4 dp or, at --precision full, as the
+    repr of a float (not of an np.float64, which numpy 2 wraps in its name)."""
+    if x is None:
+        return ""
+    if isinstance(x, tuple):
+        return ";".join(_cell(v, precision) for v in x)
+    if isinstance(x, (str, int)):
+        return str(x)
+    return repr(float(x)) if precision == "full" else f"{float(x):.4f}"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
         args = build_parser().parse_args(argv)  # --grid and --levels raise ConfigError while parsing
-        return globals()[f"_cmd_{args.command}"](args)  # by name at call time; the parser holds no handler
+        # Looked up by name at call time (the parser holds no handler); each row prints as it comes.
+        for row in globals()[f"_cmd_{args.command}"](args):
+            print(",".join(_cell(x, args.precision) for x in row))
+        return 0
     except IVStrataError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

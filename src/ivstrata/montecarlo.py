@@ -169,6 +169,29 @@ class CellTable:
         return cls(count=count.reshape(3, 3), mean=mean.reshape(3, 3), m2=m2.reshape(3, 3))
 
 
+def _require_every_value(name: str, margin: np.ndarray) -> None:
+    missing = [v for v in range(3) if margin[v] == 0]
+    if missing:
+        raise RankError(f"{name} never takes value{'s' if len(missing) > 1 else ''} {missing} in this sample")
+
+
+def first_stage_from_cells(table: CellTable) -> tuple[FirstStage, FirstStage]:
+    """The estimated first stage and its HC0 standard errors, from the
+    table's counts alone; RankError if an instrument value never occurs.
+
+    The regression is saturated, so its coefficients are contrasts of the
+    field shares m[z, j] of each instrument cell, and the HC0 variance of a
+    share is m (1 - m) / n_z; pure cells stay exactly 0.
+    """
+    n_z = table.count.sum(axis=1)
+    _require_every_value("instrument z", n_z)
+    m = table.count / n_z[:, None]
+    v = m * (1.0 - m) / n_z[:, None]
+    coef = (m[0], m[1] - m[0], m[2] - m[0])
+    se = (np.sqrt(v[0]), np.sqrt(v[0] + v[1]), np.sqrt(v[0] + v[2]))
+    return tuple(FirstStage(**{f"a{j}{k}": x[k][j] for j in (1, 2) for k in range(3)}) for x in (coef, se))
+
+
 # The instrument and field value of each flattened cell row z * 3 + d.
 _CELL_Z = (0, 0, 0, 1, 1, 1, 2, 2, 2)
 _CELL_D = (0, 1, 2, 0, 1, 2, 0, 1, 2)
@@ -239,26 +262,16 @@ def estimate_2sls(ds: Dataset) -> EstimateSet:
         collinear), or the cross-moment matrix is otherwise singular.
     """
     table = CellTable.from_dataset(ds)
-    n_z = table.count.sum(axis=1)
-    for name, margin in (("instrument z", n_z), ("field d", table.count.sum(axis=0))):
-        missing = [v for v in range(3) if margin[v] == 0]
-        if missing:
-            raise RankError(f"{name} never takes value{'s' if len(missing) > 1 else ''} {missing} in this sample")
+    alphas, alpha_ses = first_stage_from_cells(table)
+    _require_every_value("field d", table.count.sum(axis=0))
     beta, cov = _iv_hc0(table, _FIELDS, "second stage")
-    # The first-stage regression is saturated, so its coefficients are
-    # contrasts of the field shares m[z, j] of each instrument cell, and the
-    # HC0 variance of a share is m (1 - m) / n_z; pure cells stay exactly 0.
-    m = table.count / n_z[:, None]
-    v = m * (1.0 - m) / n_z[:, None]
-    coef = (m[0], m[1] - m[0], m[2] - m[0])
-    se = (np.sqrt(v[0]), np.sqrt(v[0] + v[1]), np.sqrt(v[0] + v[2]))
     return EstimateSet(
         beta1=float(beta[1]),
         beta2=float(beta[2]),
         se_beta1=float(np.sqrt(cov[1, 1])),
         se_beta2=float(np.sqrt(cov[2, 2])),
-        alphas=FirstStage(**{f"a{j}{k}": coef[k][j] for j in (1, 2) for k in range(3)}),
-        alpha_ses=FirstStage(**{f"a{j}{k}": se[k][j] for j in (1, 2) for k in range(3)}),
+        alphas=alphas,
+        alpha_ses=alpha_ses,
         n=ds.n,
         seed=ds.seed,
     )

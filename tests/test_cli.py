@@ -334,6 +334,33 @@ def test_simulate_degenerate_replication_names_rep_and_seed(write_json, capsys):
     ]
 
 
+def _nonfinite_cells(lines):
+    return [cell for line in lines for cell in line.replace(";", ",").split(",") if cell in ("inf", "-inf", "nan")]
+
+
+@pytest.mark.xfail(strict=True, reason="finite-output contract not enforced: a mean difference overflows to inf")
+def test_cluster_overflowing_mean_difference_exits_2(write_json, capsys):
+    doc = {"population": {"strata": [
+        {"tag": "C1C2", "prob": 0.5, "means": [-1.7e308, 1.0, 1.7e308]},
+        {"tag": "C1ID2", "prob": 0.3, "means": [0.0, 1.0, 2.0]},
+        {"tag": "ID1C2", "prob": 0.2, "means": [0.0, 1.0, 2.0]},
+    ]}}
+    code, out, err = run(capsys, ["cluster", write_json(doc)])
+    assert code == 2 and _nonfinite_cells(out) == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.xfail(strict=True, reason="finite-output contract not enforced: opposite huge effects give inf and nan")
+def test_analyze_overflowing_effects_exits_2(write_json, capsys):
+    doc = {"marginal_spec": {
+        "shares": {"C1": 0.6, "ID1": 0.2, "C2": 0.6, "ID2": 0.2},
+        "effects": {"C1": 1e308, "ID1": 0.0, "C2": 1.0, "ID2": -1e308},
+    }}
+    code, out, err = run(capsys, ["analyze", write_json(doc)])
+    assert code == 2 and _nonfinite_cells(out) == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.xfail(strict=True, reason="finite-output contract not enforced: noise overflows to nan rows and warnings")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflowing_noise_exits_2(write_json, capsys):
@@ -375,6 +402,15 @@ def test_unexpected_exception_exits_1(write_json, capsys, monkeypatch):
     code, out, err = run(capsys, ["validate", write_json(ANCHOR_SPEC)])
     assert code == 1 and out == [] and err == "error: ValueError: two lines\n"
 
+    # Rows print as the handler yields them, so a later failure leaves them on stdout.
+    def fails_after_one_row(args):
+        yield "status", "ok"
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_validate", fails_after_one_row)
+    code, out, err = run(capsys, ["validate", write_json(ANCHOR_SPEC)])
+    assert code == 1 and out == ["status,ok"] and err == "error: MemoryError\n"
+
 
 def test_argparse_usage_errors_raise_system_exit(write_json, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -415,6 +451,16 @@ def test_cluster_n_chooses_from_an_estimated_first_stage(write_json, capsys):
     assert code == 0 and out == ["scenario,s0,s1", "no-clustering,,"]
     code, out, _ = run(capsys, ["cluster", path, "--n", "20000"])
     assert code == 0 and out == exact
+
+    # No one ever takes field 2, so a second stage would be singular; the
+    # choice reads only the estimated first stage.
+    path = write_json({"population": {"strata": [
+        {"tag": "C1NT2", "prob": 0.6, "means": [0.0, 1.0, 2.0], "noise_sd": 1.0},
+        {"tag": "NT1NT2", "prob": 0.4, "means": [0.0, 1.0, 2.0], "noise_sd": 1.0},
+    ]}})
+    for extra in ([], ["--n", "500", "--seed", "1"]):
+        code, out, err = run(capsys, ["cluster", path, *extra])
+        assert code == 0 and err == "" and out == ["scenario,s0,s1", "no-clustering,,"]
 
 
 def test_simulate_cluster_wald_chooses_the_scenario(write_json, capsys):
