@@ -53,7 +53,6 @@ from .clustering import (
     ClusterScenario,
     ExclusionVerdict,
     NegNegRule,
-    ScenarioKind,
     Semantics,
     check_cluster_exclusion,
     choose_clustering,

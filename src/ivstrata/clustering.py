@@ -28,59 +28,46 @@ from .strata import DEN_TOL, MarginalGroup, Population, group_effect, group_prob
 _STD_NORMAL = NormalDist()
 
 
-class ScenarioKind(enum.Enum):
-    CONTROL = "control"
-    TREATMENT = "treatment"
-    NO_CLUSTERING = "no-clustering"
-    UNDEFINED = "undefined"
-
-
 class ClusterScenario(enum.Enum):
     """A two-arm collapse of the three fields, one member per label.
 
-    Each member carries its `kind`, its `treatment_field` (the field kept
-    as the treatment arm under control clustering, None otherwise) and its
-    arm sets `s0` and `s1`: the original field values mapped to the
-    pseudo-control and pseudo-treatment arms, or None when the kind carries
-    no collapse (no clustering needed, or the sign pattern is outside the
-    catalogue). The arm sets of each collapse partition {0, 1, 2}.
+    Each member is its label and its arm sets `s0` and `s1`: the original
+    field values mapped to the pseudo-control and pseudo-treatment arms, or
+    None when the scenario carries no collapse (no clustering needed, or the
+    sign pattern is outside the catalogue). The arm sets of each collapse
+    partition {0, 1, 2}; control clustering keeps one treated field as `s1`.
     """
 
-    CONTROL_1 = ("control-1", ScenarioKind.CONTROL, 1, frozenset({0, 2}), frozenset({1}))
-    CONTROL_2 = ("control-2", ScenarioKind.CONTROL, 2, frozenset({0, 1}), frozenset({2}))
-    TREATMENT = ("treatment", ScenarioKind.TREATMENT, None, frozenset({0}), frozenset({1, 2}))
-    NO_CLUSTERING = ("no-clustering", ScenarioKind.NO_CLUSTERING, None, None, None)
-    UNDEFINED = ("undefined", ScenarioKind.UNDEFINED, None, None, None)
+    CONTROL_1 = ("control-1", frozenset({0, 2}), frozenset({1}))
+    CONTROL_2 = ("control-2", frozenset({0, 1}), frozenset({2}))
+    TREATMENT = ("treatment", frozenset({0}), frozenset({1, 2}))
+    NO_CLUSTERING = ("no-clustering", None, None)
+    UNDEFINED = ("undefined", None, None)
 
-    def __new__(cls, label, kind, treatment_field, s0, s1):
+    def __new__(cls, label, s0, s1):
         member = object.__new__(cls)
         member._value_ = label
-        member.kind = kind
-        member.treatment_field = treatment_field
         member.s0 = s0
         member.s1 = s1
         return member
 
     @classmethod
-    def control(cls, treatment_field: int) -> "ClusterScenario":
-        """Field `treatment_field` stays a treatment arm; the other treated
-        field joins the control arm."""
-        if treatment_field not in (1, 2):
-            raise ConfigError(f"treatment field must be 1 or 2, got {treatment_field}")
-        return cls.CONTROL_1 if treatment_field == 1 else cls.CONTROL_2
+    def control(cls, field: int) -> "ClusterScenario":
+        """Field `field` stays a treatment arm; the other treated field
+        joins the control arm."""
+        if field not in (1, 2):
+            raise ConfigError(f"treatment field must be 1 or 2, got {field}")
+        return cls.CONTROL_1 if field == 1 else cls.CONTROL_2
 
-    @classmethod
-    def treatment(cls) -> "ClusterScenario":
-        """Both treated fields pool into one arm against control."""
-        return cls.TREATMENT
-
-    @classmethod
-    def no_clustering(cls) -> "ClusterScenario":
-        return cls.NO_CLUSTERING
-
-    @classmethod
-    def undefined(cls) -> "ClusterScenario":
-        return cls.UNDEFINED
+    def require_collapse(self) -> "ClusterScenario":
+        """This scenario, if it collapses the fields into two arms; the
+        clustered estimand and every two-arm estimator need one."""
+        if self.s1 is None:
+            raise ConfigError(
+                f"no clustered estimand under scenario {self.label!r}; "
+                "only control and treatment clustering define one"
+            )
+        return self
 
     @property
     def label(self) -> str:
@@ -150,14 +137,14 @@ def choose_clustering(
             )
         if neg_neg_rule is NegNegRule.LARGER_MAGNITUDE:
             return ClusterScenario.control(1 if fs.a21 <= fs.a12 else 2)
-        return ClusterScenario.undefined()
+        return ClusterScenario.UNDEFINED
     if s21 < 0:
         return ClusterScenario.control(1)
     if s12 < 0:
         return ClusterScenario.control(2)
     if s21 == 0 and s12 == 0:
-        return ClusterScenario.no_clustering()
-    return ClusterScenario.treatment()
+        return ClusterScenario.NO_CLUSTERING
+    return ClusterScenario.TREATMENT
 
 
 @dataclass(frozen=True)
@@ -197,28 +184,23 @@ def _wiring(scenario: ClusterScenario):
     constant. Raises ConfigError for scenarios without a clustered estimand.
     """
     g = MarginalGroup
-    if scenario.kind is ScenarioKind.CONTROL:
-        f = scenario.treatment_field
-        o = 3 - f
-        return (
-            (g.C1, g.C2, g.ND1, g.ND2),
-            (
-                (f"C{f}|ND{o}", (g[f"C{f}"], g[f"ND{o}"]), f, 0, 1),
-                (f"C{o}|ND{f}", (g[f"C{o}"], g[f"ND{f}"]), f, o, 1),
-            ),
-            (("w~1", (g[f"ID{f}"],), o, 0, 1), ("w~2", (g[f"ID{o}"],), o, 0, -1)),
-            "w.1",
-        )
-    if scenario.kind is ScenarioKind.TREATMENT:
+    if scenario.require_collapse() is ClusterScenario.TREATMENT:
         return (
             (g.C1, g.C2, g.ID1, g.ID2),
             (("C1|ID2", (g.C1, g.ID2), 1, 0, 1), ("C2|ID1", (g.C2, g.ID1), 2, 0, 1)),
             (("w~3", (g.ND1,), 1, 2, 1), ("w~4", (g.ND2,), 1, 2, -1)),
             "w.2",
         )
-    raise ConfigError(
-        f"no clustered estimand under scenario {scenario.label!r}; "
-        "only control and treatment clustering define one"
+    (f,) = scenario.s1
+    o = 3 - f
+    return (
+        (g.C1, g.C2, g.ND1, g.ND2),
+        (
+            (f"C{f}|ND{o}", (g[f"C{f}"], g[f"ND{o}"]), f, 0, 1),
+            (f"C{o}|ND{f}", (g[f"C{o}"], g[f"ND{f}"]), f, o, 1),
+        ),
+        (("w~1", (g[f"ID{f}"],), o, 0, 1), ("w~2", (g[f"ID{o}"],), o, 0, -1)),
+        "w.1",
     )
 
 

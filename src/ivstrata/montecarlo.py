@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import ClusterScenario, ScenarioKind, Semantics, cluster_wald_oracle
+from .clustering import ClusterScenario, Semantics, cluster_wald_oracle
 from .estimands import solve_moment_system
 from .exceptions import ConfigError, RankError
 from .identification import COEFFICIENTS, FirstStage, first_stage_from_shares
@@ -294,13 +294,12 @@ def estimate_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstimat
     the collapsed instrument and treatment are indicators of z and d, so
     each cell maps to one pseudo-arm pair.
     """
-    if scenario.kind not in (ScenarioKind.CONTROL, ScenarioKind.TREATMENT):
-        raise ConfigError(f"scenario {scenario.label!r} defines no two-arm estimator")
+    s1 = scenario.require_collapse().s1
     table = CellTable.from_dataset(ds)
-    n1 = int(table.count[sorted(scenario.s1)].sum())
+    n1 = int(table.count[sorted(s1)].sum())
     if n1 == 0 or n1 == ds.n:
         raise RankError(f"instrument arm z~={int(n1 == 0)} is empty under scenario {scenario.label!r}")
-    coef, cov = _iv_hc0(table, (scenario.s1,), f"clustered Wald ({scenario.label})")
+    coef, cov = _iv_hc0(table, (s1,), f"clustered Wald ({scenario.label})")
     return WaldEstimate(estimate=float(coef[1]), se=float(np.sqrt(cov[1, 1])), n=ds.n, seed=ds.seed)
 
 

@@ -14,7 +14,6 @@ from ivstrata import (
     MarginalSpec,
     Population,
     Regime,
-    ScenarioKind,
     StratumEntry,
     SweepAxis,
     bias_sweep,
@@ -253,16 +252,17 @@ def test_c10_exclusion_passing_populations():
     worst_bias = worst_split = worst_oracle = 0.0
     oracle_checked = 0
     for i in range(100):
-        scenario = (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.treatment())[i % 3]
+        scenario = (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)[i % 3]
         overlap_free = i % 2 == 0
-        if scenario.kind is ScenarioKind.TREATMENT:
+        if scenario is ClusterScenario.TREATMENT:
             strata = no_overlap_tr if overlap_free else tuple(J)
             suspects = G.ND1.members() | G.ND2.members()
             fix = lambda m: (m[0], m[1], m[1])  # treated-field outcomes agree
         else:
             strata = no_c1c2 if overlap_free else tuple(J)
             suspects = G.ID1.members() | G.ID2.members()
-            o = 3 - scenario.treatment_field
+            (f,) = scenario.s1
+            o = 3 - f
             fix = lambda m: (m[0], m[1], m[0]) if o == 2 else (m[1], m[1], m[2])
         means = {}
         for s in strata:

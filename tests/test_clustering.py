@@ -15,7 +15,6 @@ from ivstrata import (
     NegNegRule,
     Population,
     RankError,
-    ScenarioKind,
     Semantics,
     StratumEntry,
     check_cluster_exclusion,
@@ -55,7 +54,7 @@ POP_B = make_pop([
 ])
 
 CONTROL_1 = ClusterScenario.control(1)
-TREATMENT = ClusterScenario.treatment()
+TREATMENT = ClusterScenario.TREATMENT
 
 
 def fs_with(a21, a12):
@@ -112,11 +111,11 @@ def test_scenario_shapes_and_labels():
     for label in labels:
         assert ClusterScenario.from_label(label).label == label
     for scen in ClusterScenario:
-        if scen.kind in (ScenarioKind.CONTROL, ScenarioKind.TREATMENT):
+        if scen.s1 is not None:
             assert scen.s0 | scen.s1 == {0, 1, 2} and not scen.s0 & scen.s1
+            assert scen.require_collapse() is scen
         else:
-            assert scen.s0 is None and scen.s1 is None
-        assert (scen.treatment_field is not None) == (scen.kind is ScenarioKind.CONTROL)
+            assert scen.s0 is None
     with pytest.raises(ConfigError, match="unknown"):
         ClusterScenario.from_label("both")
     with pytest.raises(ConfigError):
@@ -124,7 +123,7 @@ def test_scenario_shapes_and_labels():
 
 
 def test_no_estimand_for_degenerate_scenarios():
-    for scen in (ClusterScenario.no_clustering(), ClusterScenario.undefined()):
+    for scen in (ClusterScenario.NO_CLUSTERING, ClusterScenario.UNDEFINED):
         with pytest.raises(ConfigError, match="no clustered estimand"):
             cluster_estimand_formula(POP_A, scen)
         with pytest.raises(ConfigError):

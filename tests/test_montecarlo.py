@@ -180,7 +180,7 @@ def test_cell_table_estimators_match_the_design_matrix_reference():
     rng = np.random.default_rng(2027)
     estimators = [(estimate_2sls, reference_2sls, FIELD_ARMS, "2sls")] + [
         (partial(estimate_cluster_wald, scenario=s), partial(reference_cluster_wald, scenario=s), (s.s1,), s.label)
-        for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.treatment())
+        for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)
     ]
     pure = Population(entries=(
         StratumEntry(J.C1C2, 0.6, (0.0, 1000.0, 500.0)),
@@ -283,8 +283,8 @@ def test_cluster_wald_estimator_tracks_the_pooled_oracle():
     )
     with pytest.raises(RankError, match="z~=1"):
         estimate_cluster_wald(empty_arm, scen)
-    with pytest.raises(ConfigError, match="defines no two-arm estimator"):
-        estimate_cluster_wald(empty_arm, ClusterScenario.no_clustering())
+    with pytest.raises(ConfigError, match="no clustered estimand"):
+        estimate_cluster_wald(empty_arm, ClusterScenario.NO_CLUSTERING)
 
 
 def test_replication_seed_is_frozen():

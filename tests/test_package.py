@@ -6,7 +6,7 @@ PUBLIC_NAMES = [
     "AssumptionError", "BiasDecomposition", "BiasTerm", "ClusterDecomposition", "ClusterScenario", "ConfigError",
     "Dataset", "DefierBounds", "EstimateSet", "ExclusionVerdict", "FirstStage", "IVStrataError", "InfeasibleError",
     "JointStratum", "Maintained", "MarginalGroup", "MarginalSpec", "NegNegRule", "ParamSummary", "Population",
-    "RankError", "Regime", "ReplicationSummary", "ScenarioKind", "Semantics", "StratumEntry", "SweepAxis",
+    "RankError", "Regime", "ReplicationSummary", "Semantics", "StratumEntry", "SweepAxis",
     "SweepRow", "Target", "UNIFORM_ASSIGNMENT", "WaldEstimate", "bias_sweep", "check_cluster_exclusion",
     "choose_clustering", "cluster_estimand_constant_effects", "cluster_estimand_formula", "cluster_wald_oracle",
     "complier_late", "decompose", "defier_bounds", "estimate_2sls", "estimate_cluster_wald", "feasible_set_scan",
