@@ -32,6 +32,7 @@ from .clustering import (
     NegNegRule,
     Semantics,
     check_cluster_exclusion,
+    check_sig_level,
     choose_clustering,
     cluster_estimand_constant_effects,
     cluster_estimand_formula,
@@ -48,7 +49,7 @@ from .identification import (
     first_stage_from_shares,
     shares_from_first_stage,
 )
-from .montecarlo import CellTable, Target, first_stage_from_cells, generate, replicate
+from .montecarlo import CellTable, Target, check_count, check_seed, first_stage_from_cells, generate, replicate
 from .strata import (
     EFFECT_SLOTS,
     MarginalGroup,
@@ -125,14 +126,15 @@ def _values(cls) -> list[str]:
     return [m.value for m in cls]
 
 
-def _scenario(value, what: str) -> ClusterScenario:
-    return ClusterScenario.from_label(value)
+def _sample_size(value, what: str) -> int:
+    return check_count("sample size", _as_int(value, what), 1)
 
 
 # Each command's scenario-block options: key -> (convert, default, flag). A
-# block value is converted when the file loads; the command's --key flag,
-# declared by the argparse keywords in `flag`, overrides it through the same
-# converter (argparse gives the flag the JSON type).
+# block value is converted, and range-checked by the library's own rule, when
+# the file loads; the command's --key flag, declared by the argparse keywords
+# in `flag`, overrides it through the same converter (argparse gives the flag
+# the JSON type).
 _OPTIONS = {
     "sweep": {
         "axis": (partial(_enum, SweepAxis), SweepAxis.DEFIER_SHARE, {"choices": _values(SweepAxis)}),
@@ -143,21 +145,22 @@ _OPTIONS = {
         "defier": (lambda value, what: sweep_defier(value), "id1", {"choices": SWEEP_DEFIERS}),
     },
     "simulate": {
-        "n": (_as_int, 200000, {"type": int}),
-        "reps": (_as_int, 100, {"type": int}),
-        "seed": (_as_int, 0, {"type": int}),
+        "n": (_sample_size, 200000, {"type": int}),
+        "reps": (lambda value, what: check_count("replications", _as_int(value, what), 2), 100, {"type": int}),
+        "seed": (_as_int, 0, {"type": int}),  # a master seed is hashed, so any integer will do
         "target": (partial(_enum, Target), Target.FIELD_2SLS, {"choices": _values(Target)}),
-        "scenario": (_scenario, None, {"choices": [s.value for s in ClusterScenario if s.s1 is not None]}),
+        "scenario": (lambda value, what: ClusterScenario.from_label(value).require_collapse(), None,
+                     {"choices": [s.value for s in ClusterScenario if s.s1 is not None]}),
     },
     "cluster": {
-        "scenario": (_scenario, None,
+        "scenario": (lambda value, what: ClusterScenario.from_label(value), None,
                      {"choices": _values(ClusterScenario), "help": "override the sign-based scenario choice"}),
-        "sig_level": (as_float, 0.05, {"type": float}),
+        "sig_level": (lambda value, what: check_sig_level(as_float(value, what)), 0.05, {"type": float}),
         "neg_neg_rule": (partial(_enum, NegNegRule), NegNegRule.UNDEFINED, {"choices": _values(NegNegRule)}),
         "semantics": (partial(_enum, Semantics), Semantics.POOLED, {"choices": _values(Semantics)}),
-        "n": (_as_int, None,
+        "n": (_sample_size, None,
               {"type": int, "help": "choose the scenario from an estimated first stage on a sample of this size"}),
-        "seed": (_as_int, 0, {"type": int}),
+        "seed": (lambda value, what: check_seed(_as_int(value, what)), 0, {"type": int}),
         "constant_effects": (_as_bool, False,
                              {"action": "store_true", "help": "use the constant-effects decomposition"}),
     },

@@ -103,6 +103,13 @@ def _sign(coef: float, se: Optional[float], sig_level: float) -> int:
     return 1 if coef > 0.0 else -1
 
 
+def check_sig_level(sig_level: float) -> float:
+    """`sig_level`, if it is a significance level."""
+    if not (0.0 < sig_level < 1.0):
+        raise ConfigError(f"significance level must be in (0, 1), got {sig_level}")
+    return sig_level
+
+
 def choose_clustering(
     fs: FirstStage,
     se21: Optional[float] = None,
@@ -124,8 +131,7 @@ def choose_clustering(
     AssumptionError
         Under NegNegRule.FAIL when both cross slopes test negative.
     """
-    if not (0.0 < sig_level < 1.0):
-        raise ConfigError(f"significance level must be in (0, 1), got {sig_level}")
+    check_sig_level(sig_level)
     s21 = _sign(fs.a21, se21, sig_level)
     s12 = _sign(fs.a12, se12, sig_level)
     if s21 < 0 and s12 < 0:

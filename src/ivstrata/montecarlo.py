@@ -76,9 +76,18 @@ def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
 _MAX_COUNT = np.iinfo(np.intp).max // 64
 
 
-def _check_count(what: str, value: int, least: int) -> None:
+def check_count(what: str, value: int, least: int) -> int:
+    """`value`, if it lies between `least` and the largest count."""
     if not least <= value <= _MAX_COUNT:
         raise ConfigError(f"{what} must be between {least} and {_MAX_COUNT}, got {value}")
+    return value
+
+
+def check_seed(seed: int) -> int:
+    """`seed`, if a sample can be drawn from it."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 # The version of the random stream: which sample a (population, n, seed)
@@ -136,9 +145,8 @@ class _Sampler:
 
 def generate(pop: Population, n: int, seed: int) -> Dataset:
     """Draw an i.i.d. sample of size n from the population."""
-    _check_count("sample size", n, 1)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    check_count("sample size", n, 1)
+    check_seed(seed)
     return _Sampler(pop).draw(n, seed)
 
 
@@ -360,8 +368,8 @@ def replicate(
     replications whose nominal 95 percent interval (1.96 standard errors)
     covers the exact value.
     """
-    _check_count("replications", reps, 2)
-    _check_count("sample size", n, 1)
+    check_count("replications", reps, 2)
+    check_count("sample size", n, 1)
     if target is Target.CLUSTER_WALD:
         if scenario is None:
             raise ConfigError("cluster-wald replication requires a cluster scenario")

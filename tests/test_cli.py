@@ -6,6 +6,7 @@ import json
 import pytest
 
 import ivstrata.cli as cli
+import ivstrata.montecarlo as montecarlo
 from ivstrata import replication_seed
 from ivstrata.cli import main
 
@@ -561,9 +562,21 @@ BAD_BLOCKS = dict(BENCHMARK_POP, cluster={"constant_effects": "false", "sig_leve
         (ANCHOR_SPEC, ["cluster"], "cluster requires a scenario file with a population"),
         (ANCHOR_SPEC, ["simulate"], "simulate requires a scenario file with a population"),
         (ANCHOR_SPEC, ["bounds"], "bounds (without explicit --aXY flags) requires a scenario file with a population"),
+        # Range checks run at load too, with the library's own error lines.
+        (dict(BENCHMARK_POP, cluster={"sig_level": 5}), ["validate"], "significance level must be in (0, 1), got 5.0"),
+        (dict(BENCHMARK_POP, simulate={"reps": 1}), ["validate"],
+         f"replications must be between 2 and {montecarlo._MAX_COUNT}, got 1"),
+        (dict(BENCHMARK_POP, cluster={"n": 0}), ["validate"],
+         f"sample size must be between 1 and {montecarlo._MAX_COUNT}, got 0"),
+        (dict(BENCHMARK_POP, cluster={"seed": -1}), ["validate"], "seed must be nonnegative, got -1"),
+        (dict(BENCHMARK_POP, simulate={"scenario": "undefined"}), ["validate"],
+         "no clustered estimand under scenario 'undefined'; only control and treatment clustering define one"),
+        (BENCHMARK_POP, ["cluster", "--scenario", "treatment", "--sig-level", "5"],
+         "significance level must be in (0, 1), got 5.0"),
     ],
     ids=["found-validate", "found-analyze", "found-bounds", "list-validate", "list-cluster", "list-simulate",
-         "dict-validate", "block-list", "spec-cluster", "spec-simulate", "spec-bounds"],
+         "dict-validate", "block-list", "spec-cluster", "spec-simulate", "spec-bounds", "range-sig_level",
+         "range-reps", "range-n", "range-seed", "range-scenario", "range-sig_level-flag"],
 )
 def test_every_command_rejects_bad_block_values(write_json, capsys, doc, argv, err):
     code, out, stderr = run(capsys, [argv[0], write_json(doc), *argv[1:]])
