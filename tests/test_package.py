@@ -1,6 +1,13 @@
-"""The package's public surface."""
+"""The package's public surface and the README's library quick start."""
+
+import re
+from pathlib import Path
+
+import pytest
 
 import ivstrata
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = [
     "AssumptionError", "BiasDecomposition", "BiasTerm", "ClusterDecomposition", "ClusterScenario", "ConfigError",
@@ -22,3 +29,14 @@ def test_public_names_are_pinned():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert ivstrata.__all__ == PUBLIC_NAMES + ["__version__"]
     assert all(hasattr(ivstrata, name) for name in ivstrata.__all__)
+
+
+def test_readme_quick_start_runs_and_holds():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    names = {}
+    exec(block, names)
+    dec1, b, est, summary = (names[key] for key in ("dec1", "b", "est", "summary"))
+    # What the block's comments claim.
+    assert dec1.total == pytest.approx(1006.6667) and dec1.late == 1000.0
+    assert (b.nd1, b.id1) == ((0.0, 0.3), (0.1, 0.4))
+    assert abs(est.beta1 - summary.row("beta1").truth) <= 5 * est.se_beta1
