@@ -106,6 +106,17 @@ def test_regime_nesting_is_bitwise():
         assert decompose(id_free, Regime.IRRELEVANCE_ONLY)[0].total == decompose(id_free)[0].total
 
 
+def test_regime_term_labels():
+    # Defier-free, so every regime applies; each keeps its closed form's terms.
+    spec = MarginalSpec(pC1=0.8, pC2=0.8, eff_c1=1000.0, eff_c2=500.0)
+    labels = {regime: [t.label for t in decompose(spec, regime)[0].terms] for regime in Regime}
+    assert labels == {
+        Regime.NEXT_BEST_ONLY: ["w1", "w2"],
+        Regime.IRRELEVANCE_ONLY: ["w3", "w4", "w5", "w6"],
+        Regime.NEITHER: [f"w{i}" for i in range(1, 10)],
+    }
+
+
 def test_defier_free_reduces_to_complier_late():
     for _ in range(50):
         spec = random_spec(rng, defier_free=True)

@@ -136,6 +136,13 @@ SPECS = {
             "effects": {"C1": 12.5, "C2": -4.0, "ID1": None, "ID2": 3.0, "ND1": [10.0, -2.0], "ND2": [11.0, 7.0]},
         }
     },
+    # Next-best defiers only, so `--regime irrelevance` runs and prints its four terms.
+    "next_best_only_spec": {
+        "marginal_spec": {
+            "shares": {"C1": 0.8, "ND1": 0.2, "C2": 0.8},
+            "effects": {"C1": 1000.0, "C2": 500.0, "ND1": [1100.0, 500.0]},
+        }
+    },
 }
 
 # Populations whose strata share one effect vector, so --constant-effects applies.
@@ -146,6 +153,7 @@ POPULATION_COMMANDS = [
     ["analyze"],
     ["bounds"],
     ["bounds", "--maintained", "irrelevance"],
+    ["bounds", "--maintained", "next-best"],
     ["bounds", "--scan", "--step", "0.1"],
     ["bounds", "--scan", "--step", "0.001"],
     ["sweep"],
