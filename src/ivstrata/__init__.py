@@ -42,7 +42,6 @@ from .estimands import (
 from .identification import (
     DefierBounds,
     FirstStage,
-    Maintained,
     defier_bounds,
     feasible_set_scan,
     first_stage_from_shares,

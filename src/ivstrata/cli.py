@@ -43,7 +43,6 @@ from .exceptions import ConfigError, IVStrataError
 from .identification import (
     COEFFICIENTS,
     FirstStage,
-    Maintained,
     defier_bounds,
     feasible_set_scan,
     first_stage_from_shares,
@@ -281,7 +280,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Iterator[tuple]:
     # Every row is computed before the first is yielded, so a failed scan prints nothing.
     fs = _first_stage_from_args(args)
     if args.maintained:
-        shares = shares_from_first_stage(fs, Maintained(args.maintained))
+        shares = shares_from_first_stage(fs, Regime(args.maintained))
         rows = [(name, shares[MarginalGroup[name]], shares[MarginalGroup[name]]) for name in _GROUP_ORDER]
     else:
         rows = [(name, lo, hi) for name, (lo, hi) in defier_bounds(fs).intervals().items()]
@@ -385,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         bounds.add_argument(f"--{coef}", type=float, default=None, help=f"first-stage coefficient {coef}")
     bounds.add_argument("--scan", action="store_true", help="add grid feasibility-scan intervals")
     bounds.add_argument("--step", type=float, default=0.05, help="scan grid step (default 0.05)")
-    bounds.add_argument("--maintained", choices=_values(Maintained), default=None,
+    bounds.add_argument("--maintained", choices=[r.value for r in Regime if r is not Regime.NEITHER], default=None,
                         help="point-identify all group shares under this assumption")
 
     add("cluster", "choose a clustering and decompose its estimand")

@@ -22,7 +22,7 @@ from .strata import DEN_TOL, MarginalSpec
 
 
 class Regime(enum.Enum):
-    """Which auxiliary assumption is maintained when decomposing.
+    """Which auxiliary assumption is maintained when decomposing an estimand or inverting a first stage.
 
     NEXT_BEST_ONLY assumes away next-best defiers (requires pND1=pND2=0),
     IRRELEVANCE_ONLY assumes away irrelevance defiers (pID1=pID2=0), and
@@ -83,11 +83,9 @@ _TERMS = (
     ("w9", ("pID1", "pND2"), ("eff_nd2_2", "eff_id1"), -1),
 )
 
-_REGIME_TERMS = {
-    Regime.NEXT_BEST_ONLY: _TERMS[0:2],
-    Regime.IRRELEVANCE_ONLY: _TERMS[2:6],
-    Regime.NEITHER: _TERMS,
-}
+# The defier shares each regime sets to zero, irrelevance first for `complier_late`'s order.
+_RULED_OUT = {Regime.IRRELEVANCE_ONLY: ("pID1", "pID2"), Regime.NEXT_BEST_ONLY: ("pND1", "pND2"), Regime.NEITHER: ()}
+_REGIME_TERMS = {regime: tuple(t for t in _TERMS if set(t[1]).isdisjoint(out)) for regime, out in _RULED_OUT.items()}
 
 
 def _denominator(spec: MarginalSpec) -> float:
@@ -158,14 +156,11 @@ def complier_late(spec: MarginalSpec) -> tuple[float, float]:
     RankError
         If there are no compliers for one of the instruments.
     """
-    for name in ("pID1", "pID2"):
-        v = getattr(spec, name)
-        if v != 0.0:
-            raise AssumptionError(f"irrelevance violated: P({name[1:]})={v} must be 0 for a complier LATE")
-    for name in ("pND1", "pND2"):
-        v = getattr(spec, name)
-        if v != 0.0:
-            raise AssumptionError(f"next-best violated: P({name[1:]})={v} must be 0 for a complier LATE")
+    for regime, ruled_out in _RULED_OUT.items():
+        for name in ruled_out:
+            v = getattr(spec, name)
+            if v != 0.0:
+                raise AssumptionError(f"{regime.value} violated: P({name[1:]})={v} must be 0 for a complier LATE")
     det = spec.pC1 * spec.pC2
     if abs(det) <= DEN_TOL:
         raise RankError(f"no complier mass (P(C1)*P(C2)={det!r}); the estimands are not identified")
@@ -173,14 +168,10 @@ def complier_late(spec: MarginalSpec) -> tuple[float, float]:
 
 
 def _check_regime(spec: MarginalSpec, regime: Regime) -> None:
-    if regime is Regime.NEXT_BEST_ONLY and (spec.pND1 != 0.0 or spec.pND2 != 0.0):
-        raise AssumptionError(
-            f"regime {regime.value!r} requires pND1=pND2=0, got pND1={spec.pND1}, pND2={spec.pND2}"
-        )
-    if regime is Regime.IRRELEVANCE_ONLY and (spec.pID1 != 0.0 or spec.pID2 != 0.0):
-        raise AssumptionError(
-            f"regime {regime.value!r} requires pID1=pID2=0, got pID1={spec.pID1}, pID2={spec.pID2}"
-        )
+    ruled_out = _RULED_OUT[regime]
+    if any(getattr(spec, name) != 0.0 for name in ruled_out):
+        got = ", ".join(f"{name}={getattr(spec, name)}" for name in ruled_out)
+        raise AssumptionError(f"regime {regime.value!r} requires {'='.join(ruled_out)}=0, got {got}")
 
 
 def _decompose_first(spec: MarginalSpec, regime: Regime) -> BiasDecomposition:

@@ -13,12 +13,12 @@ the cross slope a refutation test of the other assumption.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
+from .estimands import Regime
 from .exceptions import AssumptionError, ConfigError, InfeasibleError
 from .strata import SHARE_ATOL, MarginalGroup
 
@@ -100,14 +100,7 @@ def first_stage_from_shares(shares: Mapping[MarginalGroup, float]) -> FirstStage
     )
 
 
-class Maintained(enum.Enum):
-    """Which auxiliary assumption is maintained when inverting a first stage."""
-
-    NEXT_BEST = "next-best"
-    IRRELEVANCE = "irrelevance"
-
-
-def shares_from_first_stage(fs: FirstStage, maintained: Maintained) -> dict[MarginalGroup, float]:
+def shares_from_first_stage(fs: FirstStage, maintained: Regime) -> dict[MarginalGroup, float]:
     """Point-identify all twelve group shares under a maintained assumption.
 
     Maintaining next-best sets the next-best defier shares to zero, so the
@@ -118,23 +111,25 @@ def shares_from_first_stage(fs: FirstStage, maintained: Maintained) -> dict[Marg
 
     Raises
     ------
+    ConfigError
+        If `maintained` is Regime.NEITHER, which identifies no point.
     AssumptionError
         Listing each share inequality the data violate (the empirical test
         verdict). Exit code 3 at the CLI.
     """
-    g = MarginalGroup
-    if maintained is Maintained.NEXT_BEST:
-        c1, id1, nd1 = fs.a11, fs.a21, 0.0
-        c2, id2, nd2 = fs.a22, fs.a12, 0.0
+    if maintained is Regime.NEXT_BEST_ONLY:
+        nd1, nd2 = 0.0, 0.0
+    elif maintained is Regime.IRRELEVANCE_ONLY:
+        nd1, nd2 = -fs.a21, -fs.a12
     else:
-        c1, id1, nd1 = fs.a11 + fs.a21, 0.0, -fs.a21
-        c2, id2, nd2 = fs.a22 + fs.a12, 0.0, -fs.a12
+        raise ConfigError(f"regime {maintained.value!r} does not point-identify the group shares")
+    g = MarginalGroup
     shares = {
-        g.C1: c1,
-        g.ID1: id1,
+        g.C1: fs.a11 - nd1,
+        g.ID1: fs.a21 + nd1,
         g.ND1: nd1,
-        g.C2: c2,
-        g.ID2: id2,
+        g.C2: fs.a22 - nd2,
+        g.ID2: fs.a12 + nd2,
         g.ND2: nd2,
         g.AT1: fs.a10,
         g.AT2: fs.a20,

@@ -142,6 +142,10 @@ def test_regime_guards():
         complier_late(id_spec)
     with pytest.raises(AssumptionError, match="next-best violated"):
         complier_late(nd_spec)
+    both = MarginalSpec(pC1=0.4, pND1=0.3, pID1=0.3, pC2=1.0,
+                        eff_c1=1.0, eff_c2=1.0, eff_id1=1.0, eff_id2=1.0, eff_nd1_1=1.0, eff_nd1_2=1.0)
+    with pytest.raises(AssumptionError, match=r"irrelevance violated: P\(ID1\)=0.3"):
+        complier_late(both)
 
 
 def test_singular_moment_system_raises():

@@ -13,9 +13,9 @@ from ivstrata import (
     FirstStage,
     InfeasibleError,
     JointStratum,
-    Maintained,
     MarginalGroup,
     Population,
+    Regime,
     StratumEntry,
     defier_bounds,
     feasible_set_scan,
@@ -67,13 +67,13 @@ def test_shares_round_trip_under_correct_maintained():
         # ND-free truth inverts exactly under maintained next-best.
         pop = random_population(rng, strata=(J.C1C2, J.C1ID2, J.ID1C2, J.NT1NT2, J.AT1OT2, J.OT1AT2))
         truth = marginal_shares(pop)
-        got = shares_from_first_stage(first_stage_from_shares(truth), Maintained.NEXT_BEST)
+        got = shares_from_first_stage(first_stage_from_shares(truth), Regime.NEXT_BEST_ONLY)
         for grp in G:
             assert got[grp] == pytest.approx(truth[grp], abs=1e-12), grp
         # ND-only truth inverts under maintained irrelevance.
         pop2 = random_population(rng, strata=(J.C1C2, J.ND1AT2, J.AT1ND2, J.NT1NT2))
         truth2 = marginal_shares(pop2)
-        got2 = shares_from_first_stage(first_stage_from_shares(truth2), Maintained.IRRELEVANCE)
+        got2 = shares_from_first_stage(first_stage_from_shares(truth2), Regime.IRRELEVANCE_ONLY)
         for grp in G:
             assert got2[grp] == pytest.approx(truth2[grp], abs=1e-12), grp
 
@@ -83,14 +83,21 @@ def test_wrong_maintained_assumption_is_refuted():
     # need a negative next-best share).
     fs = FirstStage(a10=0.0, a11=0.8, a12=0.2, a20=0.0, a21=0.2, a22=0.8)
     with pytest.raises(AssumptionError) as exc:
-        shares_from_first_stage(fs, Maintained.IRRELEVANCE)
+        shares_from_first_stage(fs, Regime.IRRELEVANCE_ONLY)
     assert exc.value.exit_code == 3
     assert any("ND1" in v for v in exc.value.violations)
     # Negative cross slope contradicts maintained next-best.
     fs2 = FirstStage(a10=0.0, a11=0.5, a12=0.0, a20=0.3, a21=-0.2, a22=0.4)
     with pytest.raises(AssumptionError) as exc2:
-        shares_from_first_stage(fs2, Maintained.NEXT_BEST)
+        shares_from_first_stage(fs2, Regime.NEXT_BEST_ONLY)
     assert any("ID1" in v for v in exc2.value.violations)
+
+
+def test_no_point_identification_without_a_maintained_assumption():
+    fs = FirstStage(a10=0.0, a11=0.5, a12=0.0, a20=0.3, a21=0.1, a22=0.4)
+    with pytest.raises(ConfigError, match="'neither' does not point-identify") as exc:
+        shares_from_first_stage(fs, Regime.NEITHER)
+    assert exc.value.exit_code == 2
 
 
 def test_defier_bounds_worked_example():

@@ -12,7 +12,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC_NAMES = [
     "AssumptionError", "BiasDecomposition", "BiasTerm", "ClusterDecomposition", "ClusterScenario", "ConfigError",
     "Dataset", "DefierBounds", "EstimateSet", "ExclusionVerdict", "FirstStage", "IVStrataError", "InfeasibleError",
-    "JointStratum", "Maintained", "MarginalGroup", "MarginalSpec", "NegNegRule", "ParamSummary", "Population",
+    "JointStratum", "MarginalGroup", "MarginalSpec", "NegNegRule", "ParamSummary", "Population",
     "RankError", "Regime", "ReplicationSummary", "Semantics", "StratumEntry", "SweepAxis",
     "SweepRow", "Target", "UNIFORM_ASSIGNMENT", "WaldEstimate", "bias_sweep", "check_cluster_exclusion",
     "choose_clustering", "cluster_estimand_constant_effects", "cluster_estimand_formula", "cluster_wald_oracle",
