@@ -204,6 +204,14 @@ def _options(args: argparse.Namespace, sc: ScenarioFile) -> dict:
     }
 
 
+def _reject_unread(args: argparse.Namespace, sc: ScenarioFile, keys: tuple[str, ...], why: str) -> None:
+    """ConfigError naming the first of `keys` given as a flag or a block value: this run would ignore it."""
+    block, flags = sc.options[args.command], vars(args)
+    for key in keys:
+        if flags[key] is not None or key in block:
+            raise ConfigError(f"{key} is not used {why}")
+
+
 def _term_rows(prefix: str, terms) -> Iterator[tuple]:
     """One row per term: prefix, label, weight, delta, sign, contribution."""
     for t in terms:
@@ -296,8 +304,11 @@ def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
     pop = sc.require_population("cluster")
     opts = _options(args, sc)
     scenario = opts["scenario"]
-    if scenario is None:
+    if scenario is not None:
+        _reject_unread(args, sc, ("n", "seed", "sig_level", "neg_neg_rule"), "when a scenario is given")
+    else:
         if opts["n"] is None:
+            _reject_unread(args, sc, ("seed", "sig_level"), "without n")
             fs, ses = first_stage_from_shares(marginal_shares(pop)), (None, None)
         else:
             fs, fs_ses = first_stage_from_cells(CellTable.from_dataset(generate(pop, opts["n"], opts["seed"])))
@@ -329,7 +340,9 @@ def _cmd_simulate(args: argparse.Namespace) -> Iterator[tuple]:
     pop = sc.require_population("simulate")
     opts = _options(args, sc)
     scenario = opts["scenario"]
-    if opts["target"] is Target.CLUSTER_WALD and scenario is None:
+    if opts["target"] is not Target.CLUSTER_WALD:
+        _reject_unread(args, sc, ("scenario",), f"with target {opts['target'].value}")
+    elif scenario is None:
         scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)))
     summary = replicate(pop, opts["n"], opts["reps"], opts["seed"], opts["target"], scenario)
     yield "n", summary.n

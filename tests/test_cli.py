@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -584,12 +588,48 @@ def test_every_command_rejects_bad_block_values(write_json, capsys, doc, argv, e
     assert stderr == f"error: {err}\n"
 
 
+# Options a run would ignore: each case's options as a scenario block, and as flags.
+UNREAD = [
+    ("simulate", {"n": 2000, "reps": 2, "scenario": "control-1"}, "scenario is not used with target field-2sls"),
+    *(("cluster", {"scenario": "treatment", key: value}, f"{key} is not used when a scenario is given")
+      for key, value in (("n", 100), ("seed", 3), ("sig_level", 0.1), ("neg_neg_rule", "fail"))),
+    *(("cluster", {key: value}, f"{key} is not used without n") for key, value in (("seed", 3), ("sig_level", 0.1))),
+]
+
+
+@pytest.mark.parametrize("given", ["block", "flag"])
+@pytest.mark.parametrize("command, options, err", UNREAD, ids=[
+    "simulate-scenario", "scenario-n", "scenario-seed", "scenario-sig_level", "scenario-neg_neg_rule",
+    "exact-seed", "exact-sig_level"])
+def test_unread_options_exit_2(write_json, capsys, given, command, options, err):
+    if given == "block":
+        argv = [command, write_json(dict(BENCHMARK_POP, **{command: options}))]
+    else:
+        flags = [part for key, value in options.items() for part in ("--" + key.replace("_", "-"), str(value))]
+        argv = [command, write_json(BENCHMARK_POP), *flags]
+    code, out, stderr = run(capsys, argv)
+    assert code == 2 and out == []
+    assert stderr == f"error: {err}\n"
+
+
 def test_negative_seed_exits_2_only_where_it_seeds_a_sample(write_json, capsys):
     code, out, err = run(capsys, ["cluster", write_json(BENCHMARK_POP), "--n", "100", "--seed", "-1"])
     assert code == 2 and out == [] and err == "error: seed must be nonnegative, got -1\n"
     # simulate hashes its master seed into per-replication seeds.
     code, out, _ = run(capsys, ["simulate", write_json(BENCHMARK_POP), "--n", "2000", "--reps", "2", "--seed", "-1"])
     assert code == 0 and out[2] == "seed,-1"
+
+
+@pytest.mark.parametrize("a21, exit_code", [("0.1", 0), ("-0.1", 3)])
+def test_module_entry_point_matches_main(capsys, a21, exit_code):
+    argv = ["bounds", "--a10", "0", "--a11", "0.5", "--a12", "0", "--a20", "0.3", "--a21", a21, "--a22", "0.4",
+            "--maintained", "next-best"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ivstrata.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert main(argv) == proc.returncode == exit_code
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
 
 
 def test_option_table_keys_are_the_command_flags():

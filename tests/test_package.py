@@ -39,4 +39,5 @@ def test_readme_quick_start_runs_and_holds():
     # What the block's comments claim.
     assert dec1.total == pytest.approx(1006.6667) and dec1.late == 1000.0
     assert (b.nd1, b.id1) == ((0.0, 0.3), (0.1, 0.4))
+    assert names["shares"][ivstrata.MarginalGroup.ID1] == 0.1
     assert abs(est.beta1 - summary.row("beta1").truth) <= 5 * est.se_beta1
