@@ -306,14 +306,12 @@ def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
     scenario = opts["scenario"]
     if scenario is not None:
         _reject_unread(args, sc, ("n", "seed", "sig_level", "neg_neg_rule"), "when a scenario is given")
+    elif opts["n"] is None:  # exact signs: no sample, so no seed and no sign tests
+        _reject_unread(args, sc, ("seed", "sig_level"), "without n")
+        scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)), neg_neg_rule=opts["neg_neg_rule"])
     else:
-        if opts["n"] is None:
-            _reject_unread(args, sc, ("seed", "sig_level"), "without n")
-            fs, ses = first_stage_from_shares(marginal_shares(pop)), (None, None)
-        else:
-            fs, fs_ses = first_stage_from_cells(CellTable.from_dataset(generate(pop, opts["n"], opts["seed"])))
-            ses = (fs_ses.a21, fs_ses.a12)
-        scenario = choose_clustering(fs, *ses, opts["sig_level"], opts["neg_neg_rule"])
+        fs, ses = first_stage_from_cells(CellTable.from_dataset(generate(pop, opts["n"], opts["seed"])))
+        scenario = choose_clustering(fs, ses.a21, ses.a12, opts["sig_level"], opts["neg_neg_rule"])
     yield ("scenario", "s0", "s1")
     yield scenario.label, tuple(sorted(scenario.s0 or ())), tuple(sorted(scenario.s1 or ()))
     if scenario.s1 is None:  # no collapse, so no clustered estimand
