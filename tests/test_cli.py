@@ -259,6 +259,17 @@ def test_bounds_infeasible_exits_4(capsys):
     assert code == 4 and out == [] and "joint cap" in err
 
 
+
+@pytest.mark.parametrize("extra, err", [
+    (["--maintained", "next-best", "--scan", "--step", "0.001"], "scan is not used with --maintained"),
+    (["--maintained", "next-best", "--step", "0.5"], "step is not used without --scan"),
+    (["--step", "0.5"], "step is not used without --scan"),
+], ids=["maintained-scan", "maintained-step", "step"])
+def test_bounds_unread_options_exit_2(write_json, capsys, extra, err):
+    code, out, stderr = run(capsys, ["bounds", write_json(BENCHMARK_POP), *extra])
+    assert code == 2 and out == []
+    assert stderr == f"error: {err}\n"
+
 def test_cluster_block_and_flag_precedence(write_json, capsys):
     path = write_json(CLUSTER_POP)
     code, out, _ = run(capsys, ["cluster", path])
@@ -631,6 +642,20 @@ def test_module_entry_point_matches_main(capsys, a21, exit_code):
     captured = capsys.readouterr()
     assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
 
+
+
+def test_closed_stdout_exits_1_without_an_error_line(write_json):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails however fast the reader would have been.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ivstrata.cli", "validate", write_json(BENCHMARK_POP)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 def test_option_table_keys_are_the_command_flags():
     parser = cli.build_parser()

@@ -1,6 +1,7 @@
 """Deterministic sampling, the two estimators on simulated data, and the
 replication harness."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -115,7 +116,47 @@ def test_category_counts_a_uniform_on_an_edge_as_searchsorted_right():
     cdf = montecarlo._cdf([0.25, 0.0, 0.5, 0.25])
     edges = cdf[:-1]
     u = np.concatenate([edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-    assert np.array_equal(montecarlo._category(u, cdf), cdf.searchsorted(u, side="right"))
+    idx, hit = np.empty(u.shape, dtype=np.uint8), np.empty(u.shape, dtype=bool)
+    assert np.array_equal(montecarlo._category(u, cdf, idx, hit), cdf.searchsorted(u, side="right"))
+
+
+def reference_table(pop, n, seed):
+    return montecarlo.CellTable.from_dataset(reference_generate(pop, n, seed))
+
+
+def assert_same_table(got, want):
+    for name in ("count", "mean", "m2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pop=sampling_populations(),
+    sizes=st.lists(st.sampled_from((1, 3, 2000)), min_size=2, max_size=2, unique=True),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=3),
+)
+@example(pop=ONE_STRATUM, sizes=[2000, 3], seeds=[0, 1])
+def test_sampler_tables_match_the_choice_reference_across_reused_draws(pop, sizes, seeds):
+    # One sampler draws every table, so a stale value left in its reused
+    # arrays by an earlier seed or size would change some table's bytes.
+    sampler = montecarlo._Sampler(pop)
+    for n in (*sizes, sizes[0]):
+        for seed in seeds:
+            assert_same_table(sampler.table(n, seed), reference_table(pop, n, seed))
+
+
+def test_a_drawn_dataset_and_table_share_no_array_with_later_draws():
+    sampler = montecarlo._Sampler(benchmark_pop(noise_sd=150.0))
+    ds = sampler.draw(500, seed=4)
+    table = sampler.table(500, seed=4)
+    kept = [a.copy() for a in (ds.z, ds.d, ds.y, table.count, table.mean, table.m2)]
+    for seed in (5, 6):
+        sampler.table(500, seed)
+    sampler.draw(500, seed=7)
+    for a, b in zip((ds.z, ds.d, ds.y, table.count, table.mean, table.m2), kept):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    assert_same_table(table, montecarlo.CellTable.from_dataset(ds))
 
 
 @pytest.mark.parametrize("target", list(Target))
@@ -123,8 +164,25 @@ def test_replicate_matches_the_choice_reference(monkeypatch, target):
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
     scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
     got = replicate(pop, n=2000, reps=4, master_seed=9, target=target, scenario=scenario)
-    monkeypatch.setattr(montecarlo._Sampler, "draw", lambda self, n, seed: reference_generate(pop, n, seed))
+    monkeypatch.setattr(montecarlo._Sampler, "table", lambda self, n, seed: reference_table(pop, n, seed))
     assert got == replicate(pop, n=2000, reps=4, master_seed=9, target=target, scenario=scenario)
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_replicate_peak_memory_per_row(target):
+    # numpy reports its buffers to tracemalloc, so the peak is a count of
+    # bytes, not a timing. The sampler's reused arrays take 26 bytes a row;
+    # a fresh Dataset and cell index per replication would take over 50.
+    pop = random_population(np.random.default_rng(8), noise_sd=40.0)
+    scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
+    n = 200_000
+    tracemalloc.start()
+    try:
+        replicate(pop, n=n, reps=3, master_seed=9, target=target, scenario=scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 40
 
 
 def test_generate_validation():
