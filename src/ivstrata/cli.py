@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -287,13 +288,17 @@ def _first_stage_from_args(args: argparse.Namespace) -> FirstStage:
 def _cmd_bounds(args: argparse.Namespace) -> Iterator[tuple]:
     # Every row is computed before the first is yielded, so a failed scan prints nothing.
     fs = _first_stage_from_args(args)
+    if args.maintained and args.scan:
+        raise ConfigError("scan is not used with --maintained")
+    if args.step is not None and not args.scan:
+        raise ConfigError("step is not used without --scan")
     if args.maintained:
         shares = shares_from_first_stage(fs, Regime(args.maintained))
         rows = [(name, shares[MarginalGroup[name]], shares[MarginalGroup[name]]) for name in _GROUP_ORDER]
     else:
         rows = [(name, lo, hi) for name, (lo, hi) in defier_bounds(fs).intervals().items()]
         if args.scan:
-            scan = feasible_set_scan(fs, step=args.step)
+            scan = feasible_set_scan(fs, step=0.05 if args.step is None else args.step)
             rows += [(f"{name}_scan", lo, hi) for name, (lo, hi) in scan.intervals().items()]
     yield ("group", "lo", "hi")
     yield from rows
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     for coef in COEFFICIENTS:
         bounds.add_argument(f"--{coef}", type=float, default=None, help=f"first-stage coefficient {coef}")
     bounds.add_argument("--scan", action="store_true", help="add grid feasibility-scan intervals")
-    bounds.add_argument("--step", type=float, default=0.05, help="scan grid step (default 0.05)")
+    bounds.add_argument("--step", type=float, default=None, help="scan grid step (default 0.05)")
     bounds.add_argument("--maintained", choices=[r.value for r in Regime if r is not Regime.NEITHER], default=None,
                         help="point-identify all group shares under this assumption")
 
@@ -436,7 +441,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Looked up by name at call time (the parser holds no handler); each row prints as it comes.
         for row in globals()[f"_cmd_{args.command}"](args):
             print(",".join(_cell(x, args.precision) for x in row))
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return 0
+    except BrokenPipeError:
+        # The reader is gone: no error line, and stdout goes to devnull so
+        # the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except IVStrataError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

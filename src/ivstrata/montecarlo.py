@@ -12,6 +12,7 @@ outcome noise is drawn even for zero-variance strata so the random stream
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Optional
@@ -102,45 +103,60 @@ def _cdf(probs) -> np.ndarray:
     return cdf
 
 
-def _category(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """The category `Generator.choice` picks for each uniform in u: the
-    count of cdf entries at or below it (searchsorted side="right"; the last
-    entry, 1.0, exceeds every u). At most ten strata: the count fits a byte."""
-    idx = np.zeros(u.shape, dtype=np.uint8)
+def _category(u: np.ndarray, cdf: np.ndarray, idx: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Into the uint8 array idx (hit: a bool array to overwrite), the category `Generator.choice` picks for each
+    uniform in u: the count of cdf entries at or below it (searchsorted side="right"; the last entry, 1.0,
+    exceeds every u). At most ten strata: the count fits a byte."""
+    idx.fill(0)
     for edge in cdf[:-1]:
-        idx += u >= edge
+        np.greater_equal(u, edge, out=hit)
+        idx += hit
     return idx
 
 
 class _Sampler:
-    """A population's sampling arrays, built once and drawn from per seed.
-    `trajectories` and `means` are flat, indexed by stratum * 3 + z and
-    stratum * 3 + d."""
+    """A population's sampling tables, built once and drawn from per seed. Each is indexed by k = stratum * 3 + z:
+    the noise sd, the outcome mean means[stratum, d] and the (z, d) cell row z * 3 + d, where d is the field the
+    stratum takes at z. Draws go into n-length arrays the sampler owns and reuses while n stays the same."""
 
     def __init__(self, pop: Population):
         self.stratum_cdf = _cdf([e.prob for e in pop.entries])
         self.arm_cdf = _cdf(pop.assignment)
-        self.trajectories = np.array([e.stratum.trajectory for e in pop.entries], dtype=np.uint8).ravel()
-        self.means = np.array([e.means for e in pop.entries]).ravel()
-        self.sds = np.array([e.noise_sd for e in pop.entries])
+        d = np.array([e.stratum.trajectory for e in pop.entries], dtype=np.intp)
+        self.sd = np.repeat([e.noise_sd for e in pop.entries], 3)
+        self.mean = np.take_along_axis(np.array([e.means for e in pop.entries]), d, axis=1).ravel()
+        self.cell = (d + np.arange(0, 9, 3)).ravel()
+        self._n = None
+
+    def _fill(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A sample's cell rows and outcomes, in the sampler's reused arrays, and a spare float array as long.
+        Three blocks of one PCG64 stream, in order: n stratum uniforms, n instrument uniforms, n noise normals
+        (drawn even where noise_sd is 0)."""
+        if self._n != n:
+            self._n, self._y, self._k, self._spare = n, np.empty(n), np.empty(n, dtype=np.intp), np.empty(n)
+            self._idx, self._hit = np.empty(n, dtype=np.uint8), np.empty(n, dtype=bool)
+        y, k, spare = self._y, self._k, self._spare
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.random(out=y)
+        np.multiply(_category(y, self.stratum_cdf, self._idx, self._hit), 3, out=k)
+        rng.random(out=y)
+        k += _category(y, self.arm_cdf, self._idx, self._hit)
+        # In place, in the order sd * noise + mean: IEEE * and + commute, so y has the bytes of the out-of-place
+        # sum. Every k is a table index, so mode="clip" clips nothing; it spares the buffered copy of `out` that
+        # mode="raise" makes. take reads each k before writing its slot, so the cell rows may overwrite k.
+        rng.standard_normal(out=y)
+        y *= np.take(self.sd, k, out=spare, mode="clip")
+        y += np.take(self.mean, k, out=spare, mode="clip")
+        return np.take(self.cell, k, out=k, mode="clip"), y, spare
 
     def draw(self, n: int, seed: int) -> Dataset:
-        """Three blocks of one PCG64 stream, in order: n stratum uniforms, n
-        instrument uniforms, n noise normals (drawn even where noise_sd is 0)."""
-        rng = np.random.Generator(np.random.PCG64(seed))
-        stratum = _category(rng.random(n), self.stratum_cdf)
-        z = _category(rng.random(n), self.arm_cdf)
-        cell = stratum * 3
-        cell += z
-        d = self.trajectories[cell]
-        # In place, in the order sds * noise + means: IEEE * and + commute,
-        # so y has the bytes of the out-of-place sum.
-        y = rng.standard_normal(n)
-        y *= self.sds[stratum]
-        cell -= z
-        cell += d
-        y += self.means[cell]
-        return Dataset(z=z, d=d, y=y, seed=seed)
+        """A sample in fresh arrays."""
+        cell, y, _ = self._fill(n, seed)
+        return Dataset(*np.divmod(cell, 3), y.copy(), seed)
+
+    def table(self, n: int, seed: int) -> "CellTable":
+        """The cell table of the sample `draw(n, seed)` returns."""
+        return CellTable.from_cells(*self._fill(n, seed))
 
 
 def generate(pop: Population, n: int, seed: int) -> Dataset:
@@ -163,18 +179,24 @@ class CellTable:
     m2: np.ndarray
 
     @classmethod
-    def from_dataset(cls, ds: Dataset) -> "CellTable":
-        cell = ds.z * 3
-        cell += ds.d
-        y = np.asarray(ds.y, dtype=float)
+    def from_cells(cls, cell: np.ndarray, y: np.ndarray, spare: np.ndarray) -> "CellTable":
+        """The table of rows with intp cell index z * 3 + d and float outcome y, in arrays of its own; `spare`
+        is a float array of y's length it overwrites."""
         count = np.bincount(cell, minlength=9).astype(float)
         mean = np.bincount(cell, weights=y, minlength=9) / np.maximum(count, 1.0)
         # In place: fresh n-length temporaries cost more than the arithmetic.
-        dev = mean[cell]
+        dev = np.take(mean, cell, out=spare, mode="clip")
         np.subtract(y, dev, out=dev)
         np.square(dev, out=dev)
         m2 = np.bincount(cell, weights=dev, minlength=9)
         return cls(count=count.reshape(3, 3), mean=mean.reshape(3, 3), m2=m2.reshape(3, 3))
+
+    @classmethod
+    def from_dataset(cls, ds: Dataset) -> "CellTable":
+        cell = ds.z * 3
+        cell += ds.d
+        y = np.asarray(ds.y, dtype=float)
+        return cls.from_cells(cell, y, np.empty(y.shape))
 
 
 def _require_every_value(name: str, margin: np.ndarray) -> None:
@@ -205,9 +227,13 @@ _CELL_Z = (0, 0, 0, 1, 1, 1, 2, 2, 2)
 _CELL_D = (0, 1, 2, 0, 1, 2, 0, 1, 2)
 
 
+@functools.cache
 def _cell_rows(codes: tuple[int, ...], arms: tuple[frozenset[int], ...]) -> np.ndarray:
-    """Design rows [1, code in arms[0], code in arms[1], ...], one per cell."""
-    return np.array([[1.0] + [float(c in arm) for arm in arms] for c in codes])
+    """Design rows [1, code in arms[0], code in arms[1], ...], one per cell;
+    built once per (codes, arms) and read-only, as every caller shares it."""
+    rows = np.array([[1.0] + [float(c in arm) for arm in arms] for c in codes])
+    rows.flags.writeable = False
+    return rows
 
 
 def _iv_hc0(table: CellTable, arms: tuple[frozenset[int], ...], what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +295,10 @@ def estimate_2sls(ds: Dataset) -> EstimateSet:
         If an instrument or field value never occurs (the design matrix is
         collinear), or the cross-moment matrix is otherwise singular.
     """
-    table = CellTable.from_dataset(ds)
+    return _2sls_from_cells(CellTable.from_dataset(ds), ds.seed)
+
+
+def _2sls_from_cells(table: CellTable, seed: Optional[int]) -> EstimateSet:
     alphas, alpha_ses = first_stage_from_cells(table)
     _require_every_value("field d", table.count.sum(axis=0))
     beta, cov = _iv_hc0(table, _FIELDS, "second stage")
@@ -280,8 +309,8 @@ def estimate_2sls(ds: Dataset) -> EstimateSet:
         se_beta2=float(np.sqrt(cov[2, 2])),
         alphas=alphas,
         alpha_ses=alpha_ses,
-        n=ds.n,
-        seed=ds.seed,
+        n=int(table.count.sum()),
+        seed=seed,
     )
 
 
@@ -302,13 +331,17 @@ def estimate_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstimat
     the collapsed instrument and treatment are indicators of z and d, so
     each cell maps to one pseudo-arm pair.
     """
+    return _cluster_wald_from_cells(CellTable.from_dataset(ds), scenario, ds.seed)
+
+
+def _cluster_wald_from_cells(table: CellTable, scenario: ClusterScenario, seed: Optional[int]) -> WaldEstimate:
     s1 = scenario.require_collapse().s1
-    table = CellTable.from_dataset(ds)
+    n = int(table.count.sum())
     n1 = int(table.count[sorted(s1)].sum())
-    if n1 == 0 or n1 == ds.n:
+    if n1 == 0 or n1 == n:
         raise RankError(f"instrument arm z~={int(n1 == 0)} is empty under scenario {scenario.label!r}")
     coef, cov = _iv_hc0(table, (s1,), f"clustered Wald ({scenario.label})")
-    return WaldEstimate(estimate=float(coef[1]), se=float(np.sqrt(cov[1, 1])), n=ds.n, seed=ds.seed)
+    return WaldEstimate(estimate=float(coef[1]), se=float(np.sqrt(cov[1, 1])), n=n, seed=seed)
 
 
 class Target(enum.Enum):
@@ -383,14 +416,14 @@ def replicate(
     ses = np.empty((reps, len(truths)))
     for rep in range(reps):
         seed = replication_seed(master_seed, rep)
-        ds = sampler.draw(n, seed)
+        table = sampler.table(n, seed)
         try:
             if target is Target.CLUSTER_WALD:
-                w = estimate_cluster_wald(ds, scenario)
+                w = _cluster_wald_from_cells(table, scenario, seed)
                 estimates[rep, 0] = w.estimate
                 ses[rep, 0] = w.se
             else:
-                est = estimate_2sls(ds)
+                est = _2sls_from_cells(table, seed)
                 estimates[rep] = (est.beta1, est.beta2, *(getattr(est.alphas, c) for c in COEFFICIENTS))
                 ses[rep] = (est.se_beta1, est.se_beta2, *(getattr(est.alpha_ses, c) for c in COEFFICIENTS))
         except RankError as err:
