@@ -8,7 +8,8 @@ the same inputs and seeds. Numbers print with 4 decimal places by default;
 --precision=full switches to repr for lossless round-trips. Errors print
 one line to stderr and set the exit code: 2 for configuration problems, 3
 for refuted maintained assumptions, 4 for infeasible or rank-deficient
-problems, 1 for any other failure (such as running out of memory).
+problems, 1 for any other failure (such as running out of memory). A
+closed stdout exits 1 with no error line.
 
 Scenario files hold a "population" (joint strata) or a "marginal_spec"
 (shares plus effect contrasts), and optional "sweep", "simulate", and

@@ -104,9 +104,9 @@ def _cdf(probs) -> np.ndarray:
 
 
 def _category(u: np.ndarray, cdf: np.ndarray, idx: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """Into the uint8 array idx (hit: a bool array to overwrite), the category `Generator.choice` picks for each
-    uniform in u: the count of cdf entries at or below it (searchsorted side="right"; the last entry, 1.0,
-    exceeds every u). At most ten strata: the count fits a byte."""
+    """The category `Generator.choice` picks for each uniform in u, written into the uint8 array idx (hit is a
+    bool array it overwrites): the count of cdf entries at or below it (searchsorted side="right"; the last
+    entry, 1.0, exceeds every u). At most ten strata: the count fits a byte."""
     idx.fill(0)
     for edge in cdf[:-1]:
         np.greater_equal(u, edge, out=hit)
