@@ -50,7 +50,7 @@ from .identification import (
     first_stage_from_shares,
     shares_from_first_stage,
 )
-from .montecarlo import CellTable, Target, check_count, check_seed, first_stage_from_cells, generate, replicate
+from .montecarlo import Target, check_count, check_seed, first_stage_from_cells, replicate, sample_table
 from .strata import (
     EFFECT_SLOTS,
     MarginalGroup,
@@ -168,6 +168,10 @@ _OPTIONS = {
 }
 
 
+# The cluster options that a given scenario leaves unread.
+_UNREAD_WITH_SCENARIO = ("n", "seed", "sig_level", "neg_neg_rule")
+
+
 def load_scenario(path: str) -> ScenarioFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -190,11 +194,15 @@ def load_scenario(path: str) -> ScenarioFile:
             raise ConfigError(f"scenario block {command!r} must be a JSON object")
         reject_unknown(block, table, command)
         options[command] = {key: table[key][0](value, key) for key, value in block.items()}
-    return ScenarioFile(
+    sc = ScenarioFile(
         population=population_from_dict(doc["population"]) if has_pop else None,
         spec=marginal_spec_from_dict(doc["marginal_spec"]) if has_spec else None,
         options=options,
     )
+    # No flag unsets a block value, so these fail `cluster` whatever its flags.
+    if "scenario" in options["cluster"]:
+        _reject_unread(options["cluster"], _UNREAD_WITH_SCENARIO, "when a scenario is given")
+    return sc
 
 
 def _options(args: argparse.Namespace, sc: ScenarioFile) -> dict:
@@ -206,11 +214,15 @@ def _options(args: argparse.Namespace, sc: ScenarioFile) -> dict:
     }
 
 
-def _reject_unread(args: argparse.Namespace, sc: ScenarioFile, keys: tuple[str, ...], why: str) -> None:
-    """ConfigError naming the first of `keys` given as a flag or a block value: this run would ignore it."""
-    block, flags = sc.options[args.command], vars(args)
+def _given(args: argparse.Namespace, sc: ScenarioFile) -> set[str]:
+    """The command's options given as a flag or as a block value."""
+    return {key for key, value in vars(args).items() if value is not None} | sc.options[args.command].keys()
+
+
+def _reject_unread(given, keys: tuple[str, ...], why: str) -> None:
+    """ConfigError naming the first of `keys` in `given`: this run would ignore it."""
     for key in keys:
-        if flags[key] is not None or key in block:
+        if key in given:
             raise ConfigError(f"{key} is not used {why}")
 
 
@@ -311,12 +323,12 @@ def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
     opts = _options(args, sc)
     scenario = opts["scenario"]
     if scenario is not None:
-        _reject_unread(args, sc, ("n", "seed", "sig_level", "neg_neg_rule"), "when a scenario is given")
+        _reject_unread(_given(args, sc), _UNREAD_WITH_SCENARIO, "when a scenario is given")
     elif opts["n"] is None:  # exact signs: no sample, so no seed and no sign tests
-        _reject_unread(args, sc, ("seed", "sig_level"), "without n")
+        _reject_unread(_given(args, sc), ("seed", "sig_level"), "without n")
         scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)), neg_neg_rule=opts["neg_neg_rule"])
     else:
-        fs, ses = first_stage_from_cells(CellTable.from_dataset(generate(pop, opts["n"], opts["seed"])))
+        fs, ses = first_stage_from_cells(sample_table(pop, opts["n"], opts["seed"]))
         scenario = choose_clustering(fs, ses.a21, ses.a12, opts["sig_level"], opts["neg_neg_rule"])
     yield ("scenario", "s0", "s1")
     yield scenario.label, tuple(sorted(scenario.s0 or ())), tuple(sorted(scenario.s1 or ()))
@@ -345,7 +357,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Iterator[tuple]:
     opts = _options(args, sc)
     scenario = opts["scenario"]
     if opts["target"] is not Target.CLUSTER_WALD:
-        _reject_unread(args, sc, ("scenario",), f"with target {opts['target'].value}")
+        _reject_unread(_given(args, sc), ("scenario",), f"with target {opts['target'].value}")
     elif scenario is None:
         scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)))
     summary = replicate(pop, opts["n"], opts["reps"], opts["seed"], opts["target"], scenario)

@@ -588,10 +588,17 @@ BAD_BLOCKS = dict(BENCHMARK_POP, cluster={"constant_effects": "false", "sig_leve
          "no clustered estimand under scenario 'undefined'; only control and treatment clustering define one"),
         (BENCHMARK_POP, ["cluster", "--scenario", "treatment", "--sig-level", "5"],
          "significance level must be in (0, 1), got 5.0"),
+        # A cluster block's scenario leaves these unread, and no flag can unset a block value.
+        *((dict(BENCHMARK_POP, cluster={"scenario": "treatment", key: value}), ["validate"],
+           f"{key} is not used when a scenario is given")
+          for key, value in (("n", 100), ("seed", 3), ("sig_level", 0.1), ("neg_neg_rule", "fail"))),
+        (dict(BENCHMARK_POP, cluster={"scenario": "treatment", "n": 100}), ["analyze"],
+         "n is not used when a scenario is given"),
     ],
     ids=["found-validate", "found-analyze", "found-bounds", "list-validate", "list-cluster", "list-simulate",
          "dict-validate", "block-list", "spec-cluster", "spec-simulate", "spec-bounds", "range-sig_level",
-         "range-reps", "range-n", "range-seed", "range-scenario", "range-sig_level-flag"],
+         "range-reps", "range-n", "range-seed", "range-scenario", "range-sig_level-flag", "unread-n-validate",
+         "unread-seed-validate", "unread-sig_level-validate", "unread-neg_neg_rule-validate", "unread-n-analyze"],
 )
 def test_every_command_rejects_bad_block_values(write_json, capsys, doc, argv, err):
     code, out, stderr = run(capsys, [argv[0], write_json(doc), *argv[1:]])
@@ -621,6 +628,19 @@ def test_unread_options_exit_2(write_json, capsys, given, command, options, err)
     code, out, stderr = run(capsys, argv)
     assert code == 2 and out == []
     assert stderr == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("block, command, flags", [
+    ({"simulate": {"target": "field-2sls", "scenario": "control-1"}}, "simulate",
+     ["--target", "cluster-wald", "--n", "2000", "--reps", "2"]),
+    ({"cluster": {"seed": 3, "sig_level": 0.1}}, "cluster", ["--n", "100"]),
+], ids=["simulate-scenario", "cluster-seed"])
+def test_validate_accepts_block_options_a_flag_makes_read(write_json, capsys, block, command, flags):
+    path = write_json(dict(BENCHMARK_POP, **block))
+    code, out, _ = run(capsys, ["validate", path])
+    assert code == 0 and out[0] == "status,ok"
+    code, _, err = run(capsys, [command, path, *flags])
+    assert code == 0 and err == ""
 
 
 def test_negative_seed_exits_2_only_where_it_seeds_a_sample(write_json, capsys):

@@ -1,6 +1,7 @@
 """Deterministic sampling, the two estimators on simulated data, and the
 replication harness."""
 
+import re
 import tracemalloc
 from functools import partial
 
@@ -39,17 +40,18 @@ from support import (
     reference_2sls,
     reference_cluster_wald,
     reference_generate,
+    reference_replicate,
 )
 
 J = JointStratum
 
 
-def benchmark_pop(noise_sd=0.0):
+def benchmark_pop(noise_sd=0.0, assignment=(1 / 3, 1 / 3, 1 / 3)):
     return Population(entries=(
         StratumEntry(J.C1C2, 0.6, (0.0, 3100.0 / 3.0, 500.0), noise_sd=noise_sd),
         StratumEntry(J.C1ID2, 0.2, (0.0, 900.0, 500.0), noise_sd=noise_sd),
         StratumEntry(J.ID1C2, 0.2, (0.0, 0.0, 500.0), noise_sd=noise_sd),
-    ))
+    ), assignment=assignment)
 
 
 def test_generate_is_deterministic():
@@ -159,13 +161,61 @@ def test_a_drawn_dataset_and_table_share_no_array_with_later_draws():
     assert_same_table(table, montecarlo.CellTable.from_dataset(ds))
 
 
+def test_sample_table_is_the_table_of_generate():
+    pop = benchmark_pop(noise_sd=150.0)
+    assert_same_table(montecarlo.sample_table(pop, 700, 3), montecarlo.CellTable.from_dataset(generate(pop, 700, 3)))
+    with pytest.raises(ConfigError, match="sample size"):
+        montecarlo.sample_table(pop, 0, 3)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        montecarlo.sample_table(pop, 10, -1)
+
+
 @pytest.mark.parametrize("target", list(Target))
-def test_replicate_matches_the_choice_reference(monkeypatch, target):
+def test_replicate_matches_the_choice_reference(target):
+    # replicate draws and estimates a block of replications at a time; the
+    # reference runs them one at a time. Rep counts on either side of a block
+    # edge, at a size with several replications a block and at one with one.
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
     scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
-    got = replicate(pop, n=2000, reps=4, master_seed=9, target=target, scenario=scenario)
-    monkeypatch.setattr(montecarlo._Sampler, "table", lambda self, n, seed: reference_table(pop, n, seed))
-    assert got == replicate(pop, n=2000, reps=4, master_seed=9, target=target, scenario=scenario)
+    for n in (2000, montecarlo._BLOCK_ROWS + 5):
+        block = max(1, montecarlo._BLOCK_ROWS // n)
+        for reps in sorted({max(2, r) for r in (2, block - 1, block, block + 1, 2 * block + 3)}):
+            got = replicate(pop, n=n, reps=reps, master_seed=9, target=target, scenario=scenario)
+            assert got == reference_replicate(pop, n, reps, 9, target, scenario), (n, reps)
+
+
+RARE_FIELDS = Population(entries=(
+    StratumEntry(J.NT1NT2, 0.9, (0.0, 1.0, 2.0), noise_sd=1.0),
+    StratumEntry(J.C1C2, 0.1, (0.0, 1.0, 2.0), noise_sd=1.0),
+))
+
+# Each RankError text, with a study at n=12 whose first failing replication
+# (not replication 0) fails with it: population, target, scenario, master seed.
+FAILING = {
+    "instrument z never takes": (benchmark_pop(assignment=(0.45, 0.45, 0.1)), Target.FIELD_2SLS, None, 7),
+    "field d never takes": (RARE_FIELDS, Target.FIELD_2SLS, None, 90),
+    "second stage: instrument-regressor": (benchmark_pop(), Target.FIELD_2SLS, None, 1),
+    "instrument arm z~=1 is empty": (
+        benchmark_pop(assignment=(0.45, 0.1, 0.45)), Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 8),
+    "clustered Wald (control-1): instrument-regressor": (
+        RARE_FIELDS, Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 31),
+}
+
+
+@pytest.mark.parametrize("text", list(FAILING))
+def test_replicate_names_the_first_failing_replication_anywhere_in_its_block(monkeypatch, text):
+    pop, target, scenario, seed = FAILING[text]
+    with pytest.raises(RankError) as want:
+        reference_replicate(pop, 12, 40, seed, target, scenario)
+    rep = int(re.match(rf"replication (\d+) \(replication_seed \d+\): {re.escape(text)}", str(want.value))[1])
+    assert rep >= 1
+    # Block sizes that make it the first, a middle and the last replication of its block.
+    for block, where in ((rep, "first"), (rep + 2, "middle"), (rep + 1, "last")):
+        assert where == {0: "first", block - 1: "last"}.get(rep % block, "middle")
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 12 * block)
+        with pytest.raises(RankError) as got:
+            replicate(pop, n=12, reps=40, master_seed=seed, target=target, scenario=scenario)
+        assert str(got.value) == str(want.value), where
 
 
 @pytest.mark.parametrize("target", list(Target))
@@ -183,6 +233,21 @@ def test_replicate_peak_memory_per_row(target):
     finally:
         tracemalloc.stop()
     assert peak / n <= 40
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_replicate_small_n_peak_memory_per_block(target):
+    # At n=2,000 a block holds several replications: the study's arrays are
+    # sized by the block, at most _BLOCK_ROWS rows, not by its 25 replications.
+    pop = random_population(np.random.default_rng(8), noise_sd=40.0)
+    scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
+    tracemalloc.start()
+    try:
+        replicate(pop, n=2000, reps=25, master_seed=9, target=target, scenario=scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= montecarlo._BLOCK_ROWS * 40
 
 
 def test_generate_validation():
