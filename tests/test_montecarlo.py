@@ -208,7 +208,7 @@ def test_replicate_names_the_first_failing_replication_anywhere_in_its_block(mon
     with pytest.raises(RankError) as want:
         reference_replicate(pop, 12, 40, seed, target, scenario)
     rep = int(re.match(rf"replication (\d+) \(replication_seed \d+\): {re.escape(text)}", str(want.value))[1])
-    assert rep >= 1
+    assert rep >= 2  # so that a block of rep replications has a first and a distinct last
     # Block sizes that make it the first, a middle and the last replication of its block.
     for block, where in ((rep, "first"), (rep + 2, "middle"), (rep + 1, "last")):
         assert where == {0: "first", block - 1: "last"}.get(rep % block, "middle")
