@@ -104,26 +104,36 @@ def _cdf(probs) -> np.ndarray:
     return cdf
 
 
-def _category(u: np.ndarray, cdf: np.ndarray, idx: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """The category `Generator.choice` picks for each uniform in u, written into the uint8 array idx (hit is a
-    bool array it overwrites): the count of cdf entries at or below it (searchsorted side="right"; the last
-    entry, 1.0, exceeds every u). At most ten strata: the count fits a byte."""
+def _category(u: np.ndarray, v: np.ndarray, stratum_cdf: np.ndarray, arm_cdf: np.ndarray, idx: np.ndarray,
+              hit: np.ndarray) -> np.ndarray:
+    """3 * stratum + arm, the categories `Generator.choice` picks for the stratum uniforms u and the instrument
+    uniforms v, written into the uint8 array idx (hit is a bool array it overwrites). A category is the count of
+    cdf entries at or below its uniform (searchsorted side="right"; the last entry, 1.0, exceeds every uniform).
+    At most ten strata: the index, below 30, fits a byte."""
     idx.fill(0)
-    for edge in cdf[:-1]:
+    for edge in stratum_cdf[:-1]:
         np.greater_equal(u, edge, out=hit)
+        idx += hit
+    idx *= 3
+    for edge in arm_cdf[:-1]:
+        np.greater_equal(v, edge, out=hit)
         idx += hit
     return idx
 
 
-# Replicate draws its samples in blocks of max(1, _BLOCK_ROWS // n): a block's arrays take 26 bytes a row.
+# Replicate draws its samples in blocks of max(1, _BLOCK_ROWS // n).
 _BLOCK_ROWS = 1 << 14
+
+# The dtypes of a sampler's draw arrays, in buffer order: widest first, so every view is aligned. 26 bytes a row.
+_DRAW_DTYPES = (np.intp, np.float64, np.float64, np.uint8, np.bool_)
 
 
 class _Sampler:
     """A population's sampling tables, built once and drawn from per seed. Each is indexed by k = stratum * 3 + z:
     the noise sd, the outcome mean means[stratum, d] and the (z, d) cell row z * 3 + d, where d is the field the
-    stratum takes at z. A block of samples is drawn one a row into (rows, n) arrays the sampler owns and reuses
-    while n stays the same."""
+    stratum takes at z. A block of samples is drawn one a row into five (rows, n) arrays, views of one buffer the
+    sampler owns and reuses while n stays the same and the rows fit. One allocation, not five, lets the allocator
+    keep its pages from one study to the next rather than hand them back to the kernel and fault them in again."""
 
     def __init__(self, pop: Population):
         self.stratum_cdf = _cdf([e.prob for e in pop.entries])
@@ -132,19 +142,25 @@ class _Sampler:
         self.sd = np.repeat([e.noise_sd for e in pop.entries], 3)
         self.mean = np.take_along_axis(np.array([e.means for e in pop.entries]), d, axis=1).ravel()
         self.cell = (d + np.arange(0, 9, 3)).ravel()
-        self._n = None
+        self._n, self._rows, self._buf = None, 0, None
+
+    def _arrays(self, n: int, rows: int) -> list[np.ndarray]:
+        """The (rows, n) draw arrays, one per _DRAW_DTYPES entry, laid end to end in the sampler's buffer."""
+        if self._n != n or self._rows < rows:
+            self._n, self._rows = n, rows
+            self._buf = np.empty(sum(np.dtype(t).itemsize for t in _DRAW_DTYPES) * rows * n, np.uint8)
+        arrays, offset = [], 0
+        for dtype in _DRAW_DTYPES:
+            arrays.append(np.ndarray((rows, n), dtype, buffer=self._buf, offset=offset))
+            offset += arrays[-1].nbytes
+        return arrays
 
     def _fill(self, n: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The samples of `seeds`, one a row of the sampler's reused (len(seeds), n) arrays: their cell rows, their
         outcomes, and a spare float array of that shape. Each seed draws three blocks of its own PCG64 stream, in
         order: n stratum uniforms, n instrument uniforms, n noise normals (drawn even where noise_sd is 0). The
         categories, lookups and arithmetic then run once over the whole block."""
-        rows = len(seeds)
-        if self._n != n or self._y.shape[0] < rows:
-            self._n, self._k = n, np.empty((rows, n), np.intp)
-            self._v, self._y = np.empty((rows, n)), np.empty((rows, n))
-            self._idx, self._hit = np.empty((rows, n), np.uint8), np.empty((rows, n), bool)
-        k, v, y, idx, hit = (a[:rows] for a in (self._k, self._v, self._y, self._idx, self._hit))
+        k, v, y, idx, hit = self._arrays(n, len(seeds))
         # The stratum uniforms live in k's bytes (both are 8 bytes wide): _category reads them all before k is written.
         u = k.view(float)
         for row, seed in enumerate(seeds):
@@ -152,8 +168,7 @@ class _Sampler:
             rng.random(out=u[row])
             rng.random(out=v[row])
             rng.standard_normal(out=y[row])
-        np.multiply(_category(u, self.stratum_cdf, idx, hit), 3, out=k)
-        k += _category(v, self.arm_cdf, idx, hit)
+        np.copyto(k, _category(u, v, self.stratum_cdf, self.arm_cdf, idx, hit))
         # In place, in the order sd * noise + mean: IEEE * and + commute, so y has the bytes of the out-of-place
         # sum. Every k is a table index, so mode="clip" clips nothing; it spares the buffered copy of `out` that
         # mode="raise" makes. take reads each k before writing its slot, so the cell rows may overwrite k.

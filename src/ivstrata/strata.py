@@ -36,6 +36,11 @@ Instrument = int
 PROB_SUM_TOL = 1e-12  # probability vectors must sum to 1 this tightly; never renormalized
 SHARE_ATOL = 1e-9  # slack for float dust when shares derive from arithmetic
 DEN_TOL = 1e-10  # singularity threshold for determinants and estimand denominators
+# The largest magnitude of a stratum mean or noise sd. An effect is a mixture of differences of two means, at most
+# twice this, and rounding can carry a mixture a few units in the last place past that: MarginalSpec effects may
+# reach EFFECT_BOUND. The README shows why every number computed from such inputs stays finite.
+MAX_MAGNITUDE = 1e100
+EFFECT_BOUND = 4 * MAX_MAGNITUDE
 
 _VALID_LEVELS = (0, 1, 2)
 
@@ -168,8 +173,14 @@ class StratumEntry:
             raise ConfigError(f"stratum {self.stratum.name}: means must have 3 entries, got {len(self.means)}")
         if not all(math.isfinite(m) for m in self.means):
             raise ConfigError(f"stratum {self.stratum.name}: non-finite mean in {self.means}")
+        if any(abs(m) > MAX_MAGNITUDE for m in self.means):
+            raise ConfigError(
+                f"stratum {self.stratum.name}: a mean in {self.means} exceeds {MAX_MAGNITUDE:g} in magnitude"
+            )
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
             raise ConfigError(f"stratum {self.stratum.name}: noise_sd {self.noise_sd} must be >= 0")
+        if self.noise_sd > MAX_MAGNITUDE:
+            raise ConfigError(f"stratum {self.stratum.name}: noise_sd {self.noise_sd} exceeds {MAX_MAGNITUDE:g}")
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
         object.__setattr__(self, "prob", float(self.prob))
         object.__setattr__(self, "noise_sd", float(self.noise_sd))
@@ -333,6 +344,8 @@ class MarginalSpec:
             if v is not None:
                 if not math.isfinite(v):
                     raise ConfigError(f"effect {name}={v} is not finite")
+                if abs(v) > EFFECT_BOUND:
+                    raise ConfigError(f"effect {name}={v} exceeds {EFFECT_BOUND:g} in magnitude")
                 object.__setattr__(self, name, float(v))
 
     def effect(self, slot: str) -> float:

@@ -354,7 +354,6 @@ def _nonfinite_cells(lines):
     return [cell for line in lines for cell in line.replace(";", ",").split(",") if cell in ("inf", "-inf", "nan")]
 
 
-@pytest.mark.xfail(strict=True, reason="finite-output contract not enforced: a mean difference overflows to inf")
 def test_cluster_overflowing_mean_difference_exits_2(write_json, capsys):
     doc = {"population": {"strata": [
         {"tag": "C1C2", "prob": 0.5, "means": [-1.7e308, 1.0, 1.7e308]},
@@ -366,7 +365,6 @@ def test_cluster_overflowing_mean_difference_exits_2(write_json, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-@pytest.mark.xfail(strict=True, reason="finite-output contract not enforced: opposite huge effects give inf and nan")
 def test_analyze_overflowing_effects_exits_2(write_json, capsys):
     doc = {"marginal_spec": {
         "shares": {"C1": 0.6, "ID1": 0.2, "C2": 0.6, "ID2": 0.2},
@@ -377,13 +375,44 @@ def test_analyze_overflowing_effects_exits_2(write_json, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-@pytest.mark.xfail(strict=True, reason="finite-output contract not enforced: noise overflows to nan rows and warnings")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflowing_noise_exits_2(write_json, capsys):
     doc = {"population": {"strata": [dict(s, noise_sd=1e308) for s in BENCHMARK_POP["population"]["strata"]]}}
     code, out, err = run(capsys, ["simulate", write_json(doc), "--n", "50", "--reps", "3", "--seed", "1"])
     assert code == 2 and out == []
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cluster_draw_with_overflowing_noise_exits_2(write_json, capsys):
+    # cluster --n reads only the drawn counts, but the draw forms every outcome, where sd * noise would overflow.
+    doc = {"population": {"strata": [dict(s, noise_sd=1e308) for s in CLUSTER_POP["population"]["strata"]]}}
+    code, out, err = run(capsys, ["cluster", write_json(doc), "--n", "500", "--seed", "3"])
+    assert code == 2 and out == []
+    assert err.splitlines() == ["error: stratum C1NT2: noise_sd 1e+308 exceeds 1e+100"]
+
+
+# The largest inputs admitted: means of -1e100 and 1e100 with noise sd 1e100, and effects of -4e100 and 4e100.
+BOUND_POP = {"population": {"strata": [
+    dict(s, means=[-1e100, 1e100, 0.0] if i % 2 else [1e100, -1e100, 1e100], noise_sd=1e100)
+    for i, s in enumerate(CLUSTER_POP["population"]["strata"])
+]}}
+BOUND_SPEC = {"marginal_spec": {
+    "shares": {"C1": 0.6, "ID1": 0.2, "C2": 0.6, "ID2": 0.2},
+    "effects": {"C1": 4e100, "ID1": -4e100, "C2": -4e100, "ID2": 4e100},
+}}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    *((BOUND_POP, argv) for argv in (
+        ["analyze"], ["analyze", "--regime", "next-best"], ["bounds"], ["sweep"], ["cluster"],
+        ["cluster", "--n", "500", "--seed", "3"], ["simulate", "--n", "50", "--reps", "3", "--seed", "1"],
+        ["simulate", "--target", "cluster-wald", "--scenario", "control-1", "--n", "50", "--reps", "3", "--seed", "1"],
+    )),
+    (BOUND_SPEC, ["analyze"]), (BOUND_SPEC, ["sweep"]),
+])
+def test_inputs_at_the_magnitude_bound_give_finite_output(write_json, capsys, doc, argv):
+    code, out, err = run(capsys, [argv[0], write_json(doc), *argv[1:]])
+    assert (code, err) == (0, "") and out and _nonfinite_cells(out) == []
 
 
 def test_sweep_rows(write_json, capsys):

@@ -1,6 +1,7 @@
 """Deterministic sampling, the two estimators on simulated data, and the
 replication harness."""
 
+import itertools
 import re
 import tracemalloc
 from functools import partial
@@ -114,12 +115,20 @@ def test_generate_matches_the_choice_reference_byte_for_byte(pop, n, seed):
 
 
 def test_category_counts_a_uniform_on_an_edge_as_searchsorted_right():
-    # Random draws almost never land on a cdf edge, so pin ties directly.
-    cdf = montecarlo._cdf([0.25, 0.0, 0.5, 0.25])
-    edges = cdf[:-1]
-    u = np.concatenate([edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-    idx, hit = np.empty(u.shape, dtype=np.uint8), np.empty(u.shape, dtype=bool)
-    assert np.array_equal(montecarlo._category(u, cdf, idx, hit), cdf.searchsorted(u, side="right"))
+    # Random draws almost never land on a cdf edge, so pin ties directly: every stratum uniform on, just below or
+    # away from an edge meets every such instrument uniform, and the index is 3 * stratum + arm.
+    stratum_cdf = montecarlo._cdf([0.1, 0.0, 0.2, 0.05, 0.15, 0.0, 0.1, 0.1, 0.2, 0.1])
+    arm_cdf = montecarlo._cdf([0.3, 0.0, 0.7])
+
+    def ties(cdf):
+        edges = cdf[:-1]
+        return np.concatenate([edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+
+    u, v = (a.ravel() for a in np.meshgrid(ties(stratum_cdf), ties(arm_cdf)))
+    idx, hit = np.full(u.shape, 255, dtype=np.uint8), np.empty(u.shape, dtype=bool)
+    want = 3 * stratum_cdf.searchsorted(u, side="right") + arm_cdf.searchsorted(v, side="right")
+    assert want.max() == 29
+    assert np.array_equal(montecarlo._category(u, v, stratum_cdf, arm_cdf, idx, hit), want)
 
 
 def reference_table(pop, n, seed):
@@ -159,6 +168,24 @@ def test_a_drawn_dataset_and_table_share_no_array_with_later_draws():
     for a, b in zip((ds.z, ds.d, ds.y, table.count, table.mean, table.m2), kept):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
     assert_same_table(table, montecarlo.CellTable.from_dataset(ds))
+
+
+def test_a_sampler_draws_into_disjoint_views_of_one_buffer():
+    # One allocation for the five draw arrays, 26 bytes a row, lets the allocator keep its pages from one study to
+    # the next. The buffer is replaced only when n changes or the block outgrows it.
+    sampler = montecarlo._Sampler(benchmark_pop(noise_sd=150.0))
+    buffers = []
+    for n, seeds in ((500, [1]), (300, [2]), (300, [3, 4, 5]), (300, [6, 7])):
+        cell, y, spare = sampler._fill(n, seeds)
+        arrays = sampler._arrays(n, len(seeds))
+        buffers.append(arrays[0].base)
+        assert [a.dtype for a in arrays] == [np.intp, np.float64, np.float64, np.uint8, np.bool_]
+        assert all(a.shape == (len(seeds), n) and a.base is buffers[-1] for a in arrays)
+        assert sum(a.nbytes for a in arrays) == 26 * len(seeds) * n
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+        for drawn, a in zip((cell, spare, y), arrays):
+            assert drawn.shape == a.shape and np.shares_memory(drawn, a)
+    assert len({id(b) for b in buffers[:3]}) == 3 and buffers[3] is buffers[2]
 
 
 def test_sample_table_is_the_table_of_generate():

@@ -23,6 +23,7 @@ from ivstrata import (
     population_to_dict,
     potential_choice,
 )
+from ivstrata.strata import EFFECT_BOUND, MAX_MAGNITUDE
 
 J = JointStratum
 G = MarginalGroup
@@ -102,6 +103,12 @@ def test_entry_validation():
         StratumEntry(J.C1C2, 0.5, (0.0, 0.0))
     with pytest.raises(ConfigError, match="noise_sd"):
         StratumEntry(J.C1C2, 0.5, (0.0, 0.0, 0.0), noise_sd=-1.0)
+    big = math.nextafter(MAX_MAGNITUDE, math.inf)
+    StratumEntry(J.C1C2, 0.5, (-MAX_MAGNITUDE, 0.0, MAX_MAGNITUDE), noise_sd=MAX_MAGNITUDE)
+    with pytest.raises(ConfigError, match="exceeds 1e\\+100 in magnitude"):
+        StratumEntry(J.C1C2, 0.5, (0.0, -big, 0.0))
+    with pytest.raises(ConfigError, match="noise_sd .* exceeds 1e\\+100"):
+        StratumEntry(J.C1C2, 0.5, (0.0, 0.0, 0.0), noise_sd=big)
 
 
 def test_population_validation():
@@ -182,6 +189,17 @@ def test_marginal_spec_validation():
         MarginalSpec(pC1=-0.1)
     with pytest.raises(ConfigError, match="finite"):
         MarginalSpec(pC1=1.0, eff_c1=float("nan"))
+    MarginalSpec(pC1=1.0, eff_c1=-EFFECT_BOUND)
+    with pytest.raises(ConfigError, match="exceeds 4e\\+100 in magnitude"):
+        MarginalSpec(pC1=1.0, eff_c1=math.nextafter(EFFECT_BOUND, math.inf))
+
+
+def test_marginalize_keeps_a_population_at_the_magnitude_bound_admissible():
+    # E[y1 - y0 | C1] mixes differences of exactly 2 * MAX_MAGNITUDE, and rounding carries this mixture a unit in
+    # the last place past that: the effect bound leaves room, so a population that loads always marginalizes.
+    means = (-MAX_MAGNITUDE, MAX_MAGNITUDE, MAX_MAGNITUDE)
+    pop = Population(entries=(StratumEntry(J.C1C2, 11 / 25, means), StratumEntry(J.NT1NT2, 14 / 25, means)))
+    assert marginalize(pop).eff_c1 > 2 * MAX_MAGNITUDE
 
 
 def test_marginal_spec_effect_lookup_errors_when_absent():
