@@ -141,7 +141,7 @@ _OPTIONS = {
         "axis": (partial(_enum, SweepAxis), SweepAxis.DEFIER_SHARE, {"choices": _values(SweepAxis)}),
         "grid": (_sweep_floats, [round(0.05 * i, 10) for i in range(11)],
                  {"type": lambda text: _parse_float_list(text, "--grid"), "help": "comma-separated grid points"}),
-        "levels": (_sweep_floats, None,  # None: 10, 20 and 50 percent of the C1 effect
+        "levels": (_sweep_floats, None,  # None: 0.1, 0.2 and 0.5, times the C1 effect on the defier-share axis
                    {"type": lambda text: _parse_float_list(text, "--levels"), "help": "comma-separated curve levels"}),
         "defier": (lambda value, what: sweep_defier(value), "id1", {"choices": SWEEP_DEFIERS}),
     },
@@ -290,6 +290,8 @@ def _first_stage_from_args(args: argparse.Namespace) -> FirstStage:
         missing = sorted(set(flags) - set(given))
         if missing:
             raise ConfigError(f"first-stage flags are all-or-none; missing --{', --'.join(missing)}")
+        if args.config is not None:
+            raise ConfigError("scenario file is not used with the --aXY flags")
         return FirstStage(**given)
     if args.config is None:
         raise ConfigError("bounds needs a scenario file with a population, or all six --a10..--a22 flags")
@@ -377,8 +379,11 @@ def _cmd_sweep(args: argparse.Namespace) -> Iterator[tuple]:
     opts = _options(args, sc)
     levels = opts["levels"]
     if levels is None:
+        # A defier-share level is an effect gap, an effect-gap level a defier share. Every sweep point reads the
+        # C1 effect, so a spec without one exits 2 here rather than print only nan rows.
         late = spec.effect("eff_c1")
-        levels = [0.1 * late, 0.2 * late, 0.5 * late]
+        scale = 1.0 if opts["axis"] is SweepAxis.EFFECT_GAP else late
+        levels = [0.1 * scale, 0.2 * scale, 0.5 * scale]
     rows = bias_sweep(spec, opts["axis"], opts["grid"], levels, defier=opts["defier"])
     yield ("axis", "level", "beta", "late", "bias")
     for row in rows:

@@ -245,33 +245,22 @@ class CellTable:
         return cls.from_cells(cell, y, np.empty(y.shape))
 
 
-# A check of a stack of tables: which tables fail it, and the message of a failing table by its flat index.
-_Check = tuple[np.ndarray, Callable[[int], str]]
+def _require(fails: np.ndarray, message: Callable[[int], str]) -> None:
+    """RankError(message(i)) for the first table i of a stack that `fails` (one flag a table) marks."""
+    fails = np.reshape(fails, -1)
+    if fails.any():
+        raise RankError(message(int(fails.argmax())))
 
 
-def _plain(i: int) -> str:
-    return ""
-
-
-def _require(checks: tuple[_Check, ...], where: Callable[[int], str] = _plain) -> None:
-    """RankError for the first table of a stack that fails a check, with the message of the first check it fails
-    (checks come in the order they apply), after the prefix where(table index)."""
-    bad = np.array([np.reshape(fails, -1) for fails, _ in checks])
-    failing = bad.any(axis=0)
-    if failing.any():
-        i = int(failing.argmax())
-        raise RankError(where(i) + checks[int(bad[:, i].argmax())][1](i))
-
-
-def _every_value(name: str, margin: np.ndarray) -> _Check:
-    """The check that z or d takes each value 0, 1, 2 somewhere: `margin` (..., 3) counts its values."""
+def _require_every_value(name: str, margin: np.ndarray) -> None:
+    """RankError unless z or d takes each value 0, 1, 2 in every table: `margin` (..., 3) counts its values."""
     rows = np.reshape(margin, (-1, 3))
 
     def message(i: int) -> str:
         missing = [v for v in range(3) if rows[i, v] == 0]
         return f"{name} never takes value{'s' if len(missing) > 1 else ''} {missing} in this sample"
 
-    return (rows == 0).any(axis=1), message
+    _require((rows == 0).any(axis=1), message)
 
 
 def _first_stage(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +284,7 @@ def _first_stage(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def first_stage_from_cells(table: CellTable) -> tuple[FirstStage, FirstStage]:
     """The estimated first stage of one table and its HC0 standard errors,
     from its counts alone; RankError if an instrument value never occurs."""
-    _require((_every_value("instrument z", table.count.sum(axis=-1)),))
+    _require_every_value("instrument z", table.count.sum(axis=-1))
     return tuple(FirstStage(*x.tolist()) for x in _first_stage(table.count))
 
 
@@ -313,15 +302,12 @@ def _cell_rows(codes: tuple[int, ...], arms: tuple[frozenset[int], ...]) -> np.n
     return rows
 
 
-def _iv_hc0(
-    table: CellTable, arms: tuple[frozenset[int], ...], checks: tuple[_Check, ...], what: str,
-    where: Callable[[int], str],
-) -> tuple[np.ndarray, np.ndarray]:
+def _iv_hc0(table: CellTable, arms: tuple[frozenset[int], ...], what: str) -> tuple[np.ndarray, np.ndarray]:
     """Just-identified IV of y on [1, d in arm, ...] instrumented by
     [1, z in arm, ...], with the HC0 sandwich, summed over each cell table:
     the coefficients and their clamped variances, each (..., 1 + len(arms)).
-    RankError (see `_require`) for the first table that fails one of
-    `checks` or, after them, has a singular cross-moment matrix.
+    RankError (see `_require`) for the first table with a singular
+    cross-moment matrix.
 
     Instruments and regressors are constant within a (z, d) cell, so the
     cross moments and the right-hand side are count-weighted cell sums, and
@@ -334,7 +320,7 @@ def _iv_hc0(
     n, ybar, m2 = (x.reshape(x.shape[:-2] + (9,)) for x in (table.count, table.mean, table.m2))
     a = inst.T @ (n[..., None] * regs)
     singular = np.linalg.matrix_rank(a) < a.shape[-1]
-    _require((*checks, (singular, lambda i: f"{what}: instrument-regressor cross-moment matrix is singular")), where)
+    _require(singular, lambda i: f"{what}: instrument-regressor cross-moment matrix is singular")
     coef = np.linalg.solve(a, inst.T @ (n * ybar)[..., None])
     sq_resid = m2 + n * (ybar - (regs @ coef)[..., 0]) ** 2
     meat = (inst * sq_resid[..., None]).swapaxes(-1, -2) @ inst
@@ -391,13 +377,11 @@ def estimate_2sls(ds: Dataset) -> EstimateSet:
     )
 
 
-def _2sls_from_cells(table: CellTable, where: Callable[[int], str] = _plain) -> tuple[np.ndarray, np.ndarray]:
+def _2sls_from_cells(table: CellTable) -> tuple[np.ndarray, np.ndarray]:
     """Each table's estimates and standard errors, (..., 8): beta1, beta2, then the first stage."""
-    checks = (
-        _every_value("instrument z", table.count.sum(axis=-1)),
-        _every_value("field d", table.count.sum(axis=-2)),
-    )
-    beta, var = _iv_hc0(table, _FIELDS, checks, "second stage", where)
+    _require_every_value("instrument z", table.count.sum(axis=-1))
+    _require_every_value("field d", table.count.sum(axis=-2))
+    beta, var = _iv_hc0(table, _FIELDS, "second stage")
     alphas, alpha_ses = _first_stage(table.count)
     return np.concatenate((beta[..., 1:], alphas), axis=-1), np.concatenate((np.sqrt(var[..., 1:]), alpha_ses), axis=-1)
 
@@ -423,18 +407,14 @@ def estimate_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstimat
     return WaldEstimate(estimate=float(est[0]), se=float(se[0]), n=ds.n, seed=ds.seed)
 
 
-def _cluster_wald_from_cells(
-    table: CellTable, scenario: ClusterScenario, where: Callable[[int], str] = _plain
-) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_wald_from_cells(table: CellTable, scenario: ClusterScenario) -> tuple[np.ndarray, np.ndarray]:
     """Each table's Wald ratio and its standard error, (..., 1)."""
     s1 = scenario.require_collapse().s1
     n = np.reshape(table.count.sum(axis=(-2, -1)), -1)
     n1 = np.reshape(table.count[..., sorted(s1), :].sum(axis=(-2, -1)), -1)
-
-    def empty(i: int) -> str:
-        return f"instrument arm z~={int(n1[i] == 0)} is empty under scenario {scenario.label!r}"
-
-    coef, var = _iv_hc0(table, (s1,), (((n1 == 0) | (n1 == n), empty),), f"clustered Wald ({scenario.label})", where)
+    _require((n1 == 0) | (n1 == n),
+             lambda i: f"instrument arm z~={int(n1[i] == 0)} is empty under scenario {scenario.label!r}")
+    coef, var = _iv_hc0(table, (s1,), f"clustered Wald ({scenario.label})")
     return coef[..., 1:], np.sqrt(var[..., 1:])
 
 
@@ -497,8 +477,9 @@ def replicate(
 
     Replications run in blocks of max(1, _BLOCK_ROWS // n): one stacked
     draw, cell table and estimator call per block. Every replication keeps
-    its own stream and the bytes it would have alone, and a RankError names
-    the first replication that fails.
+    its own stream and the bytes it would have alone. A block that raises
+    RankError is run again one replication at a time, so the error names
+    the first replication that fails and that replication's own failure.
     """
     check_count("replications", reps, 2)
     check_count("sample size", n, 1)
@@ -506,25 +487,27 @@ def replicate(
         if scenario is None:
             raise ConfigError("cluster-wald replication requires a cluster scenario")
         truths = [("wald", cluster_wald_oracle(pop, scenario, Semantics.POOLED))]
+        estimate = functools.partial(_cluster_wald_from_cells, scenario=scenario)
     else:
         beta1, beta2 = solve_moment_system(marginalize(pop))
         fs = first_stage_from_shares(marginal_shares(pop))
         truths = [("beta1", beta1), ("beta2", beta2), *((name, getattr(fs, name)) for name in COEFFICIENTS)]
+        estimate = _2sls_from_cells
     sampler = _Sampler(pop)
     block = max(1, _BLOCK_ROWS // n)
     estimates = np.empty((reps, len(truths)))
     ses = np.empty((reps, len(truths)))
     for start in range(0, reps, block):
         seeds = [replication_seed(master_seed, rep) for rep in range(start, min(start + block, reps))]
-        table = sampler.tables(n, seeds)
-
-        def where(i: int) -> str:
-            return f"replication {start + i} (replication_seed {seeds[i]}): "
-
-        if target is Target.CLUSTER_WALD:
-            est, se = _cluster_wald_from_cells(table, scenario, where)
-        else:
-            est, se = _2sls_from_cells(table, where)
+        try:
+            est, se = estimate(sampler.tables(n, seeds))
+        except RankError:
+            for rep, seed in enumerate(seeds, start):
+                try:
+                    estimate(sampler.table(n, seed))
+                except RankError as err:
+                    raise RankError(f"replication {rep} (replication_seed {seed}): {err}") from err
+            raise
         estimates[start : start + len(seeds)] = est
         ses[start : start + len(seeds)] = se
     rows = []

@@ -264,7 +264,9 @@ def test_bounds_infeasible_exits_4(capsys):
     (["--maintained", "next-best", "--scan", "--step", "0.001"], "scan is not used with --maintained"),
     (["--maintained", "next-best", "--step", "0.5"], "step is not used without --scan"),
     (["--step", "0.5"], "step is not used without --scan"),
-], ids=["maintained-scan", "maintained-step", "step"])
+    (["--a10", "0.0", "--a11", "0.5", "--a12", "0.0", "--a20", "0.3", "--a21", "0.1", "--a22", "0.4"],
+     "scenario file is not used with the --aXY flags"),
+], ids=["maintained-scan", "maintained-step", "step", "file-with-flags"])
 def test_bounds_unread_options_exit_2(write_json, capsys, extra, err):
     code, out, stderr = run(capsys, ["bounds", write_json(BENCHMARK_POP), *extra])
     assert code == 2 and out == []
@@ -430,6 +432,22 @@ def test_sweep_rows(write_json, capsys):
     # The 0.8 point is singular; it reports as nan rather than aborting.
     assert len(out) == 3
     assert out[2].startswith("0.8000,100.0000,nan")
+
+
+def test_sweep_default_levels_follow_the_axis(write_json, capsys):
+    # A defier-share curve's level is an effect gap: 10, 20 and 50 percent of the C1 effect. An effect-gap
+    # curve's level is a defier share: 0.1, 0.2 and 0.5.
+    path = write_json(ANCHOR_SPEC)
+    for axis, levels in (("defier-share", "100.0000;200.0000;500.0000"), ("effect-gap", "0.1000;0.2000;0.5000")):
+        code, out, err = run(capsys, ["sweep", path, "--axis", axis])
+        assert (code, err) == (0, "") and len(out) == 1 + 11 * 3
+        assert ";".join(row.split(",")[1] for row in out[1:4]) == levels
+        assert not any("nan" in row for row in out), axis
+    # Without a C1 effect neither axis has default levels.
+    no_c1 = {"marginal_spec": dict(ANCHOR_SPEC["marginal_spec"], effects={"C2": 500.0, "ID1": 500.0, "ID2": 900.0})}
+    for axis in ("defier-share", "effect-gap"):
+        code, out, err = run(capsys, ["sweep", write_json(no_c1), "--axis", axis])
+        assert (code, out, err) == (2, [], "error: effect E[y1-y0 | C1] is required here but absent from the spec\n")
 
 
 def test_unexpected_exception_exits_1(write_json, capsys, monkeypatch):

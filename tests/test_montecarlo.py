@@ -245,6 +245,42 @@ def test_replicate_names_the_first_failing_replication_anywhere_in_its_block(mon
         assert str(got.value) == str(want.value), where
 
 
+TABLE_BODIES = {"2sls": montecarlo._2sls_from_cells} | {
+    s.label: partial(montecarlo._cluster_wald_from_cells, scenario=s)
+    for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)
+}
+
+
+@pytest.mark.parametrize("body", list(TABLE_BODIES))
+def test_a_stack_of_tables_fails_exactly_when_one_of_its_tables_fails_alone(body):
+    # replicate estimates a block's stacked tables and, only when that raises, each table alone to name the
+    # failure. So a stack must raise if and only if one of its tables raises alone, and a stack that passes must
+    # give each table the bytes it gets alone. At n = 3 to 12 a sample often misses a value or is singular.
+    estimate, rng = TABLE_BODIES[body], np.random.default_rng(18)
+    mixed = passed = 0  # stacks that raise with a table that passes alone; stacks that pass
+    for _ in range(300):
+        strata = tuple(rng.choice(list(J), size=int(rng.integers(1, 11)), replace=False))
+        sampler = montecarlo._Sampler(random_population(rng, strata=strata, noise_sd=float(rng.choice([0.0, 50.0]))))
+        n, seeds = int(rng.integers(3, 13)), rng.integers(2**63, size=int(rng.integers(2, 6))).tolist()
+        alone = []
+        for seed in seeds:
+            try:
+                alone.append(estimate(sampler.table(n, seed)))
+            except RankError:
+                alone.append(None)
+        try:
+            stacked = estimate(sampler.tables(n, seeds))
+        except RankError:
+            assert None in alone
+            mixed += any(a is not None for a in alone)
+            continue
+        assert None not in alone
+        for got, want in zip(stacked, zip(*alone)):
+            assert (got.dtype, got.tobytes()) == (want[0].dtype, np.stack(want).tobytes())
+        passed += 1
+    assert mixed >= 50 and passed >= 30, (mixed, passed)
+
+
 @pytest.mark.parametrize("target", list(Target))
 def test_replicate_peak_memory_per_row(target):
     # numpy reports its buffers to tracemalloc, so the peak is a count of
