@@ -2,6 +2,7 @@
 treatment fields: exact estimands, bias decompositions, defier-share
 bounds, first-stage-sign clustering, and a seeded simulation harness."""
 
+import sys as _sys
 from types import ModuleType as _ModuleType
 
 from .exceptions import (
@@ -17,6 +18,7 @@ from .strata import (
     MarginalSpec,
     Population,
     StratumEntry,
+    Target,
     UNIFORM_ASSIGNMENT,
     group_effect,
     group_prob,
@@ -59,23 +61,33 @@ from .clustering import (
     cluster_estimand_formula,
     cluster_wald_oracle,
 )
-from .montecarlo import (
-    Dataset,
-    EstimateSet,
-    ParamSummary,
-    ReplicationSummary,
-    Target,
-    WaldEstimate,
-    estimate_2sls,
-    estimate_cluster_wald,
-    generate,
-    replicate,
-    replication_seed,
-)
 
 __version__ = "0.1.0"
 
-# Every public name imported above; the submodules themselves are not exported.
+# Served on first access (PEP 562): only code that draws samples loads montecarlo, and with it numpy.
+_MONTECARLO = ("Dataset", "EstimateSet", "ParamSummary", "ReplicationSummary", "WaldEstimate", "estimate_2sls",
+               "estimate_cluster_wald", "generate", "replicate", "replication_seed")
+
+# Every public name imported above or served lazily; the submodules themselves are not exported.
 __all__ = sorted(
-    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_MONTECARLO)
 ) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MONTECARLO})
+
+
+# Once numpy is loaded montecarlo costs little, so it loads at once, as it did before it was lazy: code that
+# looks it up in sys.modules after `import ivstrata`, such as bench/spantrace.py, still finds it there.
+if "numpy" in _sys.modules:
+    from . import montecarlo

@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Iterator, Optional
 
 from .clustering import (
@@ -50,13 +50,15 @@ from .identification import (
     first_stage_from_shares,
     shares_from_first_stage,
 )
-from .montecarlo import Target, check_count, check_seed, first_stage_from_cells, replicate, sample_table
 from .strata import (
     EFFECT_SLOTS,
     MarginalGroup,
     MarginalSpec,
     Population,
+    Target,
     as_float,
+    check_count,
+    check_seed,
     marginal_shares,
     marginalize,
     marginal_spec_from_dict,
@@ -330,6 +332,8 @@ def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
         _reject_unread(_given(args, sc), ("seed", "sig_level"), "without n")
         scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)), neg_neg_rule=opts["neg_neg_rule"])
     else:
+        from .montecarlo import first_stage_from_cells, sample_table  # numpy loads only where a command draws
+
         fs, ses = first_stage_from_cells(sample_table(pop, opts["n"], opts["seed"]))
         scenario = choose_clustering(fs, ses.a21, ses.a12, opts["sig_level"], opts["neg_neg_rule"])
     yield ("scenario", "s0", "s1")
@@ -362,6 +366,8 @@ def _cmd_simulate(args: argparse.Namespace) -> Iterator[tuple]:
         _reject_unread(_given(args, sc), ("scenario",), f"with target {opts['target'].value}")
     elif scenario is None:
         scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)))
+    from .montecarlo import replicate  # numpy loads only where a command draws
+
     summary = replicate(pop, opts["n"], opts["reps"], opts["seed"], opts["target"], scenario)
     yield "n", summary.n
     yield "reps", summary.reps
@@ -390,6 +396,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Iterator[tuple]:
         yield row.axis, row.level, row.beta, row.late, row.bias
 
 
+@cache  # one parser a process: parse_args keeps no state in it, and handlers are looked up by name
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ivstrata",
@@ -456,7 +463,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
         args = build_parser().parse_args(argv)  # --grid and --levels raise ConfigError while parsing
-        # Looked up by name at call time (the parser holds no handler); each row prints as it comes.
+        # Looked up by name at call time (the cached parser holds no handler); each row prints as it comes.
         for row in globals()[f"_cmd_{args.command}"](args):
             print(",".join(_cell(x, args.precision) for x in row))
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -11,7 +11,6 @@ outcome noise is drawn even for zero-variance strata so the random stream
 
 from __future__ import annotations
 
-import enum
 import functools
 import hashlib
 import math
@@ -24,7 +23,7 @@ from .clustering import ClusterScenario, Semantics, cluster_wald_oracle
 from .estimands import solve_moment_system
 from .exceptions import ConfigError, RankError
 from .identification import COEFFICIENTS, FirstStage, first_stage_from_shares
-from .strata import Population, marginal_shares, marginalize
+from .strata import Population, Target, check_count, check_seed, marginal_shares, marginalize
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,25 +70,6 @@ def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
         shown = ", ".join(values[:5]) + (", ..." if len(values) > 5 else "")
         raise ConfigError(f"{label} must take codes 0, 1, 2; {int(bad.sum())} rows hold {shown}")
     return arr.astype(np.intp)
-
-
-# The largest sample size or replication count: numpy describes no array past
-# intp-max bytes, and replicate's result tables are reps x 8 floats.
-_MAX_COUNT = np.iinfo(np.intp).max // 64
-
-
-def check_count(what: str, value: int, least: int) -> int:
-    """`value`, if it lies between `least` and the largest count."""
-    if not least <= value <= _MAX_COUNT:
-        raise ConfigError(f"{what} must be between {least} and {_MAX_COUNT}, got {value}")
-    return value
-
-
-def check_seed(seed: int) -> int:
-    """`seed`, if a sample can be drawn from it."""
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return seed
 
 
 # The version of the random stream: which sample a (population, n, seed)
@@ -416,13 +396,6 @@ def _cluster_wald_from_cells(table: CellTable, scenario: ClusterScenario) -> tup
              lambda i: f"instrument arm z~={int(n1[i] == 0)} is empty under scenario {scenario.label!r}")
     coef, var = _iv_hc0(table, (s1,), f"clustered Wald ({scenario.label})")
     return coef[..., 1:], np.sqrt(var[..., 1:])
-
-
-class Target(enum.Enum):
-    """What `replicate` estimates and which exact values it compares to."""
-
-    FIELD_2SLS = "field-2sls"
-    CLUSTER_WALD = "cluster-wald"
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional
 
@@ -41,6 +42,30 @@ DEN_TOL = 1e-10  # singularity threshold for determinants and estimand denominat
 # reach EFFECT_BOUND. The README shows why every number computed from such inputs stays finite.
 MAX_MAGNITUDE = 1e100
 EFFECT_BOUND = 4 * MAX_MAGNITUDE
+# The largest sample size or replication count: numpy describes no array past
+# intp-max (sys.maxsize) bytes, and replicate's result tables are reps x 8 floats.
+_MAX_COUNT = sys.maxsize // 64
+
+
+def check_count(what: str, value: int, least: int) -> int:
+    """`value`, if it lies between `least` and the largest count."""
+    if not least <= value <= _MAX_COUNT:
+        raise ConfigError(f"{what} must be between {least} and {_MAX_COUNT}, got {value}")
+    return value
+
+
+def check_seed(seed: int) -> int:
+    """`seed`, if a sample can be drawn from it."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
+class Target(enum.Enum):
+    """What `montecarlo.replicate` estimates and which exact values it compares to."""
+
+    FIELD_2SLS = "field-2sls"
+    CLUSTER_WALD = "cluster-wald"
 
 _VALID_LEVELS = (0, 1, 2)
 

@@ -11,6 +11,7 @@ import pytest
 
 import ivstrata.cli as cli
 import ivstrata.montecarlo as montecarlo
+import ivstrata.strata as strata
 from ivstrata import replication_seed
 from ivstrata.cli import main
 
@@ -627,9 +628,9 @@ BAD_BLOCKS = dict(BENCHMARK_POP, cluster={"constant_effects": "false", "sig_leve
         # Range checks run at load too, with the library's own error lines.
         (dict(BENCHMARK_POP, cluster={"sig_level": 5}), ["validate"], "significance level must be in (0, 1), got 5.0"),
         (dict(BENCHMARK_POP, simulate={"reps": 1}), ["validate"],
-         f"replications must be between 2 and {montecarlo._MAX_COUNT}, got 1"),
+         f"replications must be between 2 and {strata._MAX_COUNT}, got 1"),
         (dict(BENCHMARK_POP, cluster={"n": 0}), ["validate"],
-         f"sample size must be between 1 and {montecarlo._MAX_COUNT}, got 0"),
+         f"sample size must be between 1 and {strata._MAX_COUNT}, got 0"),
         (dict(BENCHMARK_POP, cluster={"seed": -1}), ["validate"], "seed must be nonnegative, got -1"),
         (dict(BENCHMARK_POP, simulate={"scenario": "undefined"}), ["validate"],
          "no clustered estimand under scenario 'undefined'; only control and treatment clustering define one"),
@@ -731,3 +732,94 @@ def test_option_table_keys_are_the_command_flags():
         dests = {action.dest for action in commands[command]._actions} - {"help", "config", "precision"}
         assert set(table) == dests, command
     assert set(cli._OPTIONS) == {"cluster", "simulate", "sweep"}
+
+
+def _in_process(capsys, argv: list[str]) -> tuple:
+    """main's exit code, stdout and stderr, an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# A fresh interpreter that refuses to import the named top-level modules, calls main on each argv and prints the
+# runs as JSON, with which of numpy, statistics and ivstrata.montecarlo it loaded.
+_CHILD = """
+import contextlib, io, json, sys
+
+refused, argvs = json.loads(sys.argv[1])
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in refused:
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, Refuse())
+from ivstrata.cli import main
+
+runs = []
+for argv in argvs:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append((main(argv), out.getvalue(), err.getvalue()))
+print(json.dumps([runs, sorted({"numpy", "statistics", "ivstrata.montecarlo"} & set(sys.modules))]))
+"""
+
+
+def _child_runs(refused: list[str], argvs: list[list[str]]) -> tuple[list[tuple], list[str]]:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([refused, argvs])], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs, loaded = json.loads(proc.stdout)
+    return [tuple(run) for run in runs], loaded
+
+
+def test_exact_commands_run_without_numpy_or_statistics(write_json, capsys):
+    pop, spec = write_json(BENCHMARK_POP, "pop.json"), write_json(ANCHOR_SPEC, "spec.json")
+    argvs = [
+        ["validate", pop], ["validate", spec], ["analyze", spec], ["bounds", pop],
+        ["bounds", pop, "--scan", "--step", "0.01"], ["sweep", spec], ["sweep", spec, "--axis", "effect-gap"],
+        ["cluster", pop], ["cluster", write_json(CLUSTER_POP, "cluster.json")],
+        ["analyze", write_json(dict(ANCHOR_SPEC, extra=1), "bad.json")],
+    ]
+    runs, loaded = _child_runs(["numpy", "statistics"], argvs + [["simulate", pop]])
+    assert loaded == []
+    assert runs[:-1] == [_in_process(capsys, argv) for argv in argvs]
+    # The refusal holds: the one command here that draws a sample cannot run.
+    assert runs[-1] == (1, "", "error: ImportError: numpy is refused\n")
+
+
+def test_drawing_commands_load_numpy_when_they_draw(write_json, capsys):
+    argvs = [["simulate", write_json(BENCHMARK_POP), "--n", "2000", "--reps", "3", "--seed", "1"],
+             ["cluster", write_json(WEAK_CROSS_POP, "weak.json"), "--n", "500", "--seed", "2"]]
+    runs, loaded = _child_runs([], argvs)
+    assert loaded == ["ivstrata.montecarlo", "numpy"]
+    assert runs == [_in_process(capsys, argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in runs)
+
+
+def test_cached_parser_keeps_no_state_between_calls(write_json, capsys):
+    """Each call in a sequence through the one cached parser prints what a fresh process prints. (The golden
+    test also runs main in-process, 353 times in one process.)"""
+    pop, spec = write_json(BENCHMARK_POP, "pop.json"), write_json(ANCHOR_SPEC, "spec.json")
+    sequences = [
+        [["bounds", pop, "--scan", "--step", "0.001"], ["bounds", pop]],
+        [["sweep", spec, "--grid", "-1,2"], ["sweep", spec]],
+        [["--help"], ["validate", pop]],
+        [["analyze", spec, "--regime", "bogus"], ["analyze", spec]],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    codes = []
+    for sequence in sequences:
+        for argv in sequence:
+            fresh = subprocess.run([sys.executable, "-m", "ivstrata.cli", *argv], capture_output=True, text=True,
+                                   env=env, timeout=60)
+            assert _in_process(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(fresh.returncode)
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()

@@ -2,6 +2,8 @@
 decompositions, the exclusion check, and the pooled Wald oracle."""
 
 import math
+import struct
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from ivstrata import (
     cluster_estimand_formula,
     cluster_wald_oracle,
 )
+from ivstrata.clustering import _std_normal_cdf
 from support import random_population
 
 rng = np.random.default_rng(20260817)
@@ -88,6 +91,18 @@ def test_clustering_with_standard_errors():
         choose_clustering(fs, se21=-1.0)
     with pytest.raises(ConfigError, match="significance"):
         choose_clustering(fs, sig_level=1.5)
+
+
+def test_std_normal_cdf_is_bit_identical_to_statistics():
+    # The sign tests' p-values keep every bit they had when they came from statistics.NormalDist.
+    tiny = 5e-324
+    edge = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, 2.2250738585072014e-308 / 3, 40.0, -40.0]
+    draws = np.random.default_rng(20261019)
+    points = edge + draws.normal(scale=3.0, size=20_000).tolist() + draws.uniform(-40.0, 40.0, size=20_000).tolist()
+    reference = NormalDist()
+    for x in points:
+        got, want = _std_normal_cdf(x), reference.cdf(x)
+        assert (math.isnan(got) and math.isnan(want)) or struct.pack("<d", got) == struct.pack("<d", want), x
 
 
 def test_both_negative_rules():

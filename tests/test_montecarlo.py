@@ -3,6 +3,7 @@ replication harness."""
 
 import itertools
 import re
+import sys
 import tracemalloc
 from functools import partial
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ivstrata import montecarlo
+from ivstrata import montecarlo, strata
 from ivstrata import (
     ClusterScenario,
     ConfigError,
@@ -515,3 +516,8 @@ def test_replicate_validation():
         replicate(pop, n=100, reps=1, master_seed=0)
     with pytest.raises(ConfigError, match="scenario"):
         replicate(pop, n=100, reps=5, master_seed=0, target=Target.CLUSTER_WALD)
+
+
+def test_largest_count_is_numpys_intp_bound():
+    # strata states the bound on sample sizes and replication counts without numpy; it is numpy's own.
+    assert strata._MAX_COUNT == sys.maxsize // 64 == np.iinfo(np.intp).max // 64

@@ -1,13 +1,17 @@
 """The package's public surface and the README's library quick start."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import ivstrata
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PUBLIC_NAMES = [
     "AssumptionError", "BiasDecomposition", "BiasTerm", "ClusterDecomposition", "ClusterScenario", "ConfigError",
@@ -29,6 +33,25 @@ def test_public_names_are_pinned():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert ivstrata.__all__ == PUBLIC_NAMES + ["__version__"]
     assert all(hasattr(ivstrata, name) for name in ivstrata.__all__)
+
+
+def test_montecarlo_names_load_on_first_access():
+    # In a fresh interpreter the package loads without numpy; a montecarlo name loads it when first read.
+    script = """
+import sys
+import ivstrata
+assert not {"numpy", "statistics", "ivstrata.montecarlo"} & set(sys.modules)
+assert set(ivstrata.__all__) <= set(dir(ivstrata)) and not hasattr(ivstrata, "no_such_name")
+generate = ivstrata.generate
+from ivstrata import montecarlo
+assert generate is montecarlo.generate and montecarlo.Target is ivstrata.Target
+names = {}
+exec("from ivstrata import *", names)
+assert set(ivstrata.__all__) <= set(names)
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_readme_quick_start_runs_and_holds():
