@@ -141,7 +141,7 @@ def _sample_size(value, what: str) -> int:
 _OPTIONS = {
     "sweep": {
         "axis": (partial(_enum, SweepAxis), SweepAxis.DEFIER_SHARE, {"choices": _values(SweepAxis)}),
-        "grid": (_sweep_floats, [round(0.05 * i, 10) for i in range(11)],
+        "grid": (_sweep_floats, None,  # None: 0, 0.05, ..., 0.5, times the C1 effect on the effect-gap axis
                  {"type": lambda text: _parse_float_list(text, "--grid"), "help": "comma-separated grid points"}),
         "levels": (_sweep_floats, None,  # None: 0.1, 0.2 and 0.5, times the C1 effect on the defier-share axis
                    {"type": lambda text: _parse_float_list(text, "--levels"), "help": "comma-separated curve levels"}),
@@ -383,14 +383,17 @@ def _cmd_sweep(args: argparse.Namespace) -> Iterator[tuple]:
     sc = load_scenario(args.config)
     spec = sc.any_spec()
     opts = _options(args, sc)
-    levels = opts["levels"]
+    grid, levels = opts["grid"], opts["levels"]
+    # A defier-share grid point is a share and its level an effect gap; on the effect-gap axis the two swap. Each
+    # default effect gap is a multiple of the C1 effect, and a spec without one exits 2 here, not print nan rows.
+    on_gaps = opts["axis"] is SweepAxis.EFFECT_GAP
+    if grid is None:
+        scale = spec.effect("eff_c1") if on_gaps else 1.0
+        grid = [round(0.05 * i, 10) * scale for i in range(11)]
     if levels is None:
-        # A defier-share level is an effect gap, an effect-gap level a defier share. Every sweep point reads the
-        # C1 effect, so a spec without one exits 2 here rather than print only nan rows.
-        late = spec.effect("eff_c1")
-        scale = 1.0 if opts["axis"] is SweepAxis.EFFECT_GAP else late
+        scale = 1.0 if on_gaps else spec.effect("eff_c1")
         levels = [0.1 * scale, 0.2 * scale, 0.5 * scale]
-    rows = bias_sweep(spec, opts["axis"], opts["grid"], levels, defier=opts["defier"])
+    rows = bias_sweep(spec, opts["axis"], grid, levels, defier=opts["defier"])
     yield ("axis", "level", "beta", "late", "bias")
     for row in rows:
         yield row.axis, row.level, row.beta, row.late, row.bias

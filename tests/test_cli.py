@@ -436,14 +436,21 @@ def test_sweep_rows(write_json, capsys):
 
 
 def test_sweep_default_levels_follow_the_axis(write_json, capsys):
-    # A defier-share curve's level is an effect gap: 10, 20 and 50 percent of the C1 effect. An effect-gap
-    # curve's level is a defier share: 0.1, 0.2 and 0.5.
+    # A defier-share curve's level is an effect gap: 10, 20 and 50 percent of the C1 effect, and its grid runs over
+    # shares 0, 0.05, ..., 0.5. On the effect-gap axis the two swap: levels 0.1, 0.2 and 0.5 are defier shares, and
+    # the grid runs over 0, 5, ..., 50 percent of the C1 effect.
     path = write_json(ANCHOR_SPEC)
-    for axis, levels in (("defier-share", "100.0000;200.0000;500.0000"), ("effect-gap", "0.1000;0.2000;0.5000")):
+    for axis, grid, levels in (("defier-share", "0.0000;0.0500;0.5000", "100.0000;200.0000;500.0000"),
+                               ("effect-gap", "0.0000;50.0000;500.0000", "0.1000;0.2000;0.5000")):
         code, out, err = run(capsys, ["sweep", path, "--axis", axis])
         assert (code, err) == (0, "") and len(out) == 1 + 11 * 3
+        assert ";".join(out[row].split(",")[0] for row in (1, 4, 31)) == grid
         assert ";".join(row.split(",")[1] for row in out[1:4]) == levels
         assert not any("nan" in row for row in out), axis
+    # A given grid is read as it is on either axis.
+    path = write_json(dict(ANCHOR_SPEC, sweep={"grid": [0, 100]}))
+    code, out, _ = run(capsys, ["sweep", path, "--axis", "effect-gap"])
+    assert code == 0 and [row.split(",")[0] for row in out[1::3]] == ["0.0000", "100.0000"]
     # Without a C1 effect neither axis has default levels.
     no_c1 = {"marginal_spec": dict(ANCHOR_SPEC["marginal_spec"], effects={"C2": 500.0, "ID1": 500.0, "ID2": 900.0})}
     for axis in ("defier-share", "effect-gap"):
