@@ -466,7 +466,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
         args = build_parser().parse_args(argv)  # --grid and --levels raise ConfigError while parsing
-        # Looked up by name at call time (the cached parser holds no handler); each row prints as it comes.
+        # Looked up by name at call time (the parser holds no handler); each row prints as it comes.
         for row in globals()[f"_cmd_{args.command}"](args):
             print(",".join(_cell(x, args.precision) for x in row))
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -67,6 +67,7 @@ class Target(enum.Enum):
     FIELD_2SLS = "field-2sls"
     CLUSTER_WALD = "cluster-wald"
 
+
 _VALID_LEVELS = (0, 1, 2)
 
 

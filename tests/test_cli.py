@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import ivstrata.cli as cli
-import ivstrata.montecarlo as montecarlo
 import ivstrata.strata as strata
 from ivstrata import replication_seed
 from ivstrata.cli import main

@@ -43,6 +43,7 @@ import ivstrata
 assert not {"numpy", "statistics", "ivstrata.montecarlo"} & set(sys.modules)
 assert set(ivstrata.__all__) <= set(dir(ivstrata)) and not hasattr(ivstrata, "no_such_name")
 generate = ivstrata.generate
+assert "numpy" in sys.modules
 from ivstrata import montecarlo
 assert generate is montecarlo.generate and montecarlo.Target is ivstrata.Target
 names = {}
