@@ -385,7 +385,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Iterator[tuple]:
     opts = _options(args, sc)
     grid, levels = opts["grid"], opts["levels"]
     # A defier-share grid point is a share and its level an effect gap; on the effect-gap axis the two swap. Each
-    # default effect gap is a multiple of the C1 effect, and a spec without one exits 2 here, not print nan rows.
+    # default effect gap is a multiple of the C1 effect, so a spec without one exits 2 here rather than print nan rows.
     on_gaps = opts["axis"] is SweepAxis.EFFECT_GAP
     if grid is None:
         scale = spec.effect("eff_c1") if on_gaps else 1.0
