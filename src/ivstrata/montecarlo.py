@@ -1,12 +1,14 @@
-"""Seeded simulation harness: draw samples from a stratum population,
-estimate by two-stage least squares or a clustered Wald ratio, and compare
-replication summaries against the exact estimands.
+"""Seeded simulation harness: draw samples or their cell tables from a
+stratum population, estimate by two-stage least squares or a clustered Wald
+ratio, and compare replication summaries against the exact estimands.
 
 Sampling is fully deterministic given a seed. Replications derive
 independent per-replication seeds by hashing "{master_seed}:{rep}", so rep
-r's data do not depend on how many replications run or in what order, and
-outcome noise is drawn even for zero-variance strata so the random stream
-(and hence every other draw) is invariant to noise_sd.
+r's data do not depend on how many replications run or in what order.
+Every estimator reads only a sample's (z, d) cell table, so a replication
+draws that table from its (stratum, z) group summaries, exact in
+distribution. Noise is drawn even for zero-variance strata, so the drawn
+counts (and `generate`'s drawn (z, d)) are invariant to noise_sd.
 """
 
 from __future__ import annotations
@@ -72,9 +74,10 @@ def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.intp)
 
 
-# The version of the random stream: which sample a (population, n, seed)
-# draws. Any change that draws different bytes for some seed bumps it.
-STREAM_VERSION = 1
+# The version of the random stream: which sample or cell table a (population, n, seed) draws. Any change that
+# draws different bytes for some seed bumps it. Version 2 draws every cell table from its group summaries;
+# `generate` still draws the samples of version 1.
+STREAM_VERSION = 2
 
 
 def _cdf(probs) -> np.ndarray:
@@ -101,73 +104,69 @@ def _category(u: np.ndarray, v: np.ndarray, stratum_cdf: np.ndarray, arm_cdf: np
     return idx
 
 
-# Replicate draws its samples in blocks of max(1, _BLOCK_ROWS // n).
-_BLOCK_ROWS = 1 << 14
-
-# The dtypes of a sampler's draw arrays, in buffer order: widest first, so every view is aligned. 26 bytes a row.
-_DRAW_DTYPES = (np.intp, np.float64, np.float64, np.uint8, np.bool_)
+# Replicate draws and estimates its replications' cell tables in blocks of this many.
+_BLOCK_REPS = 1024
 
 
 class _Sampler:
-    """A population's sampling tables, built once and drawn from per seed. Each is indexed by k = stratum * 3 + z:
-    the noise sd, the outcome mean means[stratum, d] and the (z, d) cell row z * 3 + d, where d is the field the
-    stratum takes at z. A block of samples is drawn one a row into five (rows, n) arrays, views of one buffer the
-    sampler owns and reuses while n stays the same and the rows fit. One allocation, not five, lets the allocator
-    keep its pages from one study to the next rather than hand them back to the kernel and fault them in again."""
+    """A population's sampling tables, built once and drawn from per seed. Each is indexed by the group
+    k = stratum * 3 + z: its probability, the noise sd, the outcome mean means[stratum, d] and the (z, d) cell row
+    z * 3 + d, where d is the field the stratum takes at z."""
 
     def __init__(self, pop: Population):
         self.stratum_cdf = _cdf([e.prob for e in pop.entries])
         self.arm_cdf = _cdf(pop.assignment)
+        self.prob = np.outer([e.prob for e in pop.entries], pop.assignment).ravel()
+        self.prob /= self.prob.sum()
         d = np.array([e.stratum.trajectory for e in pop.entries], dtype=np.intp)
         self.sd = np.repeat([e.noise_sd for e in pop.entries], 3)
         self.mean = np.take_along_axis(np.array([e.means for e in pop.entries]), d, axis=1).ravel()
         self.cell = (d + np.arange(0, 9, 3)).ravel()
-        self._n, self._rows, self._buf = None, 0, None
 
-    def _arrays(self, n: int, rows: int) -> list[np.ndarray]:
-        """The (rows, n) draw arrays, one per _DRAW_DTYPES entry, laid end to end in the sampler's buffer."""
-        if self._n != n or self._rows < rows:
-            self._n, self._rows = n, rows
-            self._buf = np.empty(sum(np.dtype(t).itemsize for t in _DRAW_DTYPES) * rows * n, np.uint8)
-        arrays, offset = [], 0
-        for dtype in _DRAW_DTYPES:
-            arrays.append(np.ndarray((rows, n), dtype, buffer=self._buf, offset=offset))
-            offset += arrays[-1].nbytes
-        return arrays
-
-    def _fill(self, n: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The samples of `seeds`, one a row of the sampler's reused (len(seeds), n) arrays: their cell rows, their
-        outcomes, and a spare float array of that shape. Each seed draws three blocks of its own PCG64 stream, in
-        order: n stratum uniforms, n instrument uniforms, n noise normals (drawn even where noise_sd is 0). The
-        categories, lookups and arithmetic then run once over the whole block."""
-        k, v, y, idx, hit = self._arrays(n, len(seeds))
-        # The stratum uniforms live in k's bytes (both are 8 bytes wide): _category reads them all before k is written.
-        u = k.view(float)
-        for row, seed in enumerate(seeds):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            rng.random(out=u[row])
-            rng.random(out=v[row])
-            rng.standard_normal(out=y[row])
+    def draw(self, n: int, seed: int) -> Dataset:
+        """A sample, as stream version 1 drew it: three blocks of the seed's PCG64 stream, in order: n stratum
+        uniforms, n instrument uniforms, n noise normals (drawn even where noise_sd is 0)."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        # Five work arrays in one 26-bytes-a-row allocation, widest first (five allocations made generate a third
+        # slower at n = 200,000). The stratum uniforms live in k's bytes: _category reads them all before k is written.
+        buf = np.empty(26 * n, np.uint8)
+        u, v, y = (buf[8 * n * i : 8 * n * (i + 1)].view(float) for i in range(3))
+        k, idx, hit = u.view(np.intp), buf[24 * n : 25 * n], buf[25 * n :].view(np.bool_)
+        rng.random(out=u)
+        rng.random(out=v)
+        rng.standard_normal(out=y)
         np.copyto(k, _category(u, v, self.stratum_cdf, self.arm_cdf, idx, hit))
         # In place, in the order sd * noise + mean: IEEE * and + commute, so y has the bytes of the out-of-place
         # sum. Every k is a table index, so mode="clip" clips nothing; it spares the buffered copy of `out` that
         # mode="raise" makes. take reads each k before writing its slot, so the cell rows may overwrite k.
         y *= np.take(self.sd, k, out=v, mode="clip")
         y += np.take(self.mean, k, out=v, mode="clip")
-        return np.take(self.cell, k, out=k, mode="clip"), y, v
-
-    def draw(self, n: int, seed: int) -> Dataset:
-        """A sample in fresh arrays."""
-        cell, y, _ = self._fill(n, (seed,))
-        return Dataset(*np.divmod(cell[0], 3), y[0].copy(), seed)
-
-    def table(self, n: int, seed: int) -> "CellTable":
-        """The cell table of the sample `draw(n, seed)` returns."""
-        return CellTable.from_cells(*(a[0] for a in self._fill(n, (seed,))))
+        return Dataset(*np.divmod(np.take(self.cell, k, out=k, mode="clip"), 3), y.copy(), seed)
 
     def tables(self, n: int, seeds: Sequence[int]) -> "CellTable":
-        """The cell tables of the samples of `seeds`, stacked along a leading axis."""
-        return CellTable.from_cells(*self._fill(n, seeds))
+        """The cell tables of `seeds`, stacked along a leading axis. Each seed draws three blocks of its own PCG64
+        stream, in order, each over all K groups: the group counts, multinomial(n, prob); K standard normals Z;
+        K standard gammas G of shape max(count - 1, 0) / 2. For Gaussian noise a group's sample mean and its
+        within-group M2 are independent (Cochran's theorem), distributed as mean + sd Z / sqrt(count) and
+        sd^2 2G = sd^2 chi2(count - 1), so each table has the distribution of the table of an n-row sample."""
+        count = np.empty((len(seeds), self.cell.size), np.int64)
+        normal, gamma = np.empty(count.shape), np.empty(count.shape)
+        for row, seed in enumerate(seeds):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            count[row] = rng.multinomial(n, self.prob)
+            rng.standard_normal(out=normal[row])
+            rng.standard_gamma(np.maximum(count[row] - 1, 0) / 2, out=gamma[row])
+        normal *= self.sd
+        normal /= np.sqrt(np.maximum(count, 1))
+        normal += self.mean
+        gamma *= 2.0
+        gamma *= self.sd * self.sd
+        return CellTable.from_groups(self.cell, count, normal, gamma)
+
+    def table(self, n: int, seed: int) -> "CellTable":
+        """The cell table `tables(n, [seed])` stacks for this seed."""
+        table = self.tables(n, (seed,))
+        return CellTable(table.count[0], table.mean[0], table.m2[0])
 
 
 def generate(pop: Population, n: int, seed: int) -> Dataset:
@@ -178,7 +177,7 @@ def generate(pop: Population, n: int, seed: int) -> Dataset:
 
 
 def sample_table(pop: Population, n: int, seed: int) -> "CellTable":
-    """The cell table of the sample `generate(pop, n, seed)` draws, without building it."""
+    """The cell table of a seeded sample of size n, drawn from its group summaries without the sample."""
     check_count("sample size", n, 1)
     check_seed(seed)
     return _Sampler(pop).table(n, seed)
@@ -198,31 +197,29 @@ class CellTable:
     m2: np.ndarray
 
     @classmethod
-    def from_cells(cls, cell: np.ndarray, y: np.ndarray, spare: np.ndarray) -> "CellTable":
-        """The tables of the samples along the last axis of `cell` (intp cell indices z * 3 + d) and `y` (float
-        outcomes), shaped cell.shape[:-1] + (3, 3), in arrays of their own. Overwrites `cell` and `spare`, a
-        float array of y's shape. Every bin sums its rows in row order, as a table of that sample alone would."""
-        lead = cell.shape[:-1]
+    def from_groups(cls, cell: np.ndarray, count: np.ndarray, mean: np.ndarray, m2: np.ndarray) -> "CellTable":
+        """The tables of a stack of group summaries, shaped count.shape[:-1] + (3, 3): group k of table r holds
+        count[r, k] rows with mean mean[r, k] and centred sum of squares m2[r, k], all in cell row cell[k].
+        A cell's mean sums each group's mean weighted by its share of the cell, so a cell of one nonempty group
+        has that group's mean exactly; its M2 sums m2 + count (mean - cell mean)^2 over the groups, in k order."""
+        lead = count.shape[:-1]
         bins = 9 * math.prod(lead)
-        if bins > 9:
-            cell += np.arange(0, bins, 9).reshape(lead + (1,))  # sample r's cells are bins 9r to 9r + 8
-        cell, y, spare = cell.reshape(-1), y.reshape(-1), spare.reshape(-1)
-        count = np.bincount(cell, minlength=bins).astype(float)
-        mean = np.bincount(cell, weights=y, minlength=bins) / np.maximum(count, 1.0)
-        # In place: fresh n-length temporaries cost more than the arithmetic.
-        dev = np.take(mean, cell, out=spare, mode="clip")
-        np.subtract(y, dev, out=dev)
-        np.square(dev, out=dev)
-        m2 = np.bincount(cell, weights=dev, minlength=bins)
+        idx = (cell + np.arange(0, bins, 9).reshape(lead + (1,))).ravel()  # table r's cells are bins 9r to 9r + 8
+        total = np.bincount(idx, weights=count.ravel(), minlength=bins)
+        share = count / np.maximum(total, 1.0)[idx].reshape(count.shape)
+        cell_mean = np.bincount(idx, weights=(share * mean).ravel(), minlength=bins)
+        dev = mean - cell_mean[idx].reshape(count.shape)
+        cell_m2 = np.bincount(idx, weights=(m2 + count * (dev * dev)).ravel(), minlength=bins)
         shape = lead + (3, 3)
-        return cls(count=count.reshape(shape), mean=mean.reshape(shape), m2=m2.reshape(shape))
+        return cls(count=total.reshape(shape), mean=cell_mean.reshape(shape), m2=cell_m2.reshape(shape))
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "CellTable":
-        cell = ds.z * 3
-        cell += ds.d
-        y = np.asarray(ds.y, dtype=float)
-        return cls.from_cells(cell, y, np.empty(y.shape))
+        cell, y = ds.z * 3 + ds.d, np.asarray(ds.y, dtype=float)
+        count = np.bincount(cell, minlength=9).astype(float)
+        mean = np.bincount(cell, weights=y, minlength=9) / np.maximum(count, 1.0)
+        m2 = np.bincount(cell, weights=(y - mean[cell]) ** 2, minlength=9)
+        return cls(*(a.reshape(3, 3) for a in (count, mean, m2)))
 
 
 def _require(fails: np.ndarray, message: Callable[[int], str]) -> None:
@@ -448,11 +445,15 @@ def replicate(
     replications whose nominal 95 percent interval (1.96 standard errors)
     covers the exact value.
 
-    Replications run in blocks of max(1, _BLOCK_ROWS // n): one stacked
-    draw, cell table and estimator call per block. Every replication keeps
-    its own stream and the bytes it would have alone. A block that raises
-    RankError is run again one replication at a time, so the error names
-    the first replication that fails and that replication's own failure.
+    Each replication draws its (z, d) cell table directly, never its n
+    rows (see `_Sampler.tables`): the estimators read only that table, so
+    the summaries have the distribution an n-row sample gives them, at a
+    cost and memory that do not grow with n. Replications run in blocks of
+    _BLOCK_REPS: one stacked table draw and estimator call per block. Every
+    replication keeps its own stream and the bytes it would have alone. A
+    block that raises RankError is run again one replication at a time, so
+    the error names the first replication that fails and that
+    replication's own failure.
     """
     check_count("replications", reps, 2)
     check_count("sample size", n, 1)
@@ -467,11 +468,10 @@ def replicate(
         truths = [("beta1", beta1), ("beta2", beta2), *((name, getattr(fs, name)) for name in COEFFICIENTS)]
         estimate = _2sls_from_cells
     sampler = _Sampler(pop)
-    block = max(1, _BLOCK_ROWS // n)
     estimates = np.empty((reps, len(truths)))
     ses = np.empty((reps, len(truths)))
-    for start in range(0, reps, block):
-        seeds = [replication_seed(master_seed, rep) for rep in range(start, min(start + block, reps))]
+    for start in range(0, reps, _BLOCK_REPS):
+        seeds = [replication_seed(master_seed, rep) for rep in range(start, min(start + _BLOCK_REPS, reps))]
         try:
             est, se = estimate(sampler.tables(n, seeds))
         except RankError:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -28,14 +29,13 @@ from ivstrata import (
     Target,
     WaldEstimate,
     cluster_wald_oracle,
-    estimate_2sls,
-    estimate_cluster_wald,
     first_stage_from_shares,
     marginal_shares,
     marginalize,
     replication_seed,
     solve_moment_system,
 )
+from ivstrata.montecarlo import CellTable, _2sls_from_cells, _cluster_wald_from_cells
 
 EFFECT_SLOTS = (
     "eff_c1", "eff_c2", "eff_id1", "eff_id2",
@@ -150,6 +150,34 @@ def reference_generate(pop: Population, n: int, seed: int) -> Dataset:
     return Dataset(z=z, d=d, y=y, seed=seed)
 
 
+def reference_table(pop: Population, n: int, seed: int) -> CellTable:
+    """The cell table `sample_table` draws, restated plainly: one Generator
+    call per documented block over the K = 3 * len(entries) groups
+    k = 3 * stratum + z, then a Python loop merging the groups into their
+    (z, d) cells in k order. The stream layout the package's table engine
+    must reproduce byte for byte."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    groups = [(e, z) for e in pop.entries for z in range(3)]
+    p = np.array([e.prob * pop.assignment[z] for e, z in groups])
+    counts = [int(c) for c in rng.multinomial(n, p / p.sum())]
+    normals = rng.standard_normal(len(groups)).tolist()
+    gammas = rng.standard_gamma([max(c - 1, 0) / 2 for c in counts]).tolist()
+    cells, means, m2s = [], [], []
+    for (e, z), c, x, g in zip(groups, counts, normals, gammas):
+        cells.append(3 * z + e.stratum.trajectory[z])
+        means.append(e.means[e.stratum.trajectory[z]] + e.noise_sd * x / math.sqrt(max(c, 1)))
+        m2s.append((e.noise_sd * e.noise_sd) * (2.0 * g))
+    count, mean, m2 = [0.0] * 9, [0.0] * 9, [0.0] * 9
+    for cell, c in zip(cells, counts):
+        count[cell] += float(c)
+    for cell, c, m in zip(cells, counts, means):
+        mean[cell] += (float(c) / max(count[cell], 1.0)) * m
+    for cell, c, m, w in zip(cells, counts, means, m2s):
+        dev = m - mean[cell]
+        m2[cell] += w + float(c) * (dev * dev)
+    return CellTable(*(np.array(a).reshape(3, 3) for a in (count, mean, m2)))
+
+
 def reference_replicate(
     pop: Population,
     n: int,
@@ -158,31 +186,26 @@ def reference_replicate(
     target: Target = Target.FIELD_2SLS,
     scenario: Optional[ClusterScenario] = None,
 ) -> ReplicationSummary:
-    """`replicate` one replication at a time: each sample drawn by
-    `reference_generate` and estimated on its own by `estimate_2sls` or
-    `estimate_cluster_wald`, then the same summary. A failing replication
-    raises at once, named as `replicate` names it."""
+    """`replicate` one replication at a time: each cell table drawn by
+    `reference_table` and estimated on its own, then the same summary. A
+    failing replication raises at once, named as `replicate` names it."""
     if target is Target.CLUSTER_WALD:
         truths = [("wald", cluster_wald_oracle(pop, scenario, Semantics.POOLED))]
+        estimate = partial(_cluster_wald_from_cells, scenario=scenario)
     else:
         fs = first_stage_from_shares(marginal_shares(pop))
         truths = [*zip(("beta1", "beta2"), solve_moment_system(marginalize(pop))),
                   *((f.name, getattr(fs, f.name)) for f in fields(FirstStage))]
+        estimate = _2sls_from_cells
     estimates, ses = [], []
     for rep in range(reps):
         seed = replication_seed(master_seed, rep)
-        ds = reference_generate(pop, n, seed)
         try:
-            if target is Target.CLUSTER_WALD:
-                w = estimate_cluster_wald(ds, scenario)
-                estimates.append([w.estimate])
-                ses.append([w.se])
-            else:
-                est = estimate_2sls(ds)
-                estimates.append([est.beta1, est.beta2, *vars(est.alphas).values()])
-                ses.append([est.se_beta1, est.se_beta2, *vars(est.alpha_ses).values()])
+            est, se = estimate(reference_table(pop, n, seed))
         except RankError as err:
             raise RankError(f"replication {rep} (replication_seed {seed}): {err}") from err
+        estimates.append(est)
+        ses.append(se)
     estimates, ses = np.array(estimates), np.array(ses)
     rows = []
     for j, (param, truth) in enumerate(truths):

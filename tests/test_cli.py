@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -347,8 +348,8 @@ def test_simulate_degenerate_replication_names_rep_and_seed(write_json, capsys):
     code, out, err = run(capsys, ["simulate", write_json(BENCHMARK_POP), "--n", "12", "--reps", "200", "--seed", "1"])
     assert code == 4 and out == []
     assert err.splitlines() == [
-        f"error: replication 4 (replication_seed {replication_seed(1, 4)}): "
-        "second stage: instrument-regressor cross-moment matrix is singular"
+        f"error: replication 12 (replication_seed {replication_seed(1, 12)}): "
+        "instrument z never takes value [2] in this sample"
     ]
 
 
@@ -386,7 +387,8 @@ def test_simulate_overflowing_noise_exits_2(write_json, capsys):
 
 
 def test_cluster_draw_with_overflowing_noise_exits_2(write_json, capsys):
-    # cluster --n reads only the drawn counts, but the draw forms every outcome, where sd * noise would overflow.
+    # cluster --n reads only the drawn counts, but the draw forms every group mean and M2, where sd * noise and
+    # sd**2 would overflow.
     doc = {"population": {"strata": [dict(s, noise_sd=1e308) for s in CLUSTER_POP["population"]["strata"]]}}
     code, out, err = run(capsys, ["cluster", write_json(doc), "--n", "500", "--seed", "3"])
     assert code == 2 and out == []
@@ -415,6 +417,18 @@ BOUND_SPEC = {"marginal_spec": {
 def test_inputs_at_the_magnitude_bound_give_finite_output(write_json, capsys, doc, argv):
     code, out, err = run(capsys, [argv[0], write_json(doc), *argv[1:]])
     assert (code, err) == (0, "") and out and _nonfinite_cells(out) == []
+
+
+@pytest.mark.parametrize("doc", [BENCHMARK_POP, BOUND_POP], ids=["benchmark", "bound"])
+@pytest.mark.parametrize("argv", [["simulate", "--reps", "3"], ["cluster", "--seed", "3"]], ids=["simulate", "cluster"])
+def test_the_largest_sample_size_runs_in_under_a_second(write_json, capsys, doc, argv):
+    # A replication draws its cell table from group summaries, not rows, so n = _MAX_COUNT costs what n = 50 does.
+    path = write_json(doc)
+    start = time.perf_counter()
+    code, out, err = run(capsys, [argv[0], path, "--n", str(strata._MAX_COUNT), *argv[1:]])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "") and out and _nonfinite_cells(out) == []
+    assert elapsed < 1.0
 
 
 def test_sweep_rows(write_json, capsys):
@@ -540,7 +554,7 @@ def test_simulate_cluster_wald_chooses_the_scenario(write_json, capsys):
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert out[3] == "target,cluster-wald"
-    assert out[-1] == "wald,440.0000,439.9724,3.9464,-0.0276,1.0000"
+    assert out[-1] == "wald,440.0000,439.6213,4.5082,-0.3787,1.0000"
     code, explicit, _ = run(capsys, argv + ["--scenario", "treatment"])
     assert code == 0 and explicit == out
 

@@ -1,8 +1,8 @@
 """Deterministic sampling, the two estimators on simulated data, and the
 replication harness."""
 
-import itertools
 import re
+import statistics
 import sys
 import tracemalloc
 from functools import partial
@@ -43,6 +43,7 @@ from support import (
     reference_cluster_wald,
     reference_generate,
     reference_replicate,
+    reference_table,
 )
 
 J = JointStratum
@@ -132,30 +133,32 @@ def test_category_counts_a_uniform_on_an_edge_as_searchsorted_right():
     assert np.array_equal(montecarlo._category(u, v, stratum_cdf, arm_cdf, idx, hit), want)
 
 
-def reference_table(pop, n, seed):
-    return montecarlo.CellTable.from_dataset(reference_generate(pop, n, seed))
-
-
 def assert_same_table(got, want):
     for name in ("count", "mean", "m2"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
+# Sample sizes for the table engine: tiny, moderate, and past any size a sample of rows could take in memory.
+TABLE_SIZES = (1, 3, 2000, 10**12, strata._MAX_COUNT)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     pop=sampling_populations(),
-    sizes=st.lists(st.sampled_from((1, 3, 2000)), min_size=2, max_size=2, unique=True),
+    sizes=st.lists(st.sampled_from(TABLE_SIZES), min_size=2, max_size=2, unique=True),
     seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=3),
 )
 @example(pop=ONE_STRATUM, sizes=[2000, 3], seeds=[0, 1])
-def test_sampler_tables_match_the_choice_reference_across_reused_draws(pop, sizes, seeds):
-    # One sampler draws every table, so a stale value left in its reused
-    # arrays by an earlier seed or size would change some table's bytes.
+def test_sampler_tables_match_the_reference_table(pop, sizes, seeds):
+    # One sampler draws every table, alone and stacked: each must have the reference's count, mean and M2 bytes.
     sampler = montecarlo._Sampler(pop)
     for n in (*sizes, sizes[0]):
-        for seed in seeds:
-            assert_same_table(sampler.table(n, seed), reference_table(pop, n, seed))
+        stacked = sampler.tables(n, seeds)
+        for row, seed in enumerate(seeds):
+            want = reference_table(pop, n, seed)
+            assert_same_table(sampler.table(n, seed), want)
+            assert_same_table(montecarlo.CellTable(stacked.count[row], stacked.mean[row], stacked.m2[row]), want)
 
 
 def test_a_drawn_dataset_and_table_share_no_array_with_later_draws():
@@ -168,46 +171,63 @@ def test_a_drawn_dataset_and_table_share_no_array_with_later_draws():
     sampler.draw(500, seed=7)
     for a, b in zip((ds.z, ds.d, ds.y, table.count, table.mean, table.m2), kept):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
-    assert_same_table(table, montecarlo.CellTable.from_dataset(ds))
 
 
-def test_a_sampler_draws_into_disjoint_views_of_one_buffer():
-    # One allocation for the five draw arrays, 26 bytes a row, lets the allocator keep its pages from one study to
-    # the next. The buffer is replaced only when n changes or the block outgrows it.
-    sampler = montecarlo._Sampler(benchmark_pop(noise_sd=150.0))
-    buffers = []
-    for n, seeds in ((500, [1]), (300, [2]), (300, [3, 4, 5]), (300, [6, 7])):
-        cell, y, spare = sampler._fill(n, seeds)
-        arrays = sampler._arrays(n, len(seeds))
-        buffers.append(arrays[0].base)
-        assert [a.dtype for a in arrays] == [np.intp, np.float64, np.float64, np.uint8, np.bool_]
-        assert all(a.shape == (len(seeds), n) and a.base is buffers[-1] for a in arrays)
-        assert sum(a.nbytes for a in arrays) == 26 * len(seeds) * n
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
-        for drawn, a in zip((cell, spare, y), arrays):
-            assert drawn.shape == a.shape and np.shares_memory(drawn, a)
-    assert len({id(b) for b in buffers[:3]}) == 3 and buffers[3] is buffers[2]
-
-
-def test_sample_table_is_the_table_of_generate():
+def test_sample_table_is_the_reference_table():
+    # reference_table restates the layout of stream version 2; a change to it must bump the version.
+    assert montecarlo.STREAM_VERSION == 2
     pop = benchmark_pop(noise_sd=150.0)
-    assert_same_table(montecarlo.sample_table(pop, 700, 3), montecarlo.CellTable.from_dataset(generate(pop, 700, 3)))
+    for n, seed in ((700, 3), (1, 0), (10**12, 2**64 - 1), (strata._MAX_COUNT, 5)):
+        assert_same_table(montecarlo.sample_table(pop, n, seed), reference_table(pop, n, seed))
     with pytest.raises(ConfigError, match="sample size"):
         montecarlo.sample_table(pop, 0, 3)
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
         montecarlo.sample_table(pop, 10, -1)
 
 
+def mixed_noise_pop(noise_sd):
+    # Cell (2, 1) holds only the noiseless C1ID2 and cell (1, 2) only ID1C2; the means are not multiples of a
+    # power of two, so a mean formed as sum / count would often miss them by an ulp.
+    return Population(entries=(
+        StratumEntry(J.C1C2, 0.5, (0.1, 3100.0 / 3.0, -7.0 / 3.0), noise_sd=noise_sd),
+        StratumEntry(J.C1ID2, 0.3, (1.0 / 3.0, 2.0 / 3.0, 0.7), noise_sd=0.0),
+        StratumEntry(J.ID1C2, 0.2, (-0.3, 1.1, 1e100 / 3.0), noise_sd=noise_sd),
+    ))
+
+
+@pytest.mark.parametrize("noise_sd", [1e-3, 150.0, strata.MAX_MAGNITUDE])
+def test_table_counts_do_not_depend_on_noise_and_noiseless_cells_are_exact(noise_sd):
+    # The counts are the first block of a table's stream, so every noise level draws the counts it draws without
+    # noise. A cell that holds one noiseless stratum has that stratum's mean exactly and M2 exactly 0, whatever n.
+    quiet, loud = mixed_noise_pop(0.0), mixed_noise_pop(noise_sd)
+    moved = 0
+    for n in TABLE_SIZES:
+        for seed in range(20):
+            base, table = montecarlo.sample_table(quiet, n, seed), montecarlo.sample_table(loud, n, seed)
+            assert table.count.tobytes() == base.count.tobytes()
+            moved += not np.array_equal(table.mean, base.mean)
+            for t, cells in ((base, {(2, 1): 2.0 / 3.0, (1, 2): 1e100 / 3.0}), (table, {(2, 1): 2.0 / 3.0})):
+                for (z, d), mu in cells.items():
+                    if t.count[z, d] > 0:
+                        assert (t.mean[z, d], t.m2[z, d]) == (mu, 0.0), (n, seed, z, d)
+    assert moved >= 90  # the noise reaches the means of every table whose noisy cells are not all empty
+
+
 @pytest.mark.parametrize("target", list(Target))
-def test_replicate_matches_the_choice_reference(target):
+def test_replicate_matches_the_reference_table(monkeypatch, target):
     # replicate draws and estimates a block of replications at a time; the
     # reference runs them one at a time. Rep counts on either side of a block
-    # edge, at a size with several replications a block and at one with one.
+    # edge, at the real block size and at a small one, and at sizes no
+    # sample of rows could take.
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
     scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
-    for n in (2000, montecarlo._BLOCK_ROWS + 5):
-        block = max(1, montecarlo._BLOCK_ROWS // n)
-        for reps in sorted({max(2, r) for r in (2, block - 1, block, block + 1, 2 * block + 3)}):
+    block = montecarlo._BLOCK_REPS
+    for reps in (block - 1, block + 1):
+        got = replicate(pop, n=2000, reps=reps, master_seed=9, target=target, scenario=scenario)
+        assert got == reference_replicate(pop, 2000, reps, 9, target, scenario), reps
+    monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 5)
+    for n in (2000, 10**12, strata._MAX_COUNT):
+        for reps in (2, 4, 5, 6, 13):
             got = replicate(pop, n=n, reps=reps, master_seed=9, target=target, scenario=scenario)
             assert got == reference_replicate(pop, n, reps, 9, target, scenario), (n, reps)
 
@@ -221,12 +241,12 @@ RARE_FIELDS = Population(entries=(
 # (not replication 0) fails with it: population, target, scenario, master seed.
 FAILING = {
     "instrument z never takes": (benchmark_pop(assignment=(0.45, 0.45, 0.1)), Target.FIELD_2SLS, None, 7),
-    "field d never takes": (RARE_FIELDS, Target.FIELD_2SLS, None, 90),
-    "second stage: instrument-regressor": (benchmark_pop(), Target.FIELD_2SLS, None, 1),
+    "field d never takes": (RARE_FIELDS, Target.FIELD_2SLS, None, 310),
+    "second stage: instrument-regressor": (benchmark_pop(), Target.FIELD_2SLS, None, 18),
     "instrument arm z~=1 is empty": (
-        benchmark_pop(assignment=(0.45, 0.1, 0.45)), Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 8),
+        benchmark_pop(assignment=(0.45, 0.1, 0.45)), Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 1),
     "clustered Wald (control-1): instrument-regressor": (
-        RARE_FIELDS, Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 31),
+        RARE_FIELDS, Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 9),
 }
 
 
@@ -240,7 +260,7 @@ def test_replicate_names_the_first_failing_replication_anywhere_in_its_block(mon
     # Block sizes that make it the first, a middle and the last replication of its block.
     for block, where in ((rep, "first"), (rep + 2, "middle"), (rep + 1, "last")):
         assert where == {0: "first", block - 1: "last"}.get(rep % block, "middle")
-        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 12 * block)
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", block)
         with pytest.raises(RankError) as got:
             replicate(pop, n=12, reps=40, master_seed=seed, target=target, scenario=scenario)
         assert str(got.value) == str(want.value), where
@@ -299,19 +319,112 @@ def test_replicate_peak_memory_per_row(target):
     assert peak / n <= 40
 
 
-@pytest.mark.parametrize("target", list(Target))
-def test_replicate_small_n_peak_memory_per_block(target):
-    # At n=2,000 a block holds several replications: the study's arrays are
-    # sized by the block, at most _BLOCK_ROWS rows, not by its 25 replications.
+def test_merging_exact_group_summaries_gives_the_table_of_the_sample():
+    # Label each row of a microdata sample with its group (stratum, z), summarise every group exactly, merge the
+    # summaries: the result is the sample's own cell table. Counts are exact; a mean agrees within 1e-12 of the
+    # largest |y| in its cell and an M2 within 1e-12 of itself plus count * that magnitude squared, the rounding
+    # of the direct two-pass sums.
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(60):
+        strata_drawn = tuple(rng.choice(list(J), size=int(rng.integers(1, 11)), replace=False))
+        pop = random_population(rng, strata=strata_drawn, noise_sd=float(rng.choice([0.0, 1e-3, 1.0, 150.0])))
+        n = int(rng.integers(1, 5000))
+        stratum = rng.choice(len(pop.entries), size=n, p=[e.prob for e in pop.entries])
+        z = rng.choice(3, size=n, p=pop.assignment)
+        traj = np.array([e.stratum.trajectory for e in pop.entries])
+        d = traj[stratum, z]
+        y = np.array([e.means for e in pop.entries])[stratum, d]
+        y += np.array([e.noise_sd for e in pop.entries])[stratum] * rng.standard_normal(n)
+        group, groups = 3 * stratum + z, 3 * len(pop.entries)
+        count = np.bincount(group, minlength=groups)
+        mean = np.bincount(group, weights=y, minlength=groups) / np.maximum(count, 1)
+        m2 = np.bincount(group, weights=(y - mean[group]) ** 2, minlength=groups)
+        cell = (3 * np.arange(3) + traj).ravel()  # group 3 * stratum + z lies in cell row 3 * z + d
+        got = montecarlo.CellTable.from_groups(cell, count, mean, m2)
+        want = montecarlo.CellTable.from_dataset(Dataset(z=z, d=d, y=y))
+        assert np.array_equal(got.count, want.count)
+        scale = np.zeros(9)
+        np.maximum.at(scale, 3 * z + d, np.abs(y))
+        scale = scale.reshape(3, 3)
+        assert np.all(np.abs(got.mean - want.mean) <= 1e-12 * scale)
+        assert np.all(np.abs(got.m2 - want.m2) <= 1e-12 * (want.m2 + want.count * scale**2))
+        checked += 1
+    assert checked == 60
+
+
+# Populations for the distribution test: noisy strata, a noiseless stratum among noisy ones, noiseless strata
+# only (so only the counts vary), and all ten strata.
+DISTRIBUTION_POPS = {
+    "benchmark": benchmark_pop(noise_sd=150.0),
+    "mixed_noise": mixed_noise_pop(40.0),
+    "noiseless": benchmark_pop(),
+    "all_ten": random_population(np.random.default_rng(5), noise_sd=50.0),
+}
+
+
+def test_table_engine_matches_the_microdata_path_in_distribution():
+    # For each population, 800 replications at n = 2,000 through the table engine and 800 through generate and
+    # estimate_2sls / estimate_cluster_wald (control-1) give each estimate and each standard error. Per quantity
+    # two z-tests, of equal means and of equal spread (Brown-Forsythe: mean absolute deviation from the median),
+    # each against its Welch standard error. A quantity that is constant in both (a structurally zero
+    # coefficient and its zero SE) must be the same constant. Bonferroni over all tests gives family-wise size
+    # 0.01 for a correct engine; the seeds are fixed, so the outcome is too.
+    reps, n = 800, 2000
+    scenario = ClusterScenario.control(1)
+    zs, constant = [], 0
+    for pop in DISTRIBUTION_POPS.values():
+        sampler = montecarlo._Sampler(pop)
+        tables = sampler.tables(n, [replication_seed(1, r) for r in range(reps)])
+        engine = np.hstack([np.hstack(montecarlo._2sls_from_cells(tables)),
+                            np.hstack(montecarlo._cluster_wald_from_cells(tables, scenario))])
+        rows = []
+        for r in range(reps):
+            ds = generate(pop, n, replication_seed(2, r))
+            est, wald = estimate_2sls(ds), estimate_cluster_wald(ds, scenario)
+            rows.append([est.beta1, est.beta2, *vars(est.alphas).values(),
+                         est.se_beta1, est.se_beta2, *vars(est.alpha_ses).values(), wald.estimate, wald.se])
+        micro = np.array(rows)
+        for a, b in zip(engine.T, micro.T):
+            if a.min() == a.max() and b.min() == b.max():
+                assert a[0] == pytest.approx(b[0], rel=1e-12, abs=1e-12)
+                constant += 1
+                continue
+            da, db = np.abs(a - np.median(a)), np.abs(b - np.median(b))
+            for x, w in ((a, b), (da, db)):
+                zs.append((x.mean() - w.mean()) / np.sqrt((x.var(ddof=1) + w.var(ddof=1)) / reps))
+    zs = np.array(zs)
+    crit = statistics.NormalDist().inv_cdf(1 - 0.01 / (2 * zs.size))
+    assert (zs.size, constant) == (120, 12)
+    assert np.abs(zs).max() <= crit, (np.abs(zs).max(), crit)
+
+
+def replicate_peak(n, target):
+    """The tracemalloc peak of a 25-replication study, after a first study has filled the estimators' caches."""
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
     scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
+    replicate(pop, n=n, reps=25, master_seed=9, target=target, scenario=scenario)
     tracemalloc.start()
     try:
-        replicate(pop, n=2000, reps=25, master_seed=9, target=target, scenario=scenario)
-        peak = tracemalloc.get_traced_memory()[1]
+        replicate(pop, n=n, reps=25, master_seed=9, target=target, scenario=scenario)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= montecarlo._BLOCK_ROWS * 40
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_replicate_small_n_peak_memory_per_block(target):
+    # At n=2,000 a study of 25 replications stays within the 2**14 * 40 bytes that one block of 2**14 sample
+    # rows took when replications drew their rows; its arrays now hold a few numbers per group a replication.
+    assert replicate_peak(2000, target) <= 2**14 * 40
+
+
+@pytest.mark.parametrize("target", list(Target))
+def test_replicate_peak_memory_does_not_grow_with_n(target):
+    # A replication draws its group summaries, never its rows, so a study at n = 10**12 takes no more memory
+    # than one at n = 2,000 (about 70 kB), where rows would take terabytes. The peak of two identical studies
+    # differs by up to a few hundred bytes of the interpreter's own, hence the 2% allowance.
+    assert replicate_peak(10**12, target) <= 1.02 * replicate_peak(2000, target)
 
 
 def test_generate_validation():
