@@ -422,13 +422,17 @@ def test_inputs_at_the_magnitude_bound_give_finite_output(write_json, capsys, do
 @pytest.mark.parametrize("doc", [BENCHMARK_POP, BOUND_POP], ids=["benchmark", "bound"])
 @pytest.mark.parametrize("argv", [["simulate", "--reps", "3"], ["cluster", "--seed", "3"]], ids=["simulate", "cluster"])
 def test_the_largest_sample_size_runs_in_under_a_second(write_json, capsys, doc, argv):
-    # A replication draws its cell table from group summaries, not rows, so n = _MAX_COUNT costs what n = 50 does.
-    path = write_json(doc)
-    start = time.perf_counter()
-    code, out, err = run(capsys, [argv[0], path, "--n", str(strata._MAX_COUNT), *argv[1:]])
-    elapsed = time.perf_counter() - start
-    assert (code, err) == (0, "") and out and _nonfinite_cells(out) == []
-    assert elapsed < 1.0
+    # A replication draws its cell table from group summaries, not rows, so n = _MAX_COUNT costs what n = 50 does:
+    # a few milliseconds in process. The fastest of three runs is timed, so one GC pause or busy moment on a
+    # loaded host does not decide the outcome.
+    argv = [argv[0], write_json(doc), "--n", str(strata._MAX_COUNT), *argv[1:]]
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        elapsed.append(time.perf_counter() - start)
+        assert (code, err) == (0, "") and out and _nonfinite_cells(out) == []
+    assert min(elapsed) < 1.0, elapsed
 
 
 def test_sweep_rows(write_json, capsys):
@@ -545,6 +549,27 @@ def test_cluster_n_chooses_from_an_estimated_first_stage(write_json, capsys):
     for extra in ([], ["--n", "500", "--seed", "1"]):
         code, out, err = run(capsys, ["cluster", path, *extra])
         assert code == 0 and err == "" and out == ["scenario,s0,s1", "no-clustering,,"]
+
+
+# Every stratum takes the same field in arms 1 and 2, so each scenario's true clustered first stage is zero.
+TAKERS_ONLY_POP = {"population": {"strata": [
+    {"tag": "NT1NT2", "prob": 0.5, "means": [1.0, 4.0, -2.0], "noise_sd": 0.0},
+    {"tag": "AT1OT2", "prob": 0.3, "means": [3.0, 6.0, 0.0], "noise_sd": 0.0},
+    {"tag": "OT1AT2", "prob": 0.2, "means": [-1.0, 2.0, -4.0], "noise_sd": 0.0},
+]}}
+
+
+@pytest.mark.parametrize("seed, scenario, row, union", [
+    (4, "treatment", "0,1;2", "C1 | C2 | ID1 | ID2"),
+    (39, "control-2", "0;1,2", "C1 | C2 | ND1 | ND2"),
+], ids=["treatment", "control-2"])
+def test_cluster_n_reports_a_drawn_choice_whose_clustered_first_stage_is_zero(
+        write_json, capsys, seed, scenario, row, union):
+    # The estimated first stage picks a clustering from sampling noise; the exact clustered first stage under that
+    # choice is zero, so the run prints the choice, then exits 4 with a single error line.
+    code, out, err = run(capsys, ["cluster", write_json(TAKERS_ONLY_POP), "--n", "500", "--seed", str(seed)])
+    assert (code, out) == (4, ["scenario,s0,s1", f"{scenario},{row}"])
+    assert err.splitlines() == [f"error: clustered first stage is zero under scenario {scenario!r}: P({union}) = 0"]
 
 
 def test_simulate_cluster_wald_chooses_the_scenario(write_json, capsys):

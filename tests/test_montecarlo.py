@@ -319,6 +319,22 @@ def test_replicate_peak_memory_per_row(target):
     assert peak / n <= 40
 
 
+@pytest.mark.parametrize("target", list(Target))
+def test_replicate_small_n_peak_memory_per_block(target):
+    # At n=2,000 a block holds several replications: the study's arrays are
+    # sized by the block, not by its 25 replications. The bound is the 2**14
+    # rows of 40 bytes that a block took when replications drew rows.
+    pop = random_population(np.random.default_rng(8), noise_sd=40.0)
+    scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
+    tracemalloc.start()
+    try:
+        replicate(pop, n=2000, reps=25, master_seed=9, target=target, scenario=scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**14 * 40
+
+
 def test_merging_exact_group_summaries_gives_the_table_of_the_sample():
     # Label each row of a microdata sample with its group (stratum, z), summarise every group exactly, merge the
     # summaries: the result is the sample's own cell table. Counts are exact; a mean agrees within 1e-12 of the
@@ -410,13 +426,6 @@ def replicate_peak(n, target):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-@pytest.mark.parametrize("target", list(Target))
-def test_replicate_small_n_peak_memory_per_block(target):
-    # At n=2,000 a study of 25 replications stays within the 2**14 * 40 bytes that one block of 2**14 sample
-    # rows took when replications drew their rows; its arrays now hold a few numbers per group a replication.
-    assert replicate_peak(2000, target) <= 2**14 * 40
 
 
 @pytest.mark.parametrize("target", list(Target))
