@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exceptions import AssumptionError, ConfigError, RankError
-from .strata import DEN_TOL, MarginalSpec
+from .strata import DEN_TOL, SWAPPED_NAME, MarginalSpec
 
 
 class Regime(enum.Enum):
@@ -174,28 +174,37 @@ def _check_regime(spec: MarginalSpec, regime: Regime) -> None:
         raise AssumptionError(f"regime {regime.value!r} requires {'='.join(ruled_out)}=0, got {got}")
 
 
-def _decompose_first(spec: MarginalSpec, regime: Regime) -> BiasDecomposition:
+def _first_terms(spec: MarginalSpec, regime: Regime, swapped: bool = False):
+    """The first estimand's denominator, LATE and (label, omega, delta, sign) terms, each adding sign*omega*delta."""
     den = _denominator(spec)
     if abs(den) <= DEN_TOL:
         raise RankError(f"degenerate identification: regime denominator {den!r} is near zero")
-    late = spec.effect("eff_c1")
+    late = _effect(spec, "eff_c1", swapped)
     terms = []
     for label, (sa, sb), (ea, eb), base_sign in _REGIME_TERMS[regime]:
         product = getattr(spec, sa) * getattr(spec, sb)
         if product != 0.0:
-            delta = spec.effect(ea) - spec.effect(eb)
+            delta = _effect(spec, ea, swapped) - _effect(spec, eb, swapped)
         else:
-            # Weight is exactly zero, so the value is immaterial; avoid
-            # demanding effect slots no term actually uses.
+            # The weight is exactly zero, so delta is immaterial: demand no effect slot for it.
             va, vb = getattr(spec, ea), getattr(spec, eb)
             delta = (va - vb) if (va is not None and vb is not None) else 0.0
-        omega = product / den
-        if omega < 0.0:  # fold the denominator's sign into the term sign
-            terms.append(BiasTerm(label=label, weight=-omega, delta=delta, sign=-base_sign))
-        else:
-            terms.append(BiasTerm(label=label, weight=omega, delta=delta, sign=base_sign))
-    total = late + math.fsum(t.contribution for t in terms)
-    return BiasDecomposition(late=late, terms=tuple(terms), denominator=den, total=total)
+        terms.append((label, product / den, delta, base_sign))
+    return den, late, terms
+
+
+def _effect(spec: MarginalSpec, slot: str, swapped: bool) -> float:
+    value = getattr(spec, slot)
+    if value is None:  # raise, naming the slot as the caller's spec does, not as its label-swapped copy
+        return spec.swapped().effect(SWAPPED_NAME[slot]) if swapped else spec.effect(slot)
+    return value
+
+
+def _decompose_first(spec: MarginalSpec, regime: Regime, swapped: bool = False) -> BiasDecomposition:
+    den, late, values = _first_terms(spec, regime, swapped)
+    # A BiasTerm's weight is >= 0: fold the denominator's sign into the term sign.
+    terms = tuple(BiasTerm(lb, -w, d, -s) if w < 0.0 else BiasTerm(lb, w, d, s) for lb, w, d, s in values)
+    return BiasDecomposition(late, terms, den, total=late + math.fsum(t.contribution for t in terms))
 
 
 def decompose(
@@ -216,7 +225,7 @@ def decompose(
         If the regime denominator is within 1e-10 of zero.
     """
     _check_regime(spec, regime)
-    return _decompose_first(spec, regime), _decompose_first(spec.swapped(), regime)
+    return _decompose_first(spec, regime), _decompose_first(spec.swapped(), regime, swapped=True)
 
 
 class SweepAxis(enum.Enum):
@@ -242,23 +251,12 @@ class SweepRow:
 def _sweep_spec(base: MarginalSpec, p: float, gap: float, defier: str) -> MarginalSpec:
     # No always/never takers on the varied instrument: compliers absorb the
     # complement. The gap is applied so only the first bias delta is nonzero.
+    c1, c2 = base.effect("eff_c1"), base.effect("eff_c2")
     if defier == "id1":
-        return replace(
-            base,
-            pID1=p,
-            pC1=1.0 - p,
-            pND1=0.0,
-            eff_id2=base.effect("eff_c1") - gap,
-            eff_id1=base.effect("eff_c2"),
-        )
-    return replace(
-        base,
-        pND1=p,
-        pC1=1.0 - p,
-        pID1=0.0,
-        eff_nd1_1=base.effect("eff_c1") + gap,
-        eff_nd1_2=base.effect("eff_c2"),
-    )
+        point = {"pC1": 1.0 - p, "pID1": p, "pND1": 0.0, "eff_id1": c2, "eff_id2": c1 - gap}
+    else:
+        point = {"pC1": 1.0 - p, "pID1": 0.0, "pND1": p, "eff_nd1_1": c1 + gap, "eff_nd1_2": c2}
+    return MarginalSpec(**{**vars(base), **point})
 
 
 SWEEP_DEFIERS = ("id1", "nd1")
@@ -296,10 +294,9 @@ def bias_sweep(
     rows = []
     for axis_value, level, p, gap in points:
         try:
-            dec = _decompose_first(_sweep_spec(base, p, gap, defier), Regime.NEITHER)
-            rows.append(
-                SweepRow(axis=axis_value, level=level, beta=dec.total, late=dec.late, bias=dec.total - dec.late)
-            )
+            _, late, terms = _first_terms(_sweep_spec(base, p, gap, defier), Regime.NEITHER)
+            beta = late + math.fsum(s * omega * delta for _, omega, delta, s in terms)
+            rows.append(SweepRow(axis=axis_value, level=level, beta=beta, late=late, bias=beta - late))
         except (ConfigError, AssumptionError, RankError):
             nan = float("nan")
             rows.append(SweepRow(axis=axis_value, level=level, beta=nan, late=nan, bias=nan))

@@ -24,8 +24,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Optional
+from operator import attrgetter
+from typing import Optional
 
 from .exceptions import ConfigError
 
@@ -165,6 +167,10 @@ _MEMBERS: dict[MarginalGroup, frozenset[JointStratum]] = {
     for g in MarginalGroup
 }
 
+# The constant membership matrix by rows: each stratum's positions in `_GROUPS`, one group per instrument.
+_GROUPS = tuple(MarginalGroup)
+_GROUPS_OF = {s: tuple(i for i, g in enumerate(_GROUPS) if s in _MEMBERS[g]) for s in JointStratum}
+
 
 def _union(groups: Iterable[MarginalGroup]) -> frozenset[JointStratum]:
     return frozenset().union(*(_MEMBERS[g] for g in groups))
@@ -197,9 +203,9 @@ class StratumEntry:
             raise ConfigError(f"stratum {self.stratum.name}: prob {self.prob} outside [0, 1]")
         if len(self.means) != 3:
             raise ConfigError(f"stratum {self.stratum.name}: means must have 3 entries, got {len(self.means)}")
-        if not all(math.isfinite(m) for m in self.means):
+        if not all(map(math.isfinite, self.means)):
             raise ConfigError(f"stratum {self.stratum.name}: non-finite mean in {self.means}")
-        if any(abs(m) > MAX_MAGNITUDE for m in self.means):
+        if max(map(abs, self.means)) > MAX_MAGNITUDE:
             raise ConfigError(
                 f"stratum {self.stratum.name}: a mean in {self.means} exceeds {MAX_MAGNITUDE:g} in magnitude"
             )
@@ -207,7 +213,7 @@ class StratumEntry:
             raise ConfigError(f"stratum {self.stratum.name}: noise_sd {self.noise_sd} must be >= 0")
         if self.noise_sd > MAX_MAGNITUDE:
             raise ConfigError(f"stratum {self.stratum.name}: noise_sd {self.noise_sd} exceeds {MAX_MAGNITUDE:g}")
-        object.__setattr__(self, "means", tuple(float(m) for m in self.means))
+        object.__setattr__(self, "means", tuple(map(float, self.means)))
         object.__setattr__(self, "prob", float(self.prob))
         object.__setattr__(self, "noise_sd", float(self.noise_sd))
 
@@ -256,10 +262,19 @@ class Population:
 def marginal_shares(pop: Population) -> dict[MarginalGroup, float]:
     """Probability of each of the twelve marginal groups.
 
-    Satisfies, exactly as computed, the two adding-up identities
-    P(C_k) + P(AT_k) + P(NT_k) + P(OT_k) + P(ID_k) + P(ND_k) = 1.
+    P(C_k) + P(AT_k) + P(NT_k) + P(OT_k) + P(ID_k) + P(ND_k) is the stratum probabilities' sum, 1 within
+    PROB_SUM_TOL. Each share is rounded once, so the six shares' fsum lies within 2 * ulp(1.0) of the probabilities'.
     """
-    return {g: math.fsum(e.prob for e in pop.entries if e.stratum in _MEMBERS[g]) for g in MarginalGroup}
+    return {g: math.fsum([e.prob for e in part]) for g, part in _group_entries(pop).items()}
+
+
+def _group_entries(pop: Population) -> dict[MarginalGroup, list[StratumEntry]]:
+    """Each group's entries, in entry order, from one pass over the membership table."""
+    parts = [[] for _ in _GROUPS]
+    for e in pop.entries:
+        for i in _GROUPS_OF[e.stratum]:
+            parts[i].append(e)
+    return dict(zip(_GROUPS, parts))
 
 
 def group_prob(pop: Population, groups: Iterable[MarginalGroup]) -> float:
@@ -290,6 +305,11 @@ def group_effect(pop: Population, groups: Iterable[MarginalGroup], j: Field, k: 
     if total <= 0.0:
         names = ",".join(sorted(g.name for g in gs))
         raise ConfigError(f"cannot condition on zero-probability group union {{{names}}}")
+    return _mixture(members, total, j, k)
+
+
+def _mixture(members: list[StratumEntry], total: float, j: Field, k: Field) -> float:
+    """E[y^j - y^k] over `members`, whose probabilities sum to `total` > 0."""
     return math.fsum(e.prob * (e.means[j] - e.means[k]) for e in members) / total
 
 
@@ -360,9 +380,10 @@ class MarginalSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ConfigError(f"share {name}={v} outside [0, 1]")
-            object.__setattr__(self, name, float(v))
-        for k in (1, 2):
-            s = getattr(self, f"pC{k}") + getattr(self, f"pID{k}") + getattr(self, f"pND{k}")
+            if type(v) is not float:  # a float is already its own float()
+                object.__setattr__(self, name, float(v))
+        for k, (c, i, n) in ((1, ("pC1", "pID1", "pND1")), (2, ("pC2", "pID2", "pND2"))):
+            s = getattr(self, c) + getattr(self, i) + getattr(self, n)
             if s > 1.0 + SHARE_ATOL:
                 raise ConfigError(f"instrument-{k} shares sum to {s}, exceeding 1")
         for name in EFFECT_SLOTS:
@@ -372,7 +393,8 @@ class MarginalSpec:
                     raise ConfigError(f"effect {name}={v} is not finite")
                 if abs(v) > EFFECT_BOUND:
                     raise ConfigError(f"effect {name}={v} exceeds {EFFECT_BOUND:g} in magnitude")
-                object.__setattr__(self, name, float(v))
+                if type(v) is not float:
+                    object.__setattr__(self, name, float(v))
 
     def effect(self, slot: str) -> float:
         """Value of an effect slot, or ConfigError naming the group if absent."""
@@ -391,19 +413,23 @@ class MarginalSpec:
         two next-best-defier effect contrasts: every field takes the value of
         the field whose name has its 1s and 2s exchanged.
         """
-        swap = str.maketrans("12", "21")
-        return MarginalSpec(**{f.name: getattr(self, f.name.translate(swap)) for f in fields(self)})
+        return MarginalSpec(*_swapped_values(self))
+
+
+# Each MarginalSpec field's name with its 1s and 2s exchanged, in field order.
+SWAPPED_NAME = {f.name: f.name.translate(str.maketrans("12", "21")) for f in fields(MarginalSpec)}
+_swapped_values = attrgetter(*SWAPPED_NAME.values())
 
 
 def marginalize(pop: Population) -> MarginalSpec:
     """Collapse a joint-strata population to the shares and effects the
     estimand formulas consume. Effect slots of zero-share groups are absent.
     """
-    shares = marginal_shares(pop)
+    shares, parts = marginal_shares(pop), _group_entries(pop)
     kwargs = {attr: shares[MarginalGroup[key]] for key, attr in _SHARE_KEYS.items()}
     for slot, (group, j, k) in EFFECT_SLOTS.items():
         if shares[group] > 0.0:
-            kwargs[slot] = group_effect(pop, (group,), j, k)
+            kwargs[slot] = _mixture(parts[group], shares[group], j, k)
     return MarginalSpec(**kwargs)
 
 
@@ -427,9 +453,9 @@ def population_to_dict(pop: Population) -> dict:
 
 def reject_unknown(doc: Mapping, allowed: Iterable[str], what: str) -> None:
     """Raise ConfigError naming every key of `doc` outside `allowed`."""
-    unknown = sorted(set(doc) - set(allowed))
+    unknown = set(doc).difference(allowed)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {what}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) in {what}: {', '.join(sorted(unknown))}")
 
 
 def as_float(value, what: str) -> float:
@@ -445,7 +471,7 @@ def as_float(value, what: str) -> float:
 def _as_floats(value, what: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{what} must be a list of 3 numbers")
-    return tuple(as_float(v, what) for v in value)
+    return tuple([as_float(v, what) for v in value])
 
 
 def population_from_dict(doc: Mapping) -> Population:
@@ -469,20 +495,17 @@ def population_from_dict(doc: Mapping) -> Population:
         raise ConfigError("'strata' must be a list")
     entries = []
     for i, item in enumerate(raw):
+        where = f"strata[{i}]"
         if not isinstance(item, Mapping):
-            raise ConfigError(f"strata[{i}] must be an object")
-        reject_unknown(item, ("tag", "prob", "means", "noise_sd"), f"strata[{i}]")
+            raise ConfigError(f"{where} must be an object")
+        reject_unknown(item, ("tag", "prob", "means", "noise_sd"), where)
         for req in ("tag", "prob", "means"):
             if req not in item:
-                raise ConfigError(f"strata[{i}] is missing '{req}'")
-        entries.append(
-            StratumEntry(
-                stratum=JointStratum.from_tag(item["tag"]),
-                prob=as_float(item["prob"], f"strata[{i}].prob"),
-                means=_as_floats(item["means"], f"strata[{i}].means"),
-                noise_sd=as_float(item.get("noise_sd", 0.0), f"strata[{i}].noise_sd"),
-            )
-        )
+                raise ConfigError(f"{where} is missing '{req}'")
+        entries.append(StratumEntry(
+            JointStratum.from_tag(item["tag"]), as_float(item["prob"], where + ".prob"),
+            _as_floats(item["means"], where + ".means"), as_float(item.get("noise_sd", 0.0), where + ".noise_sd"),
+        ))
     assignment = _as_floats(doc.get("assignment", UNIFORM_ASSIGNMENT), "assignment")
     return Population(entries=tuple(entries), assignment=assignment)
 

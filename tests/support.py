@@ -4,13 +4,16 @@ explicit numpy Generator so test modules stay reproducible."""
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ivstrata import (
+    AssumptionError,
+    BiasDecomposition,
+    BiasTerm,
     ClusterScenario,
     ConfigError,
     Dataset,
@@ -26,6 +29,8 @@ from ivstrata import (
     ReplicationSummary,
     Semantics,
     StratumEntry,
+    SweepAxis,
+    SweepRow,
     Target,
     WaldEstimate,
     cluster_wald_oracle,
@@ -35,7 +40,9 @@ from ivstrata import (
     replication_seed,
     solve_moment_system,
 )
+from ivstrata.estimands import _TERMS
 from ivstrata.montecarlo import CellTable, _2sls_from_cells, _cluster_wald_from_cells
+from ivstrata.strata import DEN_TOL
 
 EFFECT_SLOTS = (
     "eff_c1", "eff_c2", "eff_id1", "eff_id2",
@@ -95,6 +102,72 @@ def constant_effects_spec(rng: np.random.Generator, den_floor: float = 0.05) -> 
         "eff_c2": tau2, "eff_id1": tau2, "eff_nd1_2": tau2, "eff_nd2_2": tau2,
     }
     return random_spec(rng, den_floor=den_floor, effects=effects), tau1, tau2
+
+
+def _reference_sweep_spec(base: MarginalSpec, p: float, gap: float, defier: str) -> MarginalSpec:
+    if defier == "id1":
+        return replace(
+            base,
+            pID1=p,
+            pC1=1.0 - p,
+            pND1=0.0,
+            eff_id2=base.effect("eff_c1") - gap,
+            eff_id1=base.effect("eff_c2"),
+        )
+    return replace(
+        base,
+        pND1=p,
+        pC1=1.0 - p,
+        pID1=0.0,
+        eff_nd1_1=base.effect("eff_c1") + gap,
+        eff_nd1_2=base.effect("eff_c2"),
+    )
+
+
+def _reference_decompose_first(spec: MarginalSpec) -> BiasDecomposition:
+    den = wbar(spec)
+    if abs(den) <= DEN_TOL:
+        raise RankError(f"degenerate identification: regime denominator {den!r} is near zero")
+    late = spec.effect("eff_c1")
+    terms = []
+    for label, (sa, sb), (ea, eb), base_sign in _TERMS:
+        product = getattr(spec, sa) * getattr(spec, sb)
+        if product != 0.0:
+            delta = spec.effect(ea) - spec.effect(eb)
+        else:
+            va, vb = getattr(spec, ea), getattr(spec, eb)
+            delta = (va - vb) if (va is not None and vb is not None) else 0.0
+        omega = product / den
+        if omega < 0.0:
+            terms.append(BiasTerm(label=label, weight=-omega, delta=delta, sign=-base_sign))
+        else:
+            terms.append(BiasTerm(label=label, weight=omega, delta=delta, sign=base_sign))
+    total = late + math.fsum(t.contribution for t in terms)
+    return BiasDecomposition(late=late, terms=tuple(terms), denominator=den, total=total)
+
+
+def reference_sweep(
+    base: MarginalSpec, axis: SweepAxis, grid: list[float], levels: list[float], defier: str = "id1"
+) -> tuple[SweepRow, ...]:
+    """`bias_sweep` the long way: each grid point's spec from
+    `dataclasses.replace`, then a full neither-regime decomposition into
+    BiasTerms, of which a row reads only `total` and `late`. The rows the
+    package's sweep must reproduce bit for bit, NaN rows included."""
+    if axis is SweepAxis.DEFIER_SHARE:
+        points = [(g, lv, g, lv) for g in grid for lv in levels]  # (axis, level, p, gap)
+    else:
+        points = [(g, lv, lv, g) for g in grid for lv in levels]
+    rows = []
+    for axis_value, level, p, gap in points:
+        try:
+            dec = _reference_decompose_first(_reference_sweep_spec(base, p, gap, defier))
+            rows.append(
+                SweepRow(axis=axis_value, level=level, beta=dec.total, late=dec.late, bias=dec.total - dec.late)
+            )
+        except (ConfigError, AssumptionError, RankError):
+            nan = float("nan")
+            rows.append(SweepRow(axis=axis_value, level=level, beta=nan, late=nan, bias=nan))
+    return tuple(rows)
 
 
 def random_population(

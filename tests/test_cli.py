@@ -378,6 +378,23 @@ def test_analyze_overflowing_effects_exits_2(write_json, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("shares, effects, missing", [
+    # No C1 effect: the first estimand's own slot.
+    ({"C1": 0.6, "ID1": 0.1, "ND2": 0.3, "ID2": 0.2}, {"C2": 100, "ID1": 50, "ND2": [10, 20], "ID2": 30},
+     "E[y1-y0 | C1]"),
+    # No C2 effect: only the second estimand needs it, and it reads the label-swapped spec's C1 slot.
+    ({"C1": 0.6, "ID1": 0.1, "ND2": 0.3, "ID2": 0.2}, {"C1": 100, "ID1": 50, "ND2": [10, 20], "ID2": 30},
+     "E[y2-y0 | C2]"),
+    # No ID2 effect: only the second estimand's w2 term (P(ID2) * P(C1) > 0) needs it.
+    ({"C1": 0.5, "C2": 0.5, "ID2": 0.2}, {"C1": 100, "C2": 40}, "E[y1-y0 | ID2]"),
+    # No ND2 effects: the second estimand's w3 term (P(ND2) * P(C1) > 0) reads E[y2-y0 | ND2] first.
+    ({"C1": 0.5, "C2": 0.5, "ND2": 0.2}, {"C1": 100, "C2": 40}, "E[y2-y0 | ND2]"),
+])
+def test_analyze_names_an_absent_effect_as_the_spec_labels_it(write_json, capsys, shares, effects, missing):
+    code, out, err = run(capsys, ["analyze", write_json({"marginal_spec": {"shares": shares, "effects": effects}})])
+    assert (code, out, err) == (2, [], f"error: effect {missing} is required here but absent from the spec\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflowing_noise_exits_2(write_json, capsys):
     doc = {"population": {"strata": [dict(s, noise_sd=1e308) for s in BENCHMARK_POP["population"]["strata"]]}}

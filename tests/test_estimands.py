@@ -19,7 +19,8 @@ from ivstrata import (
     decompose,
     solve_moment_system,
 )
-from support import random_spec, wbar
+from support import EFFECT_SLOTS, random_spec, reference_sweep, wbar
+from ivstrata.strata import DEN_TOL
 
 rng = np.random.default_rng(20260817)
 
@@ -241,3 +242,38 @@ def test_sweep_next_best_variant_and_validation():
     assert all(r.feasible for r in rows)
     with pytest.raises(ConfigError, match="defier"):
         bias_sweep(SWEEP_BASE, SweepAxis.DEFIER_SHARE, grid=[0.1], levels=[1.0], defier="at1")
+
+
+def _row_bits(rows) -> list[tuple[str, ...]]:
+    # float.hex tells -0.0 from 0.0 and writes every NaN as "nan".
+    return [tuple(float(v).hex() for v in (r.axis, r.level, r.beta, r.late, r.bias)) for r in rows]
+
+
+def test_sweep_matches_the_reference_bit_for_bit():
+    # Grids reach past [0, 1], onto and around each defier's denominator root (the row is NaN within DEN_TOL of
+    # it) and past EFFECT_BOUND with the gap; some specs leave slots absent that some points need.
+    rng = np.random.default_rng(7)
+    absent_sets = ((), ("eff_c1",), ("eff_c2",), ("eff_id2",), ("eff_nd2_1", "eff_nd2_2"), ("eff_id1", "eff_nd1_1"))
+    gaps = [0.0, 1.0, -250.0, 3e100, -3e100, 4e100, -4e100, 4.000001e100, -1e101, 1e300]
+    counts = {"feasible": 0, "nan": 0, "near_root": 0}
+    for trial in range(24):
+        absent = absent_sets[trial % len(absent_sets)]
+        effects = {slot: float(rng.uniform(-1000.0, 1000.0)) for slot in EFFECT_SLOTS if slot not in absent}
+        base = random_spec(rng, effects=effects)
+        for defier in ("id1", "nd1"):
+            # The varied spec's denominator is a + b * p; its root sits at -a / b.
+            if defier == "id1":
+                a, b = base.pC2 + base.pND2, -(base.pC2 + base.pID2)
+            else:
+                a, b = base.pC2 + base.pND2, base.pID2 - base.pND2
+            shares = [-0.1, -1e-12, 0.0, 0.05, 0.3, 0.5, 0.999, 1.0, 1.0 + 1e-12, 1.2]
+            if b != 0.0:
+                shares += [-a / b + k * DEN_TOL / abs(b) for k in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)]
+                counts["near_root"] += 0.0 <= -a / b <= 1.0
+            for axis, grid, levels in ((SweepAxis.DEFIER_SHARE, shares, gaps), (SweepAxis.EFFECT_GAP, gaps, shares)):
+                got = bias_sweep(base, axis, grid, levels, defier=defier)
+                want = reference_sweep(base, axis, grid, levels, defier=defier)
+                assert _row_bits(got) == _row_bits(want), (trial, defier, axis)
+                counts["nan"] += sum(not r.feasible for r in got)
+                counts["feasible"] += sum(r.feasible for r in got)
+    assert min(counts.values()) > 0, counts

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +24,8 @@ from ivstrata import (
     population_to_dict,
     potential_choice,
 )
-from ivstrata.strata import EFFECT_BOUND, MAX_MAGNITUDE
+from ivstrata.strata import EFFECT_BOUND, EFFECT_SLOTS, MAX_MAGNITUDE, PROB_SUM_TOL
+from support import random_population
 
 J = JointStratum
 G = MarginalGroup
@@ -275,4 +277,72 @@ def test_marginal_shares_always_sum_to_one(strata):
     shares = marginal_shares(pop)
     for k in (1, 2):
         total = math.fsum(shares[G[f"{kind}{k}"]] for kind in ("C", "ID", "ND", "AT", "NT", "OT"))
-        assert abs(total - 1.0) < 1e-9
+        assert abs(total - math.fsum(probs)) <= 2 * math.ulp(1.0)
+        assert abs(total - 1.0) <= PROB_SUM_TOL + 2 * math.ulp(1.0)
+
+
+def test_marginal_shares_add_up_within_two_ulps_of_the_stratum_probabilities():
+    # The six shares of an instrument need not add up to exactly 1, nor to the probabilities' own sum: the
+    # probabilities sum to 1 only within PROB_SUM_TOL, and each share is rounded once.
+    rng = np.random.default_rng(0)
+    exact = 0
+    for _ in range(3000):
+        pop = random_population(rng)
+        shares, total = marginal_shares(pop), math.fsum(e.prob for e in pop.entries)
+        for k in (1, 2):
+            six = math.fsum(shares[G[f"{kind}{k}"]] for kind in ("C", "ID", "ND", "AT", "NT", "OT"))
+            assert abs(six - total) <= 2 * math.ulp(1.0)
+            exact += six == 1.0
+    assert exact < 6000  # the bound is needed: an exact identity would hold in every check
+
+
+# The membership scan, one group at a time over the spelled-out MEMBERS table: the formulas the package's one-pass
+# membership table must reproduce bit for bit.
+def _scan(pop, groups):
+    union = set().union(*(MEMBERS[g.name] for g in groups))
+    return [e for e in pop.entries if e.stratum in union]
+
+
+def _scan_effect(pop, groups, j, k):
+    members = _scan(pop, groups)
+    total = math.fsum(e.prob for e in members)
+    return None if total <= 0.0 else math.fsum(e.prob * (e.means[j] - e.means[k]) for e in members) / total
+
+
+def _scan_populations(rng):
+    for s in J:  # single-stratum populations
+        yield Population(entries=(StratumEntry(s, 1.0, (1.0, -2.5, 4.0)),))
+    for _ in range(300):
+        # A random subset in random order, up to two of its strata at probability zero.
+        strata = [J[name] for name in rng.permutation([s.name for s in J])[:rng.integers(1, 11)]]
+        zero = int(rng.integers(0, min(2, len(strata) - 1) + 1))
+        probs = [0.0] * zero + [float(p) for p in rng.dirichlet(np.full(len(strata) - zero, 0.6))]
+        order = rng.permutation(len(strata))
+        yield Population(entries=tuple(
+            StratumEntry(strata[i], probs[i], tuple(float(v) for v in rng.uniform(-500.0, 500.0, size=3)))
+            for i in order
+        ))
+
+
+def test_membership_table_matches_a_membership_scan_bit_for_bit():
+    rng = np.random.default_rng(11)
+    groups = list(G)
+    for pop in _scan_populations(rng):
+        shares = marginal_shares(pop)
+        assert [shares[g].hex() for g in G] == [math.fsum(e.prob for e in _scan(pop, (g,))).hex() for g in G]
+        spec = marginalize(pop)
+        assert [getattr(spec, f"p{key}").hex() for key in ("C1", "C2", "ID1", "ID2", "ND1", "ND2")] == [
+            shares[G[key]].hex() for key in ("C1", "C2", "ID1", "ID2", "ND1", "ND2")]
+        for slot, (group, j, k) in EFFECT_SLOTS.items():
+            want = _scan_effect(pop, (group,), j, k)
+            assert getattr(spec, slot) == want and (want is None or getattr(spec, slot).hex() == want.hex())
+        for _ in range(6):
+            picked = tuple(groups[i] for i in rng.choice(len(groups), size=rng.integers(1, 5), replace=False))
+            j, k = (int(v) for v in rng.integers(0, 3, size=2))
+            assert group_prob(pop, picked).hex() == math.fsum(e.prob for e in _scan(pop, picked)).hex()
+            want = _scan_effect(pop, picked, j, k)
+            if want is None:
+                with pytest.raises(ConfigError, match="zero-probability group union"):
+                    group_effect(pop, picked, j, k)
+            else:
+                assert group_effect(pop, picked, j, k).hex() == want.hex()
