@@ -453,6 +453,8 @@ def _cell(x, precision: str) -> str:
     """One CSV cell: "" for None, a tuple's cells joined by ";", a str or
     int as it is, any other number at 4 dp or, at --precision full, as the
     repr of a float (not of an np.float64, which numpy 2 wraps in its name)."""
+    if type(x) is float:  # most cells: tested first, the same text as the fallback below
+        return repr(x) if precision == "full" else f"{x:.4f}"
     if x is None:
         return ""
     if isinstance(x, tuple):

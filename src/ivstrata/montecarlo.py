@@ -2,13 +2,13 @@
 stratum population, estimate by two-stage least squares or a clustered Wald
 ratio, and compare replication summaries against the exact estimands.
 
-Sampling is fully deterministic given a seed. Replications derive
-independent per-replication seeds by hashing "{master_seed}:{rep}", so rep
-r's data do not depend on how many replications run or in what order.
-Every estimator reads only a sample's (z, d) cell table, so a replication
-draws that table from its (stratum, z) group summaries, exact in
-distribution. Noise is drawn even for zero-variance strata, so the drawn
-counts (and `generate`'s drawn (z, d)) are invariant to noise_sd.
+Sampling is fully deterministic given a seed. A study reads three PCG64
+streams, each seeded by hashing "{master_seed}:{j}", in replication order,
+so replication r's data do not depend on how many replications run or how
+they are blocked. Every estimator reads only a sample's (z, d) cell table,
+so a replication draws that table from its (stratum, z) group summaries,
+exact in distribution. Noise is drawn even for zero-variance strata, so the
+drawn counts (and `generate`'s drawn (z, d)) are invariant to noise_sd.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
 
 
 # The version of the random stream: which sample or cell table a (population, n, seed) draws. Any change that
-# draws different bytes for some seed bumps it. Version 2 draws every cell table from its group summaries;
-# `generate` still draws the samples of version 1.
-STREAM_VERSION = 2
+# draws different bytes for some seed bumps it. Version 3 draws every cell table of a study from the study's three
+# streams (version 2 gave each replication its own stream); `generate` still draws the samples of version 1.
+STREAM_VERSION = 3
 
 
 def _cdf(probs) -> np.ndarray:
@@ -109,7 +109,7 @@ _BLOCK_REPS = 1024
 
 
 class _Sampler:
-    """A population's sampling tables, built once and drawn from per seed. Each is indexed by the group
+    """A population's sampling tables, built once and drawn from per seed or study. Each is indexed by the group
     k = stratum * 3 + z: its probability, the noise sd, the outcome mean means[stratum, d] and the (z, d) cell row
     z * 3 + d, where d is the field the stratum takes at z."""
 
@@ -143,19 +143,16 @@ class _Sampler:
         y += np.take(self.mean, k, out=v, mode="clip")
         return Dataset(*np.divmod(np.take(self.cell, k, out=k, mode="clip"), 3), y.copy(), seed)
 
-    def tables(self, n: int, seeds: Sequence[int]) -> "CellTable":
-        """The cell tables of `seeds`, stacked along a leading axis. Each seed draws three blocks of its own PCG64
-        stream, in order, each over all K groups: the group counts, multinomial(n, prob); K standard normals Z;
-        K standard gammas G of shape max(count - 1, 0) / 2. For Gaussian noise a group's sample mean and its
-        within-group M2 are independent (Cochran's theorem), distributed as mean + sd Z / sqrt(count) and
-        sd^2 2G = sd^2 chi2(count - 1), so each table has the distribution of the table of an n-row sample."""
-        count = np.empty((len(seeds), self.cell.size), np.int64)
-        normal, gamma = np.empty(count.shape), np.empty(count.shape)
-        for row, seed in enumerate(seeds):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            count[row] = rng.multinomial(n, self.prob)
-            rng.standard_normal(out=normal[row])
-            rng.standard_gamma(np.maximum(count[row] - 1, 0) / 2, out=gamma[row])
+    def tables(self, n: int, streams: Sequence[np.random.Generator], reps: int) -> "CellTable":
+        """The next `reps` cell tables of a study's three streams (see `_streams`), stacked along a leading axis.
+        Each table takes K values from each stream, one per group: stream 0 the group counts, multinomial(n, prob);
+        stream 1 standard normals Z; stream 2 standard gammas G of shape max(count - 1, 0) / 2. Each stream is read
+        in table order, so no table depends on how a study splits its tables into calls. For Gaussian noise a group's
+        mean and within-group M2 are independent (Cochran's theorem), mean + sd Z / sqrt(count) and sd^2 2G =
+        sd^2 chi2(count - 1), so each table has the distribution of the table of an n-row sample."""
+        count = streams[0].multinomial(n, self.prob, size=reps)
+        normal = streams[1].standard_normal(count.shape)
+        gamma = streams[2].standard_gamma(np.maximum(count - 1, 0) / 2)
         normal *= self.sd
         normal /= np.sqrt(np.maximum(count, 1))
         normal += self.mean
@@ -163,10 +160,10 @@ class _Sampler:
         gamma *= self.sd * self.sd
         return CellTable.from_groups(self.cell, count, normal, gamma)
 
-    def table(self, n: int, seed: int) -> "CellTable":
-        """The cell table `tables(n, [seed])` stacks for this seed."""
-        table = self.tables(n, (seed,))
-        return CellTable(table.count[0], table.mean[0], table.m2[0])
+
+def _streams(seed: int) -> tuple[np.random.Generator, ...]:
+    """A study's three streams, for counts, normals and gammas: stream j is seeded by replication_seed(seed, j)."""
+    return tuple(np.random.Generator(np.random.PCG64(replication_seed(seed, j))) for j in range(3))
 
 
 def generate(pop: Population, n: int, seed: int) -> Dataset:
@@ -177,10 +174,10 @@ def generate(pop: Population, n: int, seed: int) -> Dataset:
 
 
 def sample_table(pop: Population, n: int, seed: int) -> "CellTable":
-    """The cell table of a seeded sample of size n, drawn from its group summaries without the sample."""
+    """A seeded size-n sample's cell table, drawn from its group summaries: table 0 of the study at `seed`."""
     check_count("sample size", n, 1)
     check_seed(seed)
-    return _Sampler(pop).table(n, seed)
+    return _Sampler(pop).tables(n, _streams(seed), 1)[0]
 
 
 @dataclass(frozen=True)
@@ -212,6 +209,10 @@ class CellTable:
         cell_m2 = np.bincount(idx, weights=(m2 + count * (dev * dev)).ravel(), minlength=bins)
         shape = lead + (3, 3)
         return cls(count=total.reshape(shape), mean=cell_mean.reshape(shape), m2=cell_m2.reshape(shape))
+
+    def __getitem__(self, i) -> "CellTable":
+        """Table i of a stack."""
+        return CellTable(self.count[i], self.mean[i], self.m2[i])
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "CellTable":
@@ -423,7 +424,7 @@ class ReplicationSummary:
 
 
 def replication_seed(master_seed: int, rep: int) -> int:
-    """Stable 64-bit seed for one replication."""
+    """Stable 64-bit seed of stream `rep` (0 counts, 1 normals, 2 gammas) of the study at `master_seed`."""
     digest = hashlib.sha256(f"{master_seed}:{rep}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -449,11 +450,11 @@ def replicate(
     rows (see `_Sampler.tables`): the estimators read only that table, so
     the summaries have the distribution an n-row sample gives them, at a
     cost and memory that do not grow with n. Replications run in blocks of
-    _BLOCK_REPS: one stacked table draw and estimator call per block. Every
-    replication keeps its own stream and the bytes it would have alone. A
-    block that raises RankError is run again one replication at a time, so
-    the error names the first replication that fails and that
-    replication's own failure.
+    _BLOCK_REPS: one stacked table draw from the study's three streams and
+    one estimator call per block. The streams are read in replication
+    order, so the block size changes no byte. A block that raises RankError
+    is estimated again one drawn table at a time, so the error names the
+    first replication that fails and that replication's own failure.
     """
     check_count("replications", reps, 2)
     check_count("sample size", n, 1)
@@ -467,35 +468,27 @@ def replicate(
         fs = first_stage_from_shares(marginal_shares(pop))
         truths = [("beta1", beta1), ("beta2", beta2), *((name, getattr(fs, name)) for name in COEFFICIENTS)]
         estimate = _2sls_from_cells
-    sampler = _Sampler(pop)
-    estimates = np.empty((reps, len(truths)))
-    ses = np.empty((reps, len(truths)))
+    sampler, streams = _Sampler(pop), _streams(master_seed)
+    estimates, ses = np.empty((2, len(truths), reps))
     for start in range(0, reps, _BLOCK_REPS):
-        seeds = [replication_seed(master_seed, rep) for rep in range(start, min(start + _BLOCK_REPS, reps))]
+        stop = min(start + _BLOCK_REPS, reps)
+        tables = sampler.tables(n, streams, stop - start)
         try:
-            est, se = estimate(sampler.tables(n, seeds))
+            est, se = estimate(tables)
         except RankError:
-            for rep, seed in enumerate(seeds, start):
+            for rep in range(start, stop):
                 try:
-                    estimate(sampler.table(n, seed))
+                    estimate(tables[rep - start])
                 except RankError as err:
-                    raise RankError(f"replication {rep} (replication_seed {seed}): {err}") from err
+                    raise RankError(f"replication {rep}: {err}") from err
             raise
-        estimates[start : start + len(seeds)] = est
-        ses[start : start + len(seeds)] = se
-    rows = []
-    for j, (param, truth) in enumerate(truths):
-        col = estimates[:, j]
-        mean = float(np.mean(col))
-        covered = np.abs(col - truth) <= 1.96 * ses[:, j]
-        rows.append(
-            ParamSummary(
-                param=param,
-                truth=float(truth),
-                mean=mean,
-                sd=float(np.std(col, ddof=1)),
-                bias=mean - float(truth),
-                coverage=float(np.mean(covered)),
-            )
-        )
-    return ReplicationSummary(rows=tuple(rows), n=n, reps=reps, master_seed=master_seed, target=target)
+        estimates[:, start:stop] = est.T
+        ses[:, start:stop] = se.T
+    truth = np.array([t for _, t in truths])[:, None]
+    # One reduction a statistic along each parameter's contiguous row: the bytes of np.mean / np.std on its column.
+    means = estimates.mean(axis=1).tolist()
+    sds = estimates.std(axis=1, ddof=1).tolist()
+    coverage = (np.abs(estimates - truth) <= 1.96 * ses).mean(axis=1).tolist()
+    rows = tuple(ParamSummary(param=param, truth=float(t), mean=m, sd=sd, bias=m - float(t), coverage=c)
+                 for (param, t), m, sd, c in zip(truths, means, sds, coverage))
+    return ReplicationSummary(rows=rows, n=n, reps=reps, master_seed=master_seed, target=target)

@@ -98,6 +98,8 @@ class JointStratum(enum.Enum):
     ND1AT2 = (2, 1, 2)
     ID1C2 = (0, 2, 2)
 
+    __hash__ = object.__hash__  # C-level, unlike Enum's hash(self._name_); members are singletons, so eq is identity
+
     @property
     def trajectory(self) -> tuple[Field, Field, Field]:
         return self.value
@@ -131,6 +133,8 @@ class MarginalGroup(enum.Enum):
     NT2 = "NT2"
     OT1 = "OT1"
     OT2 = "OT2"
+
+    __hash__ = object.__hash__  # as JointStratum's
 
     @property
     def instrument(self) -> Instrument:

@@ -223,32 +223,38 @@ def reference_generate(pop: Population, n: int, seed: int) -> Dataset:
     return Dataset(z=z, d=d, y=y, seed=seed)
 
 
-def reference_table(pop: Population, n: int, seed: int) -> CellTable:
-    """The cell table `sample_table` draws, restated plainly: one Generator
-    call per documented block over the K = 3 * len(entries) groups
-    k = 3 * stratum + z, then a Python loop merging the groups into their
-    (z, d) cells in k order. The stream layout the package's table engine
-    must reproduce byte for byte."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def reference_tables(pop: Population, n: int, master_seed: int, reps: int) -> list[CellTable]:
+    """The first `reps` cell tables of the study at `master_seed`, restated
+    plainly: three Generators seeded by replication_seed(master_seed, j),
+    j = 0 (counts), 1 (normals), 2 (gammas); for each table one call on each
+    over the K = 3 * len(entries) groups k = 3 * stratum + z, then a Python
+    loop merging the groups into their (z, d) cells in k order. The stream
+    layout the package's table engine must reproduce byte for byte."""
+    counts_rng, normals_rng, gammas_rng = (
+        np.random.Generator(np.random.PCG64(replication_seed(master_seed, j))) for j in range(3)
+    )
     groups = [(e, z) for e in pop.entries for z in range(3)]
     p = np.array([e.prob * pop.assignment[z] for e, z in groups])
-    counts = [int(c) for c in rng.multinomial(n, p / p.sum())]
-    normals = rng.standard_normal(len(groups)).tolist()
-    gammas = rng.standard_gamma([max(c - 1, 0) / 2 for c in counts]).tolist()
-    cells, means, m2s = [], [], []
-    for (e, z), c, x, g in zip(groups, counts, normals, gammas):
-        cells.append(3 * z + e.stratum.trajectory[z])
-        means.append(e.means[e.stratum.trajectory[z]] + e.noise_sd * x / math.sqrt(max(c, 1)))
-        m2s.append((e.noise_sd * e.noise_sd) * (2.0 * g))
-    count, mean, m2 = [0.0] * 9, [0.0] * 9, [0.0] * 9
-    for cell, c in zip(cells, counts):
-        count[cell] += float(c)
-    for cell, c, m in zip(cells, counts, means):
-        mean[cell] += (float(c) / max(count[cell], 1.0)) * m
-    for cell, c, m, w in zip(cells, counts, means, m2s):
-        dev = m - mean[cell]
-        m2[cell] += w + float(c) * (dev * dev)
-    return CellTable(*(np.array(a).reshape(3, 3) for a in (count, mean, m2)))
+    tables = []
+    for _ in range(reps):
+        counts = [int(c) for c in counts_rng.multinomial(n, p / p.sum())]
+        normals = normals_rng.standard_normal(len(groups)).tolist()
+        gammas = gammas_rng.standard_gamma([max(c - 1, 0) / 2 for c in counts]).tolist()
+        cells, means, m2s = [], [], []
+        for (e, z), c, x, g in zip(groups, counts, normals, gammas):
+            cells.append(3 * z + e.stratum.trajectory[z])
+            means.append(e.means[e.stratum.trajectory[z]] + e.noise_sd * x / math.sqrt(max(c, 1)))
+            m2s.append((e.noise_sd * e.noise_sd) * (2.0 * g))
+        count, mean, m2 = [0.0] * 9, [0.0] * 9, [0.0] * 9
+        for cell, c in zip(cells, counts):
+            count[cell] += float(c)
+        for cell, c, m in zip(cells, counts, means):
+            mean[cell] += (float(c) / max(count[cell], 1.0)) * m
+        for cell, c, m, w in zip(cells, counts, means, m2s):
+            dev = m - mean[cell]
+            m2[cell] += w + float(c) * (dev * dev)
+        tables.append(CellTable(*(np.array(a).reshape(3, 3) for a in (count, mean, m2))))
+    return tables
 
 
 def reference_replicate(
@@ -260,8 +266,9 @@ def reference_replicate(
     scenario: Optional[ClusterScenario] = None,
 ) -> ReplicationSummary:
     """`replicate` one replication at a time: each cell table drawn by
-    `reference_table` and estimated on its own, then the same summary. A
-    failing replication raises at once, named as `replicate` names it."""
+    `reference_tables` and estimated on its own, then the same summary, one
+    column at a time. A failing replication raises at once, named as
+    `replicate` names it."""
     if target is Target.CLUSTER_WALD:
         truths = [("wald", cluster_wald_oracle(pop, scenario, Semantics.POOLED))]
         estimate = partial(_cluster_wald_from_cells, scenario=scenario)
@@ -271,12 +278,11 @@ def reference_replicate(
                   *((f.name, getattr(fs, f.name)) for f in fields(FirstStage))]
         estimate = _2sls_from_cells
     estimates, ses = [], []
-    for rep in range(reps):
-        seed = replication_seed(master_seed, rep)
+    for rep, table in enumerate(reference_tables(pop, n, master_seed, reps)):
         try:
-            est, se = estimate(reference_table(pop, n, seed))
+            est, se = estimate(table)
         except RankError as err:
-            raise RankError(f"replication {rep} (replication_seed {seed}): {err}") from err
+            raise RankError(f"replication {rep}: {err}") from err
         estimates.append(est)
         ses.append(se)
     estimates, ses = np.array(estimates), np.array(ses)

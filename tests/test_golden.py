@@ -158,7 +158,7 @@ POPULATION_COMMANDS = [
     ["bounds", "--scan", "--step", "0.001"],
     ["sweep"],
     ["cluster"],
-    # Seeded draws: these pin the cell-table stream (STREAM_VERSION 2) of replicate and sample_table.
+    # Seeded draws: these pin the cell-table stream (STREAM_VERSION 3) of replicate and sample_table.
     ["simulate", "--n", "200", "--reps", "3", "--seed", "7"],
     ["simulate", "--target", "cluster-wald", "--n", "200", "--reps", "3", "--seed", "7"],
     ["cluster", "--n", "500", "--seed", "3"],

@@ -43,7 +43,7 @@ from support import (
     reference_cluster_wald,
     reference_generate,
     reference_replicate,
-    reference_table,
+    reference_tables,
 )
 
 J = JointStratum
@@ -147,38 +147,44 @@ TABLE_SIZES = (1, 3, 2000, 10**12, strata._MAX_COUNT)
 @given(
     pop=sampling_populations(),
     sizes=st.lists(st.sampled_from(TABLE_SIZES), min_size=2, max_size=2, unique=True),
-    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=3),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=2),
+    splits=st.lists(st.integers(1, 4), min_size=1, max_size=3),
 )
-@example(pop=ONE_STRATUM, sizes=[2000, 3], seeds=[0, 1])
-def test_sampler_tables_match_the_reference_table(pop, sizes, seeds):
-    # One sampler draws every table, alone and stacked: each must have the reference's count, mean and M2 bytes.
+@example(pop=ONE_STRATUM, sizes=[2000, 3], seeds=[0, 1], splits=[1, 2])
+def test_sampler_tables_match_the_reference_table(pop, sizes, seeds, splits):
+    # One sampler draws a study's tables in one call and split over several calls on the same streams: every table
+    # must have the reference's count, mean and M2 bytes, however the calls split the study.
     sampler = montecarlo._Sampler(pop)
+    reps = sum(splits)
     for n in (*sizes, sizes[0]):
-        stacked = sampler.tables(n, seeds)
-        for row, seed in enumerate(seeds):
-            want = reference_table(pop, n, seed)
-            assert_same_table(sampler.table(n, seed), want)
-            assert_same_table(montecarlo.CellTable(stacked.count[row], stacked.mean[row], stacked.m2[row]), want)
+        for seed in seeds:
+            want = reference_tables(pop, n, seed, reps)
+            streams = montecarlo._streams(seed)
+            parts = [sampler.tables(n, streams, k) for k in splits]
+            whole = sampler.tables(n, montecarlo._streams(seed), reps)
+            got = [whole[r] for r in range(reps)] + [part[r] for part in parts for r in range(len(part.count))]
+            for r, table in enumerate(got):
+                assert_same_table(table, want[r % reps])
 
 
 def test_a_drawn_dataset_and_table_share_no_array_with_later_draws():
-    sampler = montecarlo._Sampler(benchmark_pop(noise_sd=150.0))
+    sampler, streams = montecarlo._Sampler(benchmark_pop(noise_sd=150.0)), montecarlo._streams(4)
     ds = sampler.draw(500, seed=4)
-    table = sampler.table(500, seed=4)
+    table = sampler.tables(500, streams, 1)[0]
     kept = [a.copy() for a in (ds.z, ds.d, ds.y, table.count, table.mean, table.m2)]
-    for seed in (5, 6):
-        sampler.table(500, seed)
+    for reps in (1, 2):
+        sampler.tables(500, streams, reps)
     sampler.draw(500, seed=7)
     for a, b in zip((ds.z, ds.d, ds.y, table.count, table.mean, table.m2), kept):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 def test_sample_table_is_the_reference_table():
-    # reference_table restates the layout of stream version 2; a change to it must bump the version.
-    assert montecarlo.STREAM_VERSION == 2
+    # reference_tables restates the layout of stream version 3; a change to it must bump the version.
+    assert montecarlo.STREAM_VERSION == 3
     pop = benchmark_pop(noise_sd=150.0)
     for n, seed in ((700, 3), (1, 0), (10**12, 2**64 - 1), (strata._MAX_COUNT, 5)):
-        assert_same_table(montecarlo.sample_table(pop, n, seed), reference_table(pop, n, seed))
+        assert_same_table(montecarlo.sample_table(pop, n, seed), reference_tables(pop, n, seed, 1)[0])
     with pytest.raises(ConfigError, match="sample size"):
         montecarlo.sample_table(pop, 0, 3)
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
@@ -232,6 +238,44 @@ def test_replicate_matches_the_reference_table(monkeypatch, target):
             assert got == reference_replicate(pop, n, reps, 9, target, scenario), (n, reps)
 
 
+@pytest.mark.parametrize("target", list(Target))
+def test_the_block_size_changes_no_summary(monkeypatch, target):
+    # The study's streams are read in replication order, so one replication a block, five and the real 1,024
+    # give the same bytes, for studies shorter and longer than a block.
+    pop = random_population(np.random.default_rng(3), noise_sd=25.0)
+    scenario = ClusterScenario.control(2) if target is Target.CLUSTER_WALD else None
+    for reps in (2, 13, 1100):
+        summaries = []
+        for block in (1, 5, 1024):
+            monkeypatch.setattr(montecarlo, "_BLOCK_REPS", block)
+            summaries.append(replicate(pop, n=500, reps=reps, master_seed=4, target=target, scenario=scenario))
+        assert summaries[0] == summaries[1] == summaries[2], reps
+
+
+def test_a_study_draws_the_first_tables_of_any_longer_study(monkeypatch):
+    # Adding replications never changes earlier ones: a 13-replication study's tables are the first 13 of a
+    # 40-replication study's, whatever blocks either draws them in.
+    pop, drawn = random_population(np.random.default_rng(5), noise_sd=10.0), []
+    tables = montecarlo._Sampler.tables
+
+    def record(*args):
+        drawn.append(tables(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(montecarlo._Sampler, "tables", record)
+
+    def study(reps, block):
+        drawn.clear()
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", block)
+        replicate(pop, n=300, reps=reps, master_seed=11)
+        return [np.concatenate([getattr(t, name) for t in drawn]) for name in ("count", "mean", "m2")]
+
+    short = study(13, 4)
+    for long in (study(40, 1024), study(40, 7)):
+        for a, b in zip(short, long):
+            assert a.tobytes() == b[:13].tobytes()
+
+
 RARE_FIELDS = Population(entries=(
     StratumEntry(J.NT1NT2, 0.9, (0.0, 1.0, 2.0), noise_sd=1.0),
     StratumEntry(J.C1C2, 0.1, (0.0, 1.0, 2.0), noise_sd=1.0),
@@ -240,13 +284,13 @@ RARE_FIELDS = Population(entries=(
 # Each RankError text, with a study at n=12 whose first failing replication
 # (not replication 0) fails with it: population, target, scenario, master seed.
 FAILING = {
-    "instrument z never takes": (benchmark_pop(assignment=(0.45, 0.45, 0.1)), Target.FIELD_2SLS, None, 7),
-    "field d never takes": (RARE_FIELDS, Target.FIELD_2SLS, None, 310),
-    "second stage: instrument-regressor": (benchmark_pop(), Target.FIELD_2SLS, None, 18),
+    "instrument z never takes": (benchmark_pop(assignment=(0.45, 0.45, 0.1)), Target.FIELD_2SLS, None, 0),
+    "field d never takes": (RARE_FIELDS, Target.FIELD_2SLS, None, 15),
+    "second stage: instrument-regressor": (benchmark_pop(), Target.FIELD_2SLS, None, 7),
     "instrument arm z~=1 is empty": (
-        benchmark_pop(assignment=(0.45, 0.1, 0.45)), Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 1),
+        benchmark_pop(assignment=(0.45, 0.1, 0.45)), Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 4),
     "clustered Wald (control-1): instrument-regressor": (
-        RARE_FIELDS, Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 9),
+        RARE_FIELDS, Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 15),
 }
 
 
@@ -255,7 +299,7 @@ def test_replicate_names_the_first_failing_replication_anywhere_in_its_block(mon
     pop, target, scenario, seed = FAILING[text]
     with pytest.raises(RankError) as want:
         reference_replicate(pop, 12, 40, seed, target, scenario)
-    rep = int(re.match(rf"replication (\d+) \(replication_seed \d+\): {re.escape(text)}", str(want.value))[1])
+    rep = int(re.match(rf"replication (\d+): {re.escape(text)}", str(want.value))[1])
     assert rep >= 2  # so that a block of rep replications has a first and a distinct last
     # Block sizes that make it the first, a middle and the last replication of its block.
     for block, where in ((rep, "first"), (rep + 2, "middle"), (rep + 1, "last")):
@@ -282,15 +326,16 @@ def test_a_stack_of_tables_fails_exactly_when_one_of_its_tables_fails_alone(body
     for _ in range(300):
         strata = tuple(rng.choice(list(J), size=int(rng.integers(1, 11)), replace=False))
         sampler = montecarlo._Sampler(random_population(rng, strata=strata, noise_sd=float(rng.choice([0.0, 50.0]))))
-        n, seeds = int(rng.integers(3, 13)), rng.integers(2**63, size=int(rng.integers(2, 6))).tolist()
+        n, reps = int(rng.integers(3, 13)), int(rng.integers(2, 6))
+        tables = sampler.tables(n, montecarlo._streams(int(rng.integers(2**63))), reps)
         alone = []
-        for seed in seeds:
+        for rep in range(reps):
             try:
-                alone.append(estimate(sampler.table(n, seed)))
+                alone.append(estimate(tables[rep]))
             except RankError:
                 alone.append(None)
         try:
-            stacked = estimate(sampler.tables(n, seeds))
+            stacked = estimate(tables)
         except RankError:
             assert None in alone
             mixed += any(a is not None for a in alone)
@@ -391,7 +436,7 @@ def test_table_engine_matches_the_microdata_path_in_distribution():
     zs, constant = [], 0
     for pop in DISTRIBUTION_POPS.values():
         sampler = montecarlo._Sampler(pop)
-        tables = sampler.tables(n, [replication_seed(1, r) for r in range(reps)])
+        tables = sampler.tables(n, montecarlo._streams(1), reps)
         engine = np.hstack([np.hstack(montecarlo._2sls_from_cells(tables)),
                             np.hstack(montecarlo._cluster_wald_from_cells(tables, scenario))])
         rows = []

@@ -65,3 +65,10 @@ def test_readme_quick_start_runs_and_holds():
     assert (b.nd1, b.id1) == ((0.0, 0.3), (0.1, 0.4))
     assert names["shares"][ivstrata.MarginalGroup.ID1] == 0.1
     assert abs(est.beta1 - summary.row("beta1").truth) <= 5 * est.se_beta1
+
+
+def test_readme_names_the_current_stream_version():
+    from ivstrata import montecarlo
+
+    (stated,) = re.findall(r"`ivstrata\.montecarlo\.STREAM_VERSION`,\s+now\s+(\d+)", README.read_text(encoding="utf-8"))
+    assert int(stated) == montecarlo.STREAM_VERSION
