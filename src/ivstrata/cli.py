@@ -399,8 +399,14 @@ def _cmd_sweep(args: argparse.Namespace) -> Iterator[tuple]:
         yield row.axis, row.level, row.beta, row.late, row.bias
 
 
-@cache  # one parser a process: parse_args keeps no state in it, and handlers are looked up by name
 def build_parser() -> argparse.ArgumentParser:
+    """The program's argument parser, built once a process."""
+    return _parsers()[0]
+
+
+@cache  # one parser a process: parse_args keeps no state in it, and handlers are looked up by name
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The program's parser and each command's own parser by name (the `choices` of its subparsers action)."""
     parser = argparse.ArgumentParser(
         prog="ivstrata",
         description="Principal-strata analysis of instrumental variables with three unordered fields.",
@@ -434,7 +440,21 @@ def build_parser() -> argparse.ArgumentParser:
     add("cluster", "choose a clustering and decompose its estimand")
     add("simulate", "seeded replication study against exact estimands")
     add("sweep", "bias curves over defier share or effect gap")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv as the program's parser parses it. When argv names a command, that command's parser reads the rest
+    directly, as the subparsers action would, and leftovers fail through the program's parser with its text."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no argv, -h or an unknown word: the program's parser says what is wrong
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _attach_list_values(argv: list[str]) -> list[str]:
@@ -467,7 +487,7 @@ def _cell(x, precision: str) -> str:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
-        args = build_parser().parse_args(argv)  # --grid and --levels raise ConfigError while parsing
+        args = _parse(argv)  # --grid and --levels raise ConfigError while parsing
         # Looked up by name at call time (the parser holds no handler); each row prints as it comes.
         for row in globals()[f"_cmd_{args.command}"](args):
             print(",".join(_cell(x, args.precision) for x in row))

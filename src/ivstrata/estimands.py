@@ -34,6 +34,8 @@ class Regime(enum.Enum):
     NEXT_BEST_ONLY = "next-best"
     IRRELEVANCE_ONLY = "irrelevance"
 
+    __hash__ = object.__hash__  # as strata.JointStratum's
+
 
 @dataclass(frozen=True)
 class BiasTerm:

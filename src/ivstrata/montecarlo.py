@@ -111,11 +111,10 @@ _BLOCK_REPS = 1024
 class _Sampler:
     """A population's sampling tables, built once and drawn from per seed or study. Each is indexed by the group
     k = stratum * 3 + z: its probability, the noise sd, the outcome mean means[stratum, d] and the (z, d) cell row
-    z * 3 + d, where d is the field the stratum takes at z."""
+    z * 3 + d, where d is the field the stratum takes at z. Only the row path, `draw`, reads `pop` itself."""
 
     def __init__(self, pop: Population):
-        self.stratum_cdf = _cdf([e.prob for e in pop.entries])
-        self.arm_cdf = _cdf(pop.assignment)
+        self.pop = pop
         self.prob = np.outer([e.prob for e in pop.entries], pop.assignment).ravel()
         self.prob /= self.prob.sum()
         d = np.array([e.stratum.trajectory for e in pop.entries], dtype=np.intp)
@@ -135,7 +134,8 @@ class _Sampler:
         rng.random(out=u)
         rng.random(out=v)
         rng.standard_normal(out=y)
-        np.copyto(k, _category(u, v, self.stratum_cdf, self.arm_cdf, idx, hit))
+        stratum_cdf, arm_cdf = _cdf([e.prob for e in self.pop.entries]), _cdf(self.pop.assignment)
+        np.copyto(k, _category(u, v, stratum_cdf, arm_cdf, idx, hit))
         # In place, in the order sd * noise + mean: IEEE * and + commute, so y has the bytes of the out-of-place
         # sum. Every k is a table index, so mode="clip" clips nothing; it spares the buffered copy of `out` that
         # mode="raise" makes. take reads each k before writing its slot, so the cell rows may overwrite k.

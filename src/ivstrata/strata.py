@@ -106,10 +106,13 @@ class JointStratum(enum.Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "JointStratum":
-        if isinstance(tag, str) and tag in cls.__members__:
-            return cls[tag]
+        if isinstance(tag, str) and tag in _BY_TAG:
+            return _BY_TAG[tag]
         valid = ", ".join(s.name for s in cls)
         raise ConfigError(f"unknown stratum tag {tag!r}; expected one of: {valid}")
+
+
+_BY_TAG = dict(JointStratum.__members__)
 
 
 def potential_choice(stratum: JointStratum, z: Instrument) -> Field:
@@ -203,23 +206,26 @@ class StratumEntry:
     noise_sd: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.prob <= 1.0:
-            raise ConfigError(f"stratum {self.stratum.name}: prob {self.prob} outside [0, 1]")
-        if len(self.means) != 3:
-            raise ConfigError(f"stratum {self.stratum.name}: means must have 3 entries, got {len(self.means)}")
-        if not all(map(math.isfinite, self.means)):
-            raise ConfigError(f"stratum {self.stratum.name}: non-finite mean in {self.means}")
-        if max(map(abs, self.means)) > MAX_MAGNITUDE:
-            raise ConfigError(
-                f"stratum {self.stratum.name}: a mean in {self.means} exceeds {MAX_MAGNITUDE:g} in magnitude"
-            )
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
-            raise ConfigError(f"stratum {self.stratum.name}: noise_sd {self.noise_sd} must be >= 0")
-        if self.noise_sd > MAX_MAGNITUDE:
-            raise ConfigError(f"stratum {self.stratum.name}: noise_sd {self.noise_sd} exceeds {MAX_MAGNITUDE:g}")
-        object.__setattr__(self, "means", tuple(map(float, self.means)))
-        object.__setattr__(self, "prob", float(self.prob))
-        object.__setattr__(self, "noise_sd", float(self.noise_sd))
+        prob, means, noise_sd = self.prob, self.means, self.noise_sd
+        if not 0.0 <= prob <= 1.0:
+            raise ConfigError(f"stratum {self.stratum.name}: prob {prob} outside [0, 1]")
+        if len(means) != 3:
+            raise ConfigError(f"stratum {self.stratum.name}: means must have 3 entries, got {len(means)}")
+        if not all(map(math.isfinite, means)):
+            raise ConfigError(f"stratum {self.stratum.name}: non-finite mean in {means}")
+        if max(map(abs, means)) > MAX_MAGNITUDE:
+            raise ConfigError(f"stratum {self.stratum.name}: a mean in {means} exceeds {MAX_MAGNITUDE:g} in magnitude")
+        if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+            raise ConfigError(f"stratum {self.stratum.name}: noise_sd {noise_sd} must be >= 0")
+        if noise_sd > MAX_MAGNITUDE:
+            raise ConfigError(f"stratum {self.stratum.name}: noise_sd {noise_sd} exceeds {MAX_MAGNITUDE:g}")
+        # Each field is stored as float (means as a tuple of them); a value that already is one is left as it is.
+        if not (type(means) is tuple and type(means[0]) is type(means[1]) is type(means[2]) is float):
+            object.__setattr__(self, "means", tuple(map(float, means)))
+        if type(prob) is not float:
+            object.__setattr__(self, "prob", float(prob))
+        if type(noise_sd) is not float:
+            object.__setattr__(self, "noise_sd", float(noise_sd))
 
 
 UNIFORM_ASSIGNMENT = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -478,6 +484,10 @@ def _as_floats(value, what: str) -> tuple[float, ...]:
     return tuple([as_float(v, what) for v in value])
 
 
+_STRATUM_KEYS = frozenset(("tag", "prob", "means", "noise_sd"))
+_REQUIRED_KEYS = frozenset(("tag", "prob", "means"))
+
+
 def population_from_dict(doc: Mapping) -> Population:
     """Build a Population from a parsed JSON document.
 
@@ -497,19 +507,31 @@ def population_from_dict(doc: Mapping) -> Population:
     raw = doc["strata"]
     if not isinstance(raw, (list, tuple)):
         raise ConfigError("'strata' must be a list")
+    # One pass, entry by entry, in the order of the checks of a single entry: the object, its keys, its tag, prob,
+    # means and noise_sd, then StratumEntry's ranges. A float is taken as it is, and a label is built only to raise
+    # or to convert a value of another type.
     entries = []
     for i, item in enumerate(raw):
-        where = f"strata[{i}]"
         if not isinstance(item, Mapping):
-            raise ConfigError(f"{where} must be an object")
-        reject_unknown(item, ("tag", "prob", "means", "noise_sd"), where)
-        for req in ("tag", "prob", "means"):
-            if req not in item:
-                raise ConfigError(f"{where} is missing '{req}'")
-        entries.append(StratumEntry(
-            JointStratum.from_tag(item["tag"]), as_float(item["prob"], where + ".prob"),
-            _as_floats(item["means"], where + ".means"), as_float(item.get("noise_sd", 0.0), where + ".noise_sd"),
-        ))
+            raise ConfigError(f"strata[{i}] must be an object")
+        if not _STRATUM_KEYS.issuperset(item):
+            reject_unknown(item, _STRATUM_KEYS, f"strata[{i}]")
+        if not item.keys() >= _REQUIRED_KEYS:
+            missing = next(key for key in ("tag", "prob", "means") if key not in item)
+            raise ConfigError(f"strata[{i}] is missing '{missing}'")
+        tag, prob, means, noise_sd = item["tag"], item["prob"], item["means"], item.get("noise_sd", 0.0)
+        stratum = _BY_TAG.get(tag) if type(tag) is str else None
+        if stratum is None:
+            stratum = JointStratum.from_tag(tag)
+        if type(prob) is not float:
+            prob = as_float(prob, f"strata[{i}].prob")
+        if type(means) is list and len(means) == 3 and type(means[0]) is type(means[1]) is type(means[2]) is float:
+            means = tuple(means)
+        else:
+            means = _as_floats(means, f"strata[{i}].means")
+        if type(noise_sd) is not float:
+            noise_sd = as_float(noise_sd, f"strata[{i}].noise_sd")
+        entries.append(StratumEntry(stratum, prob, means, noise_sd))
     assignment = _as_floats(doc.get("assignment", UNIFORM_ASSIGNMENT), "assignment")
     return Population(entries=tuple(entries), assignment=assignment)
 

@@ -4,6 +4,7 @@ explicit numpy Generator so test modules stay reproducible."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import fields, replace
 from functools import partial
 from typing import Optional
@@ -42,7 +43,7 @@ from ivstrata import (
 )
 from ivstrata.estimands import _TERMS
 from ivstrata.montecarlo import CellTable, _2sls_from_cells, _cluster_wald_from_cells
-from ivstrata.strata import DEN_TOL
+from ivstrata.strata import DEN_TOL, MAX_MAGNITUDE, UNIFORM_ASSIGNMENT, as_float, reject_unknown
 
 EFFECT_SLOTS = (
     "eff_c1", "eff_c2", "eff_id1", "eff_id2",
@@ -207,6 +208,58 @@ def grid_population(rng: np.random.Generator, step: float = 0.02, alpha: float =
         if c > 0
     )
     return Population(entries=entries)
+
+
+def _reference_floats(value, what: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of 3 numbers")
+    return tuple([as_float(v, what) for v in value])
+
+
+def _reference_entry(stratum: JointStratum, prob: float, means: tuple, noise_sd: float) -> StratumEntry:
+    """StratumEntry's checks in their order, then the entry with every number stored as a float."""
+    if not 0.0 <= prob <= 1.0:
+        raise ConfigError(f"stratum {stratum.name}: prob {prob} outside [0, 1]")
+    if len(means) != 3:
+        raise ConfigError(f"stratum {stratum.name}: means must have 3 entries, got {len(means)}")
+    if not all(map(math.isfinite, means)):
+        raise ConfigError(f"stratum {stratum.name}: non-finite mean in {means}")
+    if max(map(abs, means)) > MAX_MAGNITUDE:
+        raise ConfigError(f"stratum {stratum.name}: a mean in {means} exceeds {MAX_MAGNITUDE:g} in magnitude")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ConfigError(f"stratum {stratum.name}: noise_sd {noise_sd} must be >= 0")
+    if noise_sd > MAX_MAGNITUDE:
+        raise ConfigError(f"stratum {stratum.name}: noise_sd {noise_sd} exceeds {MAX_MAGNITUDE:g}")
+    return StratumEntry(stratum, float(prob), tuple(map(float, means)), float(noise_sd))
+
+
+def reference_population_from_dict(doc: Mapping) -> Population:
+    """The per-entry loader: each entry's label built, each key check and each number converted in turn. The
+    oracle of `population_from_dict`'s one pass: the same Population or the same ConfigError text."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"population must be an object, got {type(doc).__name__}")
+    reject_unknown(doc, ("assignment", "strata"), "population")
+    if "strata" not in doc:
+        raise ConfigError("population is missing the 'strata' list")
+    raw = doc["strata"]
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError("'strata' must be a list")
+    entries = []
+    for i, item in enumerate(raw):
+        where = f"strata[{i}]"
+        if not isinstance(item, Mapping):
+            raise ConfigError(f"{where} must be an object")
+        reject_unknown(item, ("tag", "prob", "means", "noise_sd"), where)
+        for req in ("tag", "prob", "means"):
+            if req not in item:
+                raise ConfigError(f"{where} is missing '{req}'")
+        entries.append(_reference_entry(
+            JointStratum.from_tag(item["tag"]), as_float(item["prob"], where + ".prob"),
+            _reference_floats(item["means"], where + ".means"),
+            as_float(item.get("noise_sd", 0.0), where + ".noise_sd"),
+        ))
+    assignment = _reference_floats(doc.get("assignment", UNIFORM_ASSIGNMENT), "assignment")
+    return Population(entries=tuple(entries), assignment=assignment)
 
 
 def reference_generate(pop: Population, n: int, seed: int) -> Dataset:

@@ -1,6 +1,5 @@
 """End-to-end CLI runs through main(), checking CSV output and exit codes."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -341,7 +340,7 @@ def test_simulate_cluster_wald_target(write_json, capsys):
     assert len(rows) == 1 and rows[0].startswith("wald,216.6667,")
 
 
-def test_simulate_degenerate_replication_names_rep_and_seed(write_json, capsys):
+def test_simulate_degenerate_replication_names_the_replication(write_json, capsys):
     # At n=12 some replication draws a sample with a singular design; the
     # one error line names that replication of the study at --seed.
     code, out, err = run(capsys, ["simulate", write_json(BENCHMARK_POP), "--n", "12", "--reps", "200", "--seed", "1"])
@@ -784,8 +783,7 @@ def test_closed_stdout_exits_1_without_an_error_line(write_json):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 def test_option_table_keys_are_the_command_flags():
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands = cli._parsers()[1]
     for command, table in cli._OPTIONS.items():
         dests = {action.dest for action in commands[command]._actions} - {"help", "config", "precision"}
         assert set(table) == dests, command
@@ -870,6 +868,9 @@ def test_cached_parser_keeps_no_state_between_calls(write_json, capsys):
         [["sweep", spec, "--grid", "-1,2"], ["sweep", spec]],
         [["--help"], ["validate", pop]],
         [["analyze", spec, "--regime", "bogus"], ["analyze", spec]],
+        # A leftover argument, an unknown command, "--" and an abbreviated flag.
+        [["validate", pop, "--bogus"], ["validate", pop, spec], ["bogus"], ["validate", pop]],
+        [["bounds", "--", pop], ["validate", pop, "--prec", "full"], ["bounds", pop]],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     codes = []
@@ -879,5 +880,5 @@ def test_cached_parser_keeps_no_state_between_calls(write_json, capsys):
                                    env=env, timeout=60)
             assert _in_process(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
             codes.append(fresh.returncode)
-    assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 2, 2, 2, 0, 0, 0, 0]
     assert cli.build_parser() is cli.build_parser()

@@ -12,6 +12,10 @@ Whatever the input, a run keeps the CLI's contract:
   writes nothing there;
 - every number on stdout is finite, except the `nan` rows that `sweep`
   prints for singular or inadmissible points.
+
+A second test mutates the golden populations alone and requires the one-pass
+`population_from_dict` to give what the per-entry reference loader in
+`tests/support.py` gives: an equal Population or the identical ConfigError.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ import math
 import random
 
 from ivstrata.cli import main
-from ivstrata.strata import _MAX_COUNT, EFFECT_BOUND, MAX_MAGNITUDE
+from ivstrata.exceptions import ConfigError
+from ivstrata.strata import _MAX_COUNT, EFFECT_BOUND, MAX_MAGNITUDE, population_from_dict
 
+from support import reference_population_from_dict
 from test_golden import POPULATION_COMMANDS, POPULATIONS, SPEC_COMMANDS, SPECS
 
 CASES = 500
@@ -143,3 +149,94 @@ def test_mutated_golden_inputs_keep_the_cli_contract(tmp_path):
         codes[code] = codes.get(code, 0) + 1
     # The mutations reach both sides of the contract.
     assert codes.get(0, 0) >= CASES // 5 and codes.get(2, 0) >= CASES // 5, codes
+
+
+# What a loader mutation writes in a number's place: NUMBERS and WRONG_TYPES, non-finite floats, integers past a float's
+# range, and in-range integers and bools, which a number field converts or refuses.
+LOADER_VALUES = NUMBERS + WRONG_TYPES + (math.nan, math.inf, -math.inf, 10**400, -(10**400), 0, 1, 2, -1, False)
+TAGS = ("C1C2", "ID1C2", "NT1NT2", "c1c2", "XX", "", 1, None, ["C1C2"])
+
+
+def _fault(rng: random.Random, holder: dict) -> None:
+    """One fault in a stratum entry or a population object: a key deleted or added, or a value replaced."""
+    key = rng.choice(list(holder)) if holder and rng.random() < 0.9 else "bogus"
+    kind = rng.random()
+    if kind < 0.2 and key in holder:
+        del holder[key]
+    elif key == "tag":
+        holder[key] = rng.choice(TAGS)
+    elif isinstance(holder.get(key), list) and kind < 0.7:
+        values = list(holder[key])
+        if kind < 0.45 or not values:
+            values = values[:-1] if rng.random() < 0.5 else values + [rng.choice(LOADER_VALUES)]
+        else:
+            values[rng.randrange(len(values))] = rng.choice(LOADER_VALUES)
+        holder[key] = values
+    else:
+        holder[key] = rng.choice(LOADER_VALUES)
+
+
+def _mutate_population(rng: random.Random, doc: dict) -> dict:
+    """A population document with one to three faults, or with one fault in each of two different entries."""
+    doc = copy.deepcopy(doc)
+    strata = doc["strata"]
+    if rng.random() < 0.3:
+        for i in rng.sample(range(len(strata)), 2):
+            _fault(rng, strata[i])
+        return doc
+    for _ in range(rng.randint(1, 3)):
+        strata = doc.get("strata")
+        entries = [e for e in strata if isinstance(e, dict)] if isinstance(strata, list) else []
+        _fault(rng, rng.choice(entries) if entries and rng.random() < 0.85 else doc)
+    return doc
+
+
+def _retype(rng: random.Random, doc: dict) -> dict:
+    """A population document that still loads: some whole numbers as ints, some means as tuples, some noise_sd and
+    assignment keys left to their defaults."""
+    doc = copy.deepcopy(doc)
+    if rng.random() < 0.2:
+        doc.pop("assignment", None)
+    for entry in doc["strata"]:
+        for key in ("prob", "noise_sd"):
+            if key in entry and entry[key] == int(entry[key]) and rng.random() < 0.5:
+                entry[key] = int(entry[key])
+        entry["means"] = [int(m) if m == int(m) and rng.random() < 0.5 else m for m in entry["means"]]
+        if rng.random() < 0.2:
+            entry["means"] = tuple(entry["means"])
+        if rng.random() < 0.2:
+            entry.pop("noise_sd", None)
+    return doc
+
+
+def _load(loader, doc):
+    """The loaded Population with its repr, or the ConfigError's text."""
+    try:
+        pop = loader(doc)
+    except ConfigError as err:
+        return "error", str(err)
+    return pop, repr(pop)
+
+
+def test_one_pass_loader_matches_the_per_entry_reference():
+    """Mutated golden populations load to an equal Population, every number a float, or fail with the identical
+    ConfigError text: the one-pass loader keeps the per-entry loader's checks, their order and their labels."""
+    rng = random.Random(SEED)
+    docs = [doc["population"] for doc in POPULATIONS.values() if len(doc["population"]["strata"]) >= 2]
+    loaded, refused = 0, set()
+    for case in range(3000):
+        doc = rng.choice(docs)
+        doc = _mutate_population(rng, doc) if rng.random() < 0.7 else _retype(rng, doc)
+        got, want = _load(population_from_dict, doc), _load(reference_population_from_dict, doc)
+        assert got == want, (case, doc)
+        if got[0] == "error":
+            refused.add(got[1])
+            continue
+        loaded += 1
+        pop = got[0]
+        assert type(pop.assignment) is tuple and all(type(p) is float for p in pop.assignment), doc
+        for e in pop.entries:
+            assert type(e.prob) is float and type(e.noise_sd) is float, doc
+            assert type(e.means) is tuple and all(type(m) is float for m in e.means), doc
+    # Both sides are reached, and the refusals name many distinct faults.
+    assert loaded >= 600 and len(refused) >= 300, (loaded, len(refused))

@@ -198,6 +198,11 @@ PARSER_ARGVS = [
     ["sweep", "x.json", "--axis", "bogus"],
     ["sweep", "x.json", "--defier", "bogus"],
     ["sweep", "x.json", "--grid", "bogus"],
+    ["validate", "x.json", "--bogus"],
+    ["validate", "a", "b"],
+    ["bogus"],
+    ["bounds", "--", "x.json"],
+    ["validate", "x.json", "--prec", "full"],
 ]
 
 

@@ -113,6 +113,17 @@ def test_entry_validation():
         StratumEntry(J.C1C2, 0.5, (0.0, 0.0, 0.0), noise_sd=big)
 
 
+def test_a_stratum_entry_stores_floats_and_a_tuple():
+    e = StratumEntry(J.C1C2, 1, [0, 1, 2])
+    assert (e.prob, e.means, e.noise_sd) == (1.0, (0.0, 1.0, 2.0), 0.0)
+    assert type(e.means) is tuple and [type(v) for v in (e.prob, *e.means, e.noise_sd)] == [float] * 5
+    mixed = StratumEntry(J.C1C2, True, (0.0, 1, 2.0), noise_sd=2)
+    assert [type(v) for v in (mixed.prob, *mixed.means, mixed.noise_sd)] == [float] * 5
+    # Means that already are a tuple of floats are stored as given.
+    means = (0.5, -1.0, 2.0)
+    assert StratumEntry(J.C1C2, 0.5, means, 3.0).means is means
+
+
 def test_population_validation():
     e = StratumEntry(J.C1C2, 0.5, (0.0, 1.0, 2.0))
     with pytest.raises(ConfigError, match="sum"):
