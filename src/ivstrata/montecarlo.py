@@ -2,13 +2,12 @@
 stratum population, estimate by two-stage least squares or a clustered Wald
 ratio, and compare replication summaries against the exact estimands.
 
-Sampling is fully deterministic given a seed. A study reads three PCG64
-streams, each seeded by hashing "{master_seed}:{j}", in replication order,
-so replication r's data do not depend on how many replications run or how
-they are blocked. Every estimator reads only a sample's (z, d) cell table,
-so a replication draws that table from its (stratum, z) group summaries,
-exact in distribution. Noise is drawn even for zero-variance strata, so the
-drawn counts (and `generate`'s drawn (z, d)) are invariant to noise_sd.
+Every estimator reads only a sample's (z, d) cell table, so a replication
+draws that table from its (stratum, z) group summaries, exact in
+distribution, never its rows. A study reads three PCG64 streams, seeded by
+hashing "{master_seed}:{j}", in replication order, so replication r's table
+does not depend on how many replications run or how they are blocked.
+`generate` draws rows, with `Generator.choice`.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from .strata import Population, Target, check_count, check_seed, marginal_shares
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """One simulated sample: instrument, chosen field, outcome.
+    """One sample, simulated or a user's own: instrument, chosen field, outcome.
 
-    `z` and `d` are stored as integer codes in {0, 1, 2}; float-coded input
-    such as 1.0 is accepted and converted, any other value is rejected.
+    `z` and `d` are stored as integer codes in {0, 1, 2}; float-coded input such as 1.0 is accepted and converted,
+    any other value is rejected. `y` must hold finite real numbers.
     """
 
     z: np.ndarray
@@ -45,14 +44,18 @@ class Dataset:
         for name in ("z", "d", "y"):
             object.__setattr__(self, name, np.asarray(getattr(self, name)))
         if not (self.z.shape == self.d.shape == self.y.shape) or self.z.ndim != 1:
-            raise ConfigError(
-                f"z, d, y must be equal-length vectors, got shapes "
-                f"{self.z.shape}, {self.d.shape}, {self.y.shape}"
-            )
+            shapes = ", ".join(str(a.shape) for a in (self.z, self.d, self.y))
+            raise ConfigError(f"z, d, y must be equal-length vectors, got shapes {shapes}")
         if self.n == 0:
             raise ConfigError("dataset is empty")
         for name, label in (("z", "instrument z"), ("d", "field d")):
             object.__setattr__(self, name, _as_codes(label, getattr(self, name)))
+        if self.y.dtype.kind not in "biuf":
+            raise ConfigError(f"outcome y must hold real numbers, got dtype {self.y.dtype}")
+        bad = ~np.isfinite(self.y)
+        if bad.any():
+            shown = ", ".join(sorted(set(map(str, self.y[bad].tolist()))))
+            raise ConfigError(f"outcome y must be finite; {int(bad.sum())} rows hold {shown}")
 
     @property
     def n(self) -> int:
@@ -60,8 +63,7 @@ class Dataset:
 
 
 def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
-    """Integer codes of a z or d vector; ConfigError naming any value
-    outside {0, 1, 2}."""
+    """Integer codes of a z or d vector; ConfigError naming any value outside {0, 1, 2}."""
     if arr.dtype.kind not in "biuf":
         raise ConfigError(f"{label} must hold numeric codes 0, 1, 2, got dtype {arr.dtype}")
     if arr.dtype.kind in "biu" and arr.min() >= 0 and arr.max() <= 2:
@@ -76,32 +78,8 @@ def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
 
 # The version of the random stream: which sample or cell table a (population, n, seed) draws. Any change that
 # draws different bytes for some seed bumps it. Version 3 draws every cell table of a study from the study's three
-# streams (version 2 gave each replication its own stream); `generate` still draws the samples of version 1.
+# streams (version 2 gave each replication its own stream); `generate` draws version 1's rows, by Generator.choice.
 STREAM_VERSION = 3
-
-
-def _cdf(probs) -> np.ndarray:
-    """The cdf `Generator.choice` builds: the cumsum over its last entry."""
-    cdf = np.cumsum(probs, dtype=float)
-    cdf /= cdf[-1]
-    return cdf
-
-
-def _category(u: np.ndarray, v: np.ndarray, stratum_cdf: np.ndarray, arm_cdf: np.ndarray, idx: np.ndarray,
-              hit: np.ndarray) -> np.ndarray:
-    """3 * stratum + arm, the categories `Generator.choice` picks for the stratum uniforms u and the instrument
-    uniforms v, written into the uint8 array idx (hit is a bool array it overwrites). A category is the count of
-    cdf entries at or below its uniform (searchsorted side="right"; the last entry, 1.0, exceeds every uniform).
-    At most ten strata: the index, below 30, fits a byte."""
-    idx.fill(0)
-    for edge in stratum_cdf[:-1]:
-        np.greater_equal(u, edge, out=hit)
-        idx += hit
-    idx *= 3
-    for edge in arm_cdf[:-1]:
-        np.greater_equal(v, edge, out=hit)
-        idx += hit
-    return idx
 
 
 # Replicate draws and estimates its replications' cell tables in blocks of this many.
@@ -109,39 +87,16 @@ _BLOCK_REPS = 1024
 
 
 class _Sampler:
-    """A population's sampling tables, built once and drawn from per seed or study. Each is indexed by the group
-    k = stratum * 3 + z: its probability, the noise sd, the outcome mean means[stratum, d] and the (z, d) cell row
-    z * 3 + d, where d is the field the stratum takes at z. Only the row path, `draw`, reads `pop` itself."""
+    """A population's group tables, built once a study and indexed by the group k = stratum * 3 + z: probability,
+    noise sd, outcome mean means[stratum, d] and (z, d) cell row z * 3 + d, d the field the stratum takes at z."""
 
     def __init__(self, pop: Population):
-        self.pop = pop
         self.prob = np.outer([e.prob for e in pop.entries], pop.assignment).ravel()
         self.prob /= self.prob.sum()
         d = np.array([e.stratum.trajectory for e in pop.entries], dtype=np.intp)
         self.sd = np.repeat([e.noise_sd for e in pop.entries], 3)
         self.mean = np.take_along_axis(np.array([e.means for e in pop.entries]), d, axis=1).ravel()
         self.cell = (d + np.arange(0, 9, 3)).ravel()
-
-    def draw(self, n: int, seed: int) -> Dataset:
-        """A sample, as stream version 1 drew it: three blocks of the seed's PCG64 stream, in order: n stratum
-        uniforms, n instrument uniforms, n noise normals (drawn even where noise_sd is 0)."""
-        rng = np.random.Generator(np.random.PCG64(seed))
-        # Five work arrays in one 26-bytes-a-row allocation, widest first (five allocations made generate a third
-        # slower at n = 200,000). The stratum uniforms live in k's bytes: _category reads them all before k is written.
-        buf = np.empty(26 * n, np.uint8)
-        u, v, y = (buf[8 * n * i : 8 * n * (i + 1)].view(float) for i in range(3))
-        k, idx, hit = u.view(np.intp), buf[24 * n : 25 * n], buf[25 * n :].view(np.bool_)
-        rng.random(out=u)
-        rng.random(out=v)
-        rng.standard_normal(out=y)
-        stratum_cdf, arm_cdf = _cdf([e.prob for e in self.pop.entries]), _cdf(self.pop.assignment)
-        np.copyto(k, _category(u, v, stratum_cdf, arm_cdf, idx, hit))
-        # In place, in the order sd * noise + mean: IEEE * and + commute, so y has the bytes of the out-of-place
-        # sum. Every k is a table index, so mode="clip" clips nothing; it spares the buffered copy of `out` that
-        # mode="raise" makes. take reads each k before writing its slot, so the cell rows may overwrite k.
-        y *= np.take(self.sd, k, out=v, mode="clip")
-        y += np.take(self.mean, k, out=v, mode="clip")
-        return Dataset(*np.divmod(np.take(self.cell, k, out=k, mode="clip"), 3), y.copy(), seed)
 
     def tables(self, n: int, streams: Sequence[np.random.Generator], reps: int) -> "CellTable":
         """The next `reps` cell tables of a study's three streams (see `_streams`), stacked along a leading axis.
@@ -167,10 +122,16 @@ def _streams(seed: int) -> tuple[np.random.Generator, ...]:
 
 
 def generate(pop: Population, n: int, seed: int) -> Dataset:
-    """Draw an i.i.d. sample of size n from the population."""
+    """An i.i.d. size-n sample, drawn from the seed's PCG64 stream as stream version 1 drew it: `Generator.choice`
+    of n strata, then of n instrument values, then n standard normals (drawn even where noise_sd is 0)."""
     check_count("sample size", n, 1)
     check_seed(seed)
-    return _Sampler(pop).draw(n, seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stratum = rng.choice(len(pop.entries), size=n, p=[e.prob for e in pop.entries])
+    z = rng.choice(3, size=n, p=pop.assignment)
+    d = np.array([e.stratum.trajectory for e in pop.entries])[stratum, z]
+    means, sds = np.array([e.means for e in pop.entries]), np.array([e.noise_sd for e in pop.entries])
+    return Dataset(z, d, means[stratum, d] + sds[stratum] * rng.standard_normal(n), seed)
 
 
 def sample_table(pop: Population, n: int, seed: int) -> "CellTable":

@@ -180,7 +180,8 @@ SPEC_COMMANDS = [
     ["sweep", "--axis", "effect-gap", "--grid", "-100,50", "--levels", "0.1,0.2"],
 ]
 
-# Argument vectors that argparse settles before any scenario file is read.
+# Argument vectors that end in argparse, or past it in reading a scenario file that does not exist: they run in an
+# empty directory, so `x.json` never names a file.
 PARSER_ARGVS = [
     ["--help"],
     *([command, "--help"] for command in ("validate", "analyze", "bounds", "cluster", "simulate", "sweep")),
@@ -254,9 +255,15 @@ def _run_scenarios(runs, extra: list[str], key_suffix: str = "") -> dict[str, di
 def run_full_precision() -> dict[str, dict]:
     """Every scenario run at --precision full, then every parser-only argv."""
     results = _run_scenarios(_runs(), ["--precision", "full"])
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse wraps to the terminal width
-        for argv in PARSER_ARGVS:
-            results[" ".join(["parser", *argv])] = _run(argv)
+    cwd = os.getcwd()
+    # argparse wraps to the terminal width.
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), tempfile.TemporaryDirectory() as empty:
+        os.chdir(empty)
+        try:
+            for argv in PARSER_ARGVS:
+                results[" ".join(["parser", *argv])] = _run(argv)
+        finally:
+            os.chdir(cwd)
     return results
 
 

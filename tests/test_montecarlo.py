@@ -1,6 +1,7 @@
 """Deterministic sampling, the two estimators on simulated data, and the
 replication harness."""
 
+import hashlib
 import re
 import statistics
 import sys
@@ -41,7 +42,6 @@ from support import (
     random_population,
     reference_2sls,
     reference_cluster_wald,
-    reference_generate,
     reference_replicate,
     reference_tables,
 )
@@ -95,42 +95,53 @@ def sampling_populations(draw):
     )
 
 
-def assert_same_sample(got, want):
-    for name in ("z", "d", "y"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
-
-
 ONE_STRATUM = Population(
     entries=(StratumEntry(J.ND1AT2, 1.0, (1.0, -2.0, 3.5), noise_sd=0.5),), assignment=(0.5, 0.0, 0.5)
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(pop=sampling_populations(), n=st.sampled_from((1, 2, 3, 2000)), seed=st.integers(0, 2**64 - 1))
-@example(pop=ONE_STRATUM, n=2000, seed=0)
-@example(pop=random_population(np.random.default_rng(2), noise_sd=1.0, assignment=(0.0, 0.4, 0.6)), n=3, seed=5)
-def test_generate_matches_the_choice_reference_byte_for_byte(pop, n, seed):
-    # The sampler maps uniforms to categories itself; Generator.choice is the
-    # oracle, so a numpy that changes how choice consumes the stream fails here.
-    assert_same_sample(generate(pop, n, seed), reference_generate(pop, n, seed))
+ZERO_PROBABILITY_STRATA = Population(entries=(
+    StratumEntry(J.C1C2, 0.5, (0.1, 3100.0 / 3.0, -7.0 / 3.0), noise_sd=2.0),
+    StratumEntry(J.NT1NT2, 0.0, (5.0, 6.0, 7.0), noise_sd=1.0),
+    StratumEntry(J.C1ID2, 0.3, (1.0 / 3.0, 2.0 / 3.0, 0.7), noise_sd=0.0),
+    StratumEntry(J.AT1OT2, 0.0, (-1.0, -2.0, -3.0), noise_sd=0.0),
+    StratumEntry(J.ID1C2, 0.2, (-0.3, 1.1, 2.2), noise_sd=150.0),
+))
+
+# sha256 of each drawn (z, d, y), every array's dtype string then its bytes: the stream-1 samples, recorded from the
+# hand-built row sampler that generate ran before it called Generator.choice.
+STREAM_1_DIGESTS = {
+    "one-stratum": (ONE_STRATUM, 2000, 0, "8aaf5e31c24fc8c3b3a19e1298246e01af82b45aba720aa5d0f975db9d480ccd"),
+    "ten-strata-empty-arm-0": (
+        random_population(np.random.default_rng(2), noise_sd=1.0, assignment=(0.0, 0.4, 0.6)), 3, 5,
+        "75d162694faa8b952e41b8dda41d68bf5f158f02ee5cd44cabb4e319961cae4b"),
+    "zero-probability-strata": (
+        ZERO_PROBABILITY_STRATA, 2000, 17, "1d67b37be47d99bde571279edf68c9ac16f7e6f047a8973b5716916765319fdb"),
+    "empty-arm-2": (
+        benchmark_pop(noise_sd=150.0, assignment=(0.5, 0.5, 0.0)), 2000, 8,
+        "eee0ab3eee3e7a2c25f0f3899c2698dd1473961a22e0b3f8205b29040bbab2db"),
+    "n=1": (benchmark_pop(noise_sd=150.0), 1, 1, "270c3a6f4554a742f67d70f3bf0a973c894505306294d323da7a1a5dcb18dd1a"),
+    "n=3-largest-seed": (
+        benchmark_pop(noise_sd=150.0), 3, 2**64 - 1,
+        "e438c47810879fda7e237acf59b25856f492382765879c5d8588dbffcaccc5d9"),
+    "n=2000-noiseless": (benchmark_pop(), 2000, 11, "7feca865d9119492bcab749cd84d1d2de0beaa85e289b311e7974f1954c909fb"),
+    "n=200000": (
+        benchmark_pop(noise_sd=150.0), 200_000, 20260817,
+        "7123a5ecf7da58d755e60b06442e4773977564e5e307fd9f8e2b150131e22402"),
+    "n=200000-ten-strata": (
+        random_population(np.random.default_rng(8), noise_sd=40.0), 200_000, 9,
+        "cc1437d1f8c9d9c29840d5850974679ed6c399ac526be311c27aa66f7f64965a"),
+}
 
 
-def test_category_counts_a_uniform_on_an_edge_as_searchsorted_right():
-    # Random draws almost never land on a cdf edge, so pin ties directly: every stratum uniform on, just below or
-    # away from an edge meets every such instrument uniform, and the index is 3 * stratum + arm.
-    stratum_cdf = montecarlo._cdf([0.1, 0.0, 0.2, 0.05, 0.15, 0.0, 0.1, 0.1, 0.2, 0.1])
-    arm_cdf = montecarlo._cdf([0.3, 0.0, 0.7])
-
-    def ties(cdf):
-        edges = cdf[:-1]
-        return np.concatenate([edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-
-    u, v = (a.ravel() for a in np.meshgrid(ties(stratum_cdf), ties(arm_cdf)))
-    idx, hit = np.full(u.shape, 255, dtype=np.uint8), np.empty(u.shape, dtype=bool)
-    want = 3 * stratum_cdf.searchsorted(u, side="right") + arm_cdf.searchsorted(v, side="right")
-    assert want.max() == 29
-    assert np.array_equal(montecarlo._category(u, v, stratum_cdf, arm_cdf, idx, hit), want)
+@pytest.mark.parametrize("pop, n, seed, digest", STREAM_1_DIGESTS.values(), ids=STREAM_1_DIGESTS.keys())
+def test_generate_draws_the_stream_1_bytes(pop, n, seed, digest):
+    # generate maps the stream through Generator.choice, so a numpy that changes how choice reads it fails here.
+    ds = generate(pop, n, seed)
+    h = hashlib.sha256()
+    for a in (ds.z, ds.d, ds.y):
+        h.update(a.dtype.str.encode() + a.tobytes())
+    assert h.hexdigest() == digest
 
 
 def assert_same_table(got, want):
@@ -167,15 +178,13 @@ def test_sampler_tables_match_the_reference_table(pop, sizes, seeds, splits):
                 assert_same_table(table, want[r % reps])
 
 
-def test_a_drawn_dataset_and_table_share_no_array_with_later_draws():
+def test_a_drawn_table_shares_no_array_with_later_draws():
     sampler, streams = montecarlo._Sampler(benchmark_pop(noise_sd=150.0)), montecarlo._streams(4)
-    ds = sampler.draw(500, seed=4)
     table = sampler.tables(500, streams, 1)[0]
-    kept = [a.copy() for a in (ds.z, ds.d, ds.y, table.count, table.mean, table.m2)]
+    kept = [a.copy() for a in (table.count, table.mean, table.m2)]
     for reps in (1, 2):
         sampler.tables(500, streams, reps)
-    sampler.draw(500, seed=7)
-    for a, b in zip((ds.z, ds.d, ds.y, table.count, table.mean, table.m2), kept):
+    for a, b in zip((table.count, table.mean, table.m2), kept):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
@@ -350,8 +359,9 @@ def test_a_stack_of_tables_fails_exactly_when_one_of_its_tables_fails_alone(body
 @pytest.mark.parametrize("target", list(Target))
 def test_replicate_peak_memory_per_row(target):
     # numpy reports its buffers to tracemalloc, so the peak is a count of
-    # bytes, not a timing. The sampler's reused arrays take 26 bytes a row;
-    # a fresh Dataset and cell index per replication would take over 50.
+    # bytes, not a timing. replicate draws cell tables, never rows: its peak
+    # is about 20 kB at this n. The bound fails any path that holds a drawn
+    # sample, as `generate` alone peaks at 48 bytes a row.
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
     scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
     n = 200_000
@@ -517,6 +527,16 @@ def test_dataset_rejects_codes_outside_0_1_2():
     assert as_float.z.dtype.kind == as_float.d.dtype.kind == "i"
     assert np.array_equal(as_float.z, ds.z) and np.array_equal(as_float.d, ds.d)
     assert estimate_2sls(as_float) == estimate_2sls(ds)
+
+
+def test_dataset_rejects_an_outcome_that_is_not_finite_and_real():
+    z = np.array([0, 1, 2, 1, 0, 2])
+    with pytest.raises(ConfigError, match=r"outcome y must be finite; 1 rows hold nan$"):
+        Dataset(z=z, d=z, y=np.array([0.0, 1.0, np.nan, 2.0, 0.5, 1.0]))
+    with pytest.raises(ConfigError, match=r"outcome y must be finite; 4 rows hold -inf, inf, nan$"):
+        Dataset(z=z, d=z, y=np.array([np.inf, 1.0, -np.inf, np.nan, 0.5, np.inf]))
+    with pytest.raises(ConfigError, match=r"outcome y must hold real numbers, got dtype <U3$"):
+        Dataset(z=z, d=z, y=np.array(["0.5", "1", "2", "3", "4", "5"]))
 
 
 def _numbers(est) -> dict:
