@@ -207,18 +207,14 @@ def load_scenario(path: str) -> ScenarioFile:
     return sc
 
 
-def _options(args: argparse.Namespace, sc: ScenarioFile) -> dict:
-    """Each option of the command: its flag, else its block value, else its default."""
+def _options(args: argparse.Namespace, sc: ScenarioFile) -> tuple[dict, set[str]]:
+    """The command's options (each its flag, else its block value, else its default) and those given as either."""
     block, flags = sc.options[args.command], vars(args)
-    return {
+    opts = {
         key: block.get(key, default) if flags[key] is None else convert(flags[key], key)
         for key, (convert, default, _) in _OPTIONS[args.command].items()
     }
-
-
-def _given(args: argparse.Namespace, sc: ScenarioFile) -> set[str]:
-    """The command's options given as a flag or as a block value."""
-    return {key for key, value in vars(args).items() if value is not None} | sc.options[args.command].keys()
+    return opts, {key for key in opts if flags[key] is not None} | block.keys()
 
 
 def _reject_unread(given, keys: tuple[str, ...], why: str) -> None:
@@ -324,12 +320,12 @@ def _cmd_bounds(args: argparse.Namespace) -> Iterator[tuple]:
 def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
     sc = load_scenario(args.config)
     pop = sc.require_population("cluster")
-    opts = _options(args, sc)
+    opts, given = _options(args, sc)
     scenario = opts["scenario"]
     if scenario is not None:
-        _reject_unread(_given(args, sc), _UNREAD_WITH_SCENARIO, "when a scenario is given")
+        _reject_unread(given, _UNREAD_WITH_SCENARIO, "when a scenario is given")
     elif opts["n"] is None:  # exact signs: no sample, so no seed and no sign tests
-        _reject_unread(_given(args, sc), ("seed", "sig_level"), "without n")
+        _reject_unread(given, ("seed", "sig_level"), "without n")
         scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)), neg_neg_rule=opts["neg_neg_rule"])
     else:
         from .montecarlo import first_stage_from_cells, sample_table  # numpy loads only where a command draws
@@ -360,15 +356,15 @@ def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
 def _cmd_simulate(args: argparse.Namespace) -> Iterator[tuple]:
     sc = load_scenario(args.config)
     pop = sc.require_population("simulate")
-    opts = _options(args, sc)
+    opts, given = _options(args, sc)
     scenario = opts["scenario"]
     if opts["target"] is not Target.CLUSTER_WALD:
-        _reject_unread(_given(args, sc), ("scenario",), f"with target {opts['target'].value}")
+        _reject_unread(given, ("scenario",), f"with target {opts['target'].value}")
     elif scenario is None:
         scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)))
     from .montecarlo import replicate  # numpy loads only where a command draws
 
-    summary = replicate(pop, opts["n"], opts["reps"], opts["seed"], opts["target"], scenario)
+    summary = replicate(pop, opts["n"], opts["reps"], opts["seed"], scenario)  # a scenario means cluster-wald
     yield "n", summary.n
     yield "reps", summary.reps
     yield "seed", summary.master_seed
@@ -382,7 +378,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Iterator[tuple]:
 def _cmd_sweep(args: argparse.Namespace) -> Iterator[tuple]:
     sc = load_scenario(args.config)
     spec = sc.any_spec()
-    opts = _options(args, sc)
+    opts, _ = _options(args, sc)
     grid, levels = opts["grid"], opts["levels"]
     # A defier-share grid point is a share and its level an effect gap; on the effect-gap axis the two swap. Each
     # default effect gap is a multiple of the C1 effect, so a spec without one exits 2 here rather than print nan rows.

@@ -395,17 +395,16 @@ def replicate(
     n: int,
     reps: int,
     master_seed: int,
-    target: Target = Target.FIELD_2SLS,
     scenario: Optional[ClusterScenario] = None,
 ) -> ReplicationSummary:
     """Run seeded replications and summarize against exact estimands.
 
-    FIELD_2SLS tracks (beta1, beta2) against the moment-system solution of
-    the marginalized population and the six first-stage coefficients
-    against their share identities. CLUSTER_WALD tracks the two-arm ratio
-    against the pooled Wald oracle. Coverage is the fraction of
-    replications whose nominal 95 percent interval (1.96 standard errors)
-    covers the exact value.
+    The scenario decides the target. Without one (FIELD_2SLS) it tracks
+    (beta1, beta2) against the moment-system solution of the marginalized
+    population and the six first-stage coefficients against their share
+    identities; with one (CLUSTER_WALD), the two-arm ratio against the pooled
+    Wald oracle. Coverage is the fraction of replications whose nominal 95
+    percent interval (1.96 standard errors) covers the exact value.
 
     Each replication draws its (z, d) cell table directly, never its n
     rows (see `_Sampler.tables`): the estimators read only that table, so
@@ -419,9 +418,8 @@ def replicate(
     """
     check_count("replications", reps, 2)
     check_count("sample size", n, 1)
+    target = Target.FIELD_2SLS if scenario is None else Target.CLUSTER_WALD
     if target is Target.CLUSTER_WALD:
-        if scenario is None:
-            raise ConfigError("cluster-wald replication requires a cluster scenario")
         truths = [("wald", cluster_wald_oracle(pop, scenario, Semantics.POOLED))]
         estimate = functools.partial(_cluster_wald_from_cells, scenario=scenario)
     else:

@@ -301,13 +301,13 @@ def reference_replicate(
     n: int,
     reps: int,
     master_seed: int,
-    target: Target = Target.FIELD_2SLS,
     scenario: Optional[ClusterScenario] = None,
 ) -> ReplicationSummary:
     """`replicate` one replication at a time: each cell table drawn by
     `reference_tables` and estimated on its own, then the same summary, one
     column at a time. A failing replication raises at once, named as
     `replicate` names it."""
+    target = Target.FIELD_2SLS if scenario is None else Target.CLUSTER_WALD
     if target is Target.CLUSTER_WALD:
         truths = [("wald", cluster_wald_oracle(pop, scenario, Semantics.POOLED))]
         estimate = partial(_cluster_wald_from_cells, scenario=scenario)

@@ -790,6 +790,15 @@ def test_option_table_keys_are_the_command_flags():
     assert set(cli._OPTIONS) == {"cluster", "simulate", "sweep"}
 
 
+def test_a_numpy_scalar_cell_prints_as_the_float_it_holds():
+    import numpy as np  # local: the exact commands under test elsewhere in this file run without numpy
+
+    # numpy 2's repr of an np.float64 wraps the number in its type name; a cell prints the float's own text.
+    x = np.float64(0.1)
+    assert (cli._cell(x, "full"), cli._cell(x, "4")) == ("0.1", "0.1000")
+    assert cli._cell((x, x), "full") == "0.1;0.1" and repr(x) != "0.1"
+
+
 def _in_process(capsys, argv: list[str]) -> tuple:
     """main's exit code, stdout and stderr, an argparse exit included."""
     try:

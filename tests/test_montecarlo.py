@@ -238,13 +238,13 @@ def test_replicate_matches_the_reference_table(monkeypatch, target):
     scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
     block = montecarlo._BLOCK_REPS
     for reps in (block - 1, block + 1):
-        got = replicate(pop, n=2000, reps=reps, master_seed=9, target=target, scenario=scenario)
-        assert got == reference_replicate(pop, 2000, reps, 9, target, scenario), reps
+        got = replicate(pop, n=2000, reps=reps, master_seed=9, scenario=scenario)
+        assert got == reference_replicate(pop, 2000, reps, 9, scenario), reps
     monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 5)
     for n in (2000, 10**12, strata._MAX_COUNT):
         for reps in (2, 4, 5, 6, 13):
-            got = replicate(pop, n=n, reps=reps, master_seed=9, target=target, scenario=scenario)
-            assert got == reference_replicate(pop, n, reps, 9, target, scenario), (n, reps)
+            got = replicate(pop, n=n, reps=reps, master_seed=9, scenario=scenario)
+            assert got == reference_replicate(pop, n, reps, 9, scenario), (n, reps)
 
 
 @pytest.mark.parametrize("target", list(Target))
@@ -257,7 +257,7 @@ def test_the_block_size_changes_no_summary(monkeypatch, target):
         summaries = []
         for block in (1, 5, 1024):
             monkeypatch.setattr(montecarlo, "_BLOCK_REPS", block)
-            summaries.append(replicate(pop, n=500, reps=reps, master_seed=4, target=target, scenario=scenario))
+            summaries.append(replicate(pop, n=500, reps=reps, master_seed=4, scenario=scenario))
         assert summaries[0] == summaries[1] == summaries[2], reps
 
 
@@ -291,23 +291,21 @@ RARE_FIELDS = Population(entries=(
 ))
 
 # Each RankError text, with a study at n=12 whose first failing replication
-# (not replication 0) fails with it: population, target, scenario, master seed.
+# (not replication 0) fails with it: population, scenario (None for field 2SLS), master seed.
 FAILING = {
-    "instrument z never takes": (benchmark_pop(assignment=(0.45, 0.45, 0.1)), Target.FIELD_2SLS, None, 0),
-    "field d never takes": (RARE_FIELDS, Target.FIELD_2SLS, None, 15),
-    "second stage: instrument-regressor": (benchmark_pop(), Target.FIELD_2SLS, None, 7),
-    "instrument arm z~=1 is empty": (
-        benchmark_pop(assignment=(0.45, 0.1, 0.45)), Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 4),
-    "clustered Wald (control-1): instrument-regressor": (
-        RARE_FIELDS, Target.CLUSTER_WALD, ClusterScenario.CONTROL_1, 15),
+    "instrument z never takes": (benchmark_pop(assignment=(0.45, 0.45, 0.1)), None, 0),
+    "field d never takes": (RARE_FIELDS, None, 15),
+    "second stage: instrument-regressor": (benchmark_pop(), None, 7),
+    "instrument arm z~=1 is empty": (benchmark_pop(assignment=(0.45, 0.1, 0.45)), ClusterScenario.CONTROL_1, 4),
+    "clustered Wald (control-1): instrument-regressor": (RARE_FIELDS, ClusterScenario.CONTROL_1, 15),
 }
 
 
 @pytest.mark.parametrize("text", list(FAILING))
 def test_replicate_names_the_first_failing_replication_anywhere_in_its_block(monkeypatch, text):
-    pop, target, scenario, seed = FAILING[text]
+    pop, scenario, seed = FAILING[text]
     with pytest.raises(RankError) as want:
-        reference_replicate(pop, 12, 40, seed, target, scenario)
+        reference_replicate(pop, 12, 40, seed, scenario)
     rep = int(re.match(rf"replication (\d+): {re.escape(text)}", str(want.value))[1])
     assert rep >= 2  # so that a block of rep replications has a first and a distinct last
     # Block sizes that make it the first, a middle and the last replication of its block.
@@ -315,7 +313,7 @@ def test_replicate_names_the_first_failing_replication_anywhere_in_its_block(mon
         assert where == {0: "first", block - 1: "last"}.get(rep % block, "middle")
         monkeypatch.setattr(montecarlo, "_BLOCK_REPS", block)
         with pytest.raises(RankError) as got:
-            replicate(pop, n=12, reps=40, master_seed=seed, target=target, scenario=scenario)
+            replicate(pop, n=12, reps=40, master_seed=seed, scenario=scenario)
         assert str(got.value) == str(want.value), where
 
 
@@ -367,7 +365,7 @@ def test_replicate_peak_memory_per_row(target):
     n = 200_000
     tracemalloc.start()
     try:
-        replicate(pop, n=n, reps=3, master_seed=9, target=target, scenario=scenario)
+        replicate(pop, n=n, reps=3, master_seed=9, scenario=scenario)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -383,7 +381,7 @@ def test_replicate_small_n_peak_memory_per_block(target):
     scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
     tracemalloc.start()
     try:
-        replicate(pop, n=2000, reps=25, master_seed=9, target=target, scenario=scenario)
+        replicate(pop, n=2000, reps=25, master_seed=9, scenario=scenario)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -474,10 +472,10 @@ def replicate_peak(n, target):
     """The tracemalloc peak of a 25-replication study, after a first study has filled the estimators' caches."""
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
     scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
-    replicate(pop, n=n, reps=25, master_seed=9, target=target, scenario=scenario)
+    replicate(pop, n=n, reps=25, master_seed=9, scenario=scenario)
     tracemalloc.start()
     try:
-        replicate(pop, n=n, reps=25, master_seed=9, target=target, scenario=scenario)
+        replicate(pop, n=n, reps=25, master_seed=9, scenario=scenario)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -690,9 +688,9 @@ def test_replicate_field_2sls_summary():
 def test_replicate_cluster_wald_summary():
     pop = benchmark_pop(noise_sd=100.0)
     scen = ClusterScenario.control(1)
-    summary = replicate(pop, n=5_000, reps=10, master_seed=5, target=Target.CLUSTER_WALD, scenario=scen)
+    summary = replicate(pop, n=5_000, reps=10, master_seed=5, scenario=scen)
     (row,) = summary.rows
-    assert row.param == "wald"
+    assert row.param == "wald" and summary.target is Target.CLUSTER_WALD
     assert row.truth == pytest.approx(cluster_wald_oracle(pop, scen), abs=1e-9)
     assert abs(row.mean - row.truth) <= 6.0 * row.sd / np.sqrt(10)
 
@@ -701,8 +699,10 @@ def test_replicate_validation():
     pop = benchmark_pop()
     with pytest.raises(ConfigError):
         replicate(pop, n=100, reps=1, master_seed=0)
-    with pytest.raises(ConfigError, match="scenario"):
-        replicate(pop, n=100, reps=5, master_seed=0, target=Target.CLUSTER_WALD)
+    # A scenario picks the clustered Wald target, so one without a clustered estimand is refused.
+    for scenario in (ClusterScenario.NO_CLUSTERING, ClusterScenario.UNDEFINED):
+        with pytest.raises(ConfigError, match=f"no clustered estimand under scenario '{scenario.label}'"):
+            replicate(pop, n=100, reps=5, master_seed=0, scenario=scenario)
 
 
 def test_largest_count_is_numpys_intp_bound():

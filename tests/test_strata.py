@@ -207,6 +207,16 @@ def test_marginal_spec_validation():
         MarginalSpec(pC1=1.0, eff_c1=math.nextafter(EFFECT_BOUND, math.inf))
 
 
+def test_a_marginal_spec_stores_floats():
+    # As a StratumEntry does: an int share or effect is stored as its float.
+    spec = MarginalSpec(pC1=1, eff_c1=2)
+    assert (spec.pC1, spec.eff_c1) == (1.0, 2.0)
+    assert [type(v) for v in (spec.pC1, spec.eff_c1)] == [float, float]
+    # Floats are stored as given.
+    effect = 2.5
+    assert MarginalSpec(pC1=1.0, eff_c1=effect).eff_c1 is effect
+
+
 def test_marginalize_keeps_a_population_at_the_magnitude_bound_admissible():
     # E[y1 - y0 | C1] mixes differences of exactly 2 * MAX_MAGNITUDE, and rounding carries this mixture a unit in
     # the last place past that: the effect bound leaves room, so a population that loads always marginalizes.
