@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import re
 import sys
@@ -466,16 +467,16 @@ def _attach_list_values(argv: list[str]) -> list[str]:
 
 
 def _cell(x, precision: str) -> str:
-    """One CSV cell: "" for None, a tuple's cells joined by ";", a str or
-    int as it is, any other number at 4 dp or, at --precision full, as the
-    repr of a float (not of an np.float64, which numpy 2 wraps in its name)."""
+    """One CSV cell: "" for None, a tuple's cells joined by ";", a str or integer (numpy's too) as it is, any
+    other number at 4 dp or, at --precision full, as the repr of a float (not of an np.float64, which numpy 2
+    wraps in its name)."""
     if type(x) is float:  # most cells: tested first, the same text as the fallback below
         return repr(x) if precision == "full" else f"{x:.4f}"
     if x is None:
         return ""
     if isinstance(x, tuple):
         return ";".join(_cell(v, precision) for v in x)
-    if isinstance(x, (str, int)):
+    if isinstance(x, (str, numbers.Integral)):
         return str(x)
     return repr(float(x)) if precision == "full" else f"{float(x):.4f}"
 

@@ -24,7 +24,7 @@ from .clustering import ClusterScenario, Semantics, cluster_wald_oracle
 from .estimands import solve_moment_system
 from .exceptions import ConfigError, RankError
 from .identification import COEFFICIENTS, FirstStage, first_stage_from_shares
-from .strata import Population, Target, check_count, check_seed, marginal_shares, marginalize
+from .strata import RANK_TOL, Population, Target, check_count, check_seed, marginal_shares, marginalize
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,15 +202,15 @@ def _require_every_value(name: str, margin: np.ndarray) -> None:
     _require((rows == 0).any(axis=1), message)
 
 
-def _first_stage(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each table's first stage and its HC0 standard errors, (..., 6) in COEFFICIENTS order, from the counts
-    alone; every instrument value must occur.
+def _first_stage(count: np.ndarray, n_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each table's first stage and its HC0 standard errors, (..., 6) in COEFFICIENTS order, from the counts and
+    their instrument margin n_z (..., 3); every instrument value must occur.
 
     The regression is saturated, so its coefficients are contrasts of the
     field shares m[z, j] of each instrument cell, and the HC0 variance of a
     share is m (1 - m) / n_z; pure cells stay exactly 0.
     """
-    n_z = count.sum(axis=-1, keepdims=True)
+    n_z = n_z[..., None]
     m = count / n_z
     v = m * (1.0 - m) / n_z
     m0, v0 = m[..., :1, :], v[..., :1, :]
@@ -223,51 +223,51 @@ def _first_stage(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def first_stage_from_cells(table: CellTable) -> tuple[FirstStage, FirstStage]:
     """The estimated first stage of one table and its HC0 standard errors,
     from its counts alone; RankError if an instrument value never occurs."""
-    _require_every_value("instrument z", table.count.sum(axis=-1))
-    return tuple(FirstStage(*x.tolist()) for x in _first_stage(table.count))
+    n_z = table.count.sum(axis=-1)
+    _require_every_value("instrument z", n_z)
+    return tuple(FirstStage(*x.tolist()) for x in _first_stage(table.count, n_z))
 
 
-# The instrument and field value of each flattened cell row z * 3 + d.
-_CELL_Z = (0, 0, 0, 1, 1, 1, 2, 2, 2)
-_CELL_D = (0, 1, 2, 0, 1, 2, 0, 1, 2)
+def _total(x: np.ndarray) -> np.ndarray:
+    """x (..., 2 or 3) summed over its last axis in index order, by elementwise adds."""
+    return x[..., 0] + x[..., 1] if x.shape[-1] == 2 else x[..., 0] + x[..., 1] + x[..., 2]
 
 
-@functools.cache
-def _cell_rows(codes: tuple[int, ...], arms: tuple[frozenset[int], ...]) -> np.ndarray:
-    """Design rows [1, code in arms[0], code in arms[1], ...], one per cell;
-    built once per (codes, arms) and read-only, as every caller shares it."""
-    rows = np.array([[1.0] + [float(c in arm) for arm in arms] for c in codes])
-    rows.flags.writeable = False
-    return rows
+# Rows and columns 1, 2, 0, 1 of a 3x3 matrix m form e, e[i, j] = m[i+1, j+1] (indices mod 3), so that m's
+# cofactor (i, j), m[i+1, j+1] m[i+2, j+2] - m[i+1, j+2] m[i+2, j+1], is e[i, j] e[i+1, j+1] - e[i, j+1] e[i+1, j].
+_ROLL = np.array([1, 2, 0, 1])
+_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a 2x2 matrix's cofactor (i, j) is (-1)^(i+j) m[1-i, 1-j]
 
 
-def _iv_hc0(table: CellTable, arms: tuple[frozenset[int], ...], what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Just-identified IV of y on [1, d in arm, ...] instrumented by
-    [1, z in arm, ...], with the HC0 sandwich, summed over each cell table:
-    the coefficients and their clamped variances, each (..., 1 + len(arms)).
-    RankError (see `_require`) for the first table with a singular
-    cross-moment matrix.
+def _iv_hc0(table: CellTable, arm: tuple[int, ...], n: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Just-identified IV of y on [1, d in arm 1, ...] instrumented by [1, z in arm 1, ...], with the HC0 sandwich,
+    summed over each cell table: the coefficients of arms 1 to k - 1 and their variances, (..., k - 1) each. arm[v]
+    is value v's arm, n (..., k, k) the counts by arm, n[g, h] the rows with z in arm g and d in arm h. RankError
+    (see `_require`) for the first table whose n is singular to float precision: |det n| <= RANK_TOL ||n||_F^k.
 
-    Instruments and regressors are constant within a (z, d) cell, so the
-    cross moments and the right-hand side are count-weighted cell sums, and
-    a cell's squared residuals (y - x'b)^2 sum to M2 + n (ybar - x'b)^2.
-    A stack of tables runs through numpy's stacked matmul and linalg calls,
-    which make the same BLAS or LAPACK call per matrix as a single table.
+    The cross-moment matrix is L n L' with L unimodular, so this is the sample analogue of `solve_moment_system`:
+    arm h's fitted mean is mu[h], mu = n^-1 s with s[g] the sum of y over z's arm g; coefficient j is mu[j] - mu[0]
+    = sum_g c[j, g] s[g], c[j, g] = n^-1[j, g] - n^-1[0, g], with variance sum_g c[j, g]^2 r[g], r[g] summing each
+    cell's M2 + count (ybar - mu[arm of d])^2 over z's arm g. n^-1 is n's adjugate over its determinant; at k = 2
+    coefficient 1 is the Wald ratio (N0 S1 - N1 S0) / (N0 D1 - N1 D0), Ng, Sg and Dg the rows of arm g, their sum
+    of y and those with d in arm 1. The sums over g run per z value, reading c at z's arm. Only elementwise
+    products and sums are used, so a table in a stack gets the bytes it gets alone.
     """
-    inst = _cell_rows(_CELL_Z, arms)
-    regs = _cell_rows(_CELL_D, arms)
-    n, ybar, m2 = (x.reshape(x.shape[:-2] + (9,)) for x in (table.count, table.mean, table.m2))
-    a = inst.T @ (n[..., None] * regs)
-    singular = np.linalg.matrix_rank(a) < a.shape[-1]
-    _require(singular, lambda i: f"{what}: instrument-regressor cross-moment matrix is singular")
-    coef = np.linalg.solve(a, inst.T @ (n * ybar)[..., None])
-    sq_resid = m2 + n * (ybar - (regs @ coef)[..., 0]) ** 2
-    meat = (inst * sq_resid[..., None]).swapaxes(-1, -2) @ inst
-    a_inv = np.linalg.inv(a)
-    cov = a_inv @ meat @ a_inv.swapaxes(-1, -2)
-    # Exactly-fit cells can leave -1e-21 dust on the diagonal; clamp so
-    # sqrt gives 0 rather than nan.
-    return coef[..., 0], np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0)
+    if n.shape[-1] == 2:
+        adj = n[..., ::-1, ::-1].swapaxes(-1, -2) * _SIGNS
+    else:
+        e = n[..., _ROLL[:, None], _ROLL]
+        adj = (e[..., :3, :3] * e[..., 1:, 1:] - e[..., :3, 1:] * e[..., 1:, :3]).swapaxes(-1, -2)
+    det = _total(n[..., 0, :] * adj[..., :, 0])
+    norm = np.sqrt(_total(_total(n * n)))
+    _require(np.abs(det) <= RANK_TOL * norm ** n.shape[-1],
+             lambda i: f"{what}: instrument-regressor cross-moment matrix is singular")
+    inv = adj[..., arm] / det[..., None, None]  # n^-1[h, arm of z], (..., k, 3)
+    s = _total(table.count * table.mean)[..., None, :]
+    dev = table.mean - _total(inv * s)[..., None, arm]
+    r = _total(table.m2 + table.count * (dev * dev))[..., None, :]
+    contrast = inv[..., 1:, :] - inv[..., :1, :]
+    return _total(contrast * s), _total(contrast * contrast * r)
 
 
 @dataclass(frozen=True)
@@ -284,9 +284,6 @@ class EstimateSet:
     seed: Optional[int]
 
 
-_FIELDS = (frozenset({1}), frozenset({2}))
-
-
 def estimate_2sls(ds: Dataset) -> EstimateSet:
     """Two-stage least squares of y on the field indicators, instrumented
     by the assignment indicators, plus the saturated first stages.
@@ -295,13 +292,14 @@ def estimate_2sls(ds: Dataset) -> EstimateSet:
     centred M2 of y per cell). That is exact, not an approximation: every
     instrument and regressor is an indicator of z or d, so the moment
     matrices, the residual sums of squares in the HC0 sandwich and the
-    first-stage cell shares are all sums over the nine cells.
+    first-stage cell shares are all sums over the nine cells; the second
+    stage inverts the 3x3 count matrix N by its adjugate (`_iv_hc0`).
 
     Raises
     ------
     RankError
         If an instrument or field value never occurs (the design matrix is
-        collinear), or the cross-moment matrix is otherwise singular.
+        collinear), or N is otherwise singular to float precision.
     """
     est, se = _2sls_from_cells(CellTable.from_dataset(ds))
     return EstimateSet(
@@ -317,12 +315,13 @@ def estimate_2sls(ds: Dataset) -> EstimateSet:
 
 
 def _2sls_from_cells(table: CellTable) -> tuple[np.ndarray, np.ndarray]:
-    """Each table's estimates and standard errors, (..., 8): beta1, beta2, then the first stage."""
-    _require_every_value("instrument z", table.count.sum(axis=-1))
+    """Each table's estimates and standard errors, (..., 8): beta1 and beta2 by `_iv_hc0`, then the first stage."""
+    n_z = table.count.sum(axis=-1)
+    _require_every_value("instrument z", n_z)
     _require_every_value("field d", table.count.sum(axis=-2))
-    beta, var = _iv_hc0(table, _FIELDS, "second stage")
-    alphas, alpha_ses = _first_stage(table.count)
-    return np.concatenate((beta[..., 1:], alphas), axis=-1), np.concatenate((np.sqrt(var[..., 1:]), alpha_ses), axis=-1)
+    beta, var = _iv_hc0(table, (0, 1, 2), table.count, "second stage")
+    alphas, alpha_ses = _first_stage(table.count, n_z)
+    return np.concatenate((beta, alphas), axis=-1), np.concatenate((np.sqrt(var), alpha_ses), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -348,13 +347,14 @@ def estimate_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstimat
 
 def _cluster_wald_from_cells(table: CellTable, scenario: ClusterScenario) -> tuple[np.ndarray, np.ndarray]:
     """Each table's Wald ratio and its standard error, (..., 1)."""
-    s1 = scenario.require_collapse().s1
-    n = np.reshape(table.count.sum(axis=(-2, -1)), -1)
-    n1 = np.reshape(table.count[..., sorted(s1), :].sum(axis=(-2, -1)), -1)
-    _require((n1 == 0) | (n1 == n),
-             lambda i: f"instrument arm z~={int(n1[i] == 0)} is empty under scenario {scenario.label!r}")
-    coef, var = _iv_hc0(table, (s1,), f"clustered Wald ({scenario.label})")
-    return coef[..., 1:], np.sqrt(var[..., 1:])
+    arm = tuple(int(v in scenario.require_collapse().s1) for v in range(3))
+    hot = np.equal.outer((0, 1), arm)  # hot[g, v]: value v is in arm g; n sums integer counts, exact in any order
+    n = (table.count[..., None, None, :, :] * (hot[:, None, :, None] & hot[:, None])).sum(axis=(-2, -1))
+    n_arm = np.reshape(_total(n), (-1, 2))
+    _require(n_arm[:, 0] * n_arm[:, 1] == 0,
+             lambda i: f"instrument arm z~={int(n_arm[i, 1] == 0)} is empty under scenario {scenario.label!r}")
+    coef, var = _iv_hc0(table, arm, n, f"clustered Wald ({scenario.label})")
+    return coef, np.sqrt(var)
 
 
 @dataclass(frozen=True)
@@ -412,9 +412,10 @@ def replicate(
     cost and memory that do not grow with n. Replications run in blocks of
     _BLOCK_REPS: one stacked table draw from the study's three streams and
     one estimator call per block. The streams are read in replication
-    order, so the block size changes no byte. A block that raises RankError
-    is estimated again one drawn table at a time, so the error names the
-    first replication that fails and that replication's own failure.
+    order, and the estimators give a stacked table the bytes it gets alone
+    (`_iv_hc0`), so the block size changes no byte. A block that raises
+    RankError is estimated again one drawn table at a time, so the error
+    names the first replication that fails and that replication's own failure.
     """
     check_count("replications", reps, 2)
     check_count("sample size", n, 1)

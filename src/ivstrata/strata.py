@@ -39,6 +39,7 @@ Instrument = int
 PROB_SUM_TOL = 1e-12  # probability vectors must sum to 1 this tightly; never renormalized
 SHARE_ATOL = 1e-9  # slack for float dust when shares derive from arithmetic
 DEN_TOL = 1e-10  # singularity threshold for determinants and estimand denominators
+RANK_TOL = 3 * 2.0**-52  # a k x k count matrix N is singular to float precision when |det N| <= RANK_TOL ||N||_F^k
 # The largest magnitude of a stratum mean or noise sd. An effect is a mixture of differences of two means, at most
 # twice this, and rounding can carry a mixture a few units in the last place past that: MarginalSpec effects may
 # reach EFFECT_BOUND. The README shows why every number computed from such inputs stays finite.

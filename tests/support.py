@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import fields, replace
+from fractions import Fraction
 from functools import partial
 from typing import Optional
 
@@ -400,6 +401,54 @@ def reference_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstima
         raise RankError(f"instrument arm z~={int(n1 == 0)} is empty under scenario {scenario.label!r}")
     coef, cov = _reference_iv_hc0(ds, (scenario.s1,), f"clustered Wald ({scenario.label})")
     return WaldEstimate(estimate=float(coef[1]), se=float(np.sqrt(cov[1, 1])), n=ds.n, seed=ds.seed)
+
+
+def _fraction_inverse(a: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
+    """The inverse of a square Fraction matrix by Gauss-Jordan elimination, or None if it is singular."""
+    k = len(a)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(a)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    return [row[k:] for row in rows]
+
+
+def exact_iv_hc0(
+    table: CellTable, arms: tuple[frozenset[int], ...]
+) -> Optional[tuple[list[Fraction], list[Fraction], list[list[Fraction]]]]:
+    """Textbook just-identified IV of y on x = [1, d in arms[0], ...] instrumented by z = [1, z in arms[0], ...],
+    with the HC0 sandwich, in exact rationals from one float table's exact counts, means and M2s: the
+    coefficients after the constant, their variances and the cross-moment matrix A, or None if A is singular.
+
+    A = sum over cells of n z x' is inverted by Gaussian elimination, b = A^-1 sum n ybar z, and the covariance is
+    A^-1 (sum over cells of (M2 + n (ybar - x'b)^2) z z') A^-T. Nothing here collapses the cells by arm or uses a
+    cofactor, so it shares no algebra with the package's closed form.
+    """
+    def row(v: int) -> list[Fraction]:
+        return [Fraction(1)] + [Fraction(int(v in arm)) for arm in arms]
+
+    cells = [
+        (row(z), row(d), *(Fraction(float(a[z, d])) for a in (table.count, table.mean, table.m2)))
+        for z in range(3) for d in range(3)
+    ]
+    k = len(arms) + 1
+    a = [[sum(n * zi[i] * x[j] for zi, x, n, _, _ in cells) for j in range(k)] for i in range(k)]
+    inv = _fraction_inverse(a)
+    if inv is None:
+        return None
+    rhs = [sum(n * ybar * zi[i] for zi, _, n, ybar, _ in cells) for i in range(k)]
+    b = [sum(inv[i][j] * rhs[j] for j in range(k)) for i in range(k)]
+    resid = [m2 + n * (ybar - sum(xj * bj for xj, bj in zip(x, b))) ** 2 for _, x, n, ybar, m2 in cells]
+    meat = [[sum(e * zi[i] * zi[j] for (zi, *_), e in zip(cells, resid)) for j in range(k)] for i in range(k)]
+    cov = [[sum(inv[i][p] * meat[p][q] * inv[j][q] for p in range(k) for q in range(k)) for j in range(k)]
+           for i in range(k)]
+    return b[1:], [cov[j][j] for j in range(1, k)], a
 
 
 def reference_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:

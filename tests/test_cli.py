@@ -797,6 +797,10 @@ def test_a_numpy_scalar_cell_prints_as_the_float_it_holds():
     x = np.float64(0.1)
     assert (cli._cell(x, "full"), cli._cell(x, "4")) == ("0.1", "0.1000")
     assert cli._cell((x, x), "full") == "0.1;0.1" and repr(x) != "0.1"
+    # A numpy integer, such as a count taken from an array, prints as the integer it holds; np.bool_ is no integer.
+    for i in (np.int64(3), np.intp(3), np.uint8(3)):
+        assert (cli._cell(i, "full"), cli._cell(i, "4")) == ("3", "3")
+    assert (cli._cell(np.bool_(True), "full"), cli._cell(np.bool_(True), "4")) == ("1.0", "1.0000")
 
 
 def _in_process(capsys, argv: list[str]) -> tuple:

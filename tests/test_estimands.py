@@ -162,6 +162,18 @@ def test_singular_moment_system_raises():
         complier_late(MarginalSpec(pC2=1.0, eff_c2=1.0))
 
 
+
+def test_a_complier_share_of_one_keeps_its_effect():
+    # Every unit a complier for both instruments: the estimands are the complier effects themselves.
+    assert solve_moment_system(MarginalSpec(pC1=1.0, pC2=1.0, eff_c1=3.0, eff_c2=-2.0)) == (3.0, -2.0)
+
+
+def test_complier_late_needs_complier_mass_on_both_sides():
+    # Both complier shares are nonzero, yet their product is below DEN_TOL: not identified.
+    with pytest.raises(RankError, match="no complier mass"):
+        complier_late(MarginalSpec(pC1=1e-6, pC2=1e-6, eff_c1=1.0, eff_c2=1.0))
+    assert complier_late(MarginalSpec(pC1=1e-4, pC2=1e-4, eff_c1=1.0, eff_c2=2.0)) == (1.0, 2.0)
+
 def test_decompose_requires_the_complier_effect():
     # Even with no compliers the reference point is the complier effect.
     spec = MarginalSpec(pC1=0.0, pND1=0.5, pC2=1.0,

@@ -10,7 +10,9 @@ too: the `--help` text of the program and of every subcommand, the bare
 usage error, and one bad value for each flag that has choices or a type.
 
 After a deliberate output change, rewrite the expected file with
-`PYTHONPATH=src python tests/test_golden.py` and review its diff.
+`PYTHONPATH=src python tests/test_golden.py` and review its diff. The
+script first names on stderr every key whose output it changes, adds or
+drops, one `rewrites: <key>` line each.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -290,4 +293,9 @@ def test_default_precision_output_is_unchanged():
 
 
 if __name__ == "__main__":
-    EXPECTED.write_text(json.dumps({**run_full_precision(), **run_default_precision()}, indent=1) + "\n")
+    stored = json.loads(EXPECTED.read_text())
+    results = {**run_full_precision(), **run_default_precision()}
+    for key in dict.fromkeys([*results, *stored]):
+        if results.get(key) != stored.get(key):
+            print(f"rewrites: {key}", file=sys.stderr)
+    EXPECTED.write_text(json.dumps(results, indent=1) + "\n")

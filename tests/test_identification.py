@@ -62,6 +62,30 @@ def test_first_stage_validation():
         bad.validate()
 
 
+
+@pytest.mark.parametrize("name", ["a10", "a20"])
+def test_an_intercept_above_one_is_infeasible_on_its_own(name):
+    # Cross slopes of -0.25 keep both implied never-taker shares at exactly 0, so the intercept's own cap is the
+    # one check this first stage fails.
+    fs = FirstStage(**{**dict.fromkeys(("a10", "a11", "a20", "a22"), 0.0), name: 1.25, "a21": -0.25, "a12": -0.25})
+    assert (fs.nt1, fs.nt2) == (0.0, 0.0)
+    with pytest.raises(InfeasibleError) as exc:
+        fs.validate()
+    assert str(exc.value) == f"first stage is not population-consistent: {name} = 1.25 outside [0, 1]"
+
+
+def test_a_share_above_one_refutes_and_float_dust_above_one_is_clamped():
+    # shares_from_first_stage does not call validate: it refutes a share past 1 itself. The six instrument-1
+    # shares sum to 1, so an intercept of 1.2 leaves negative ones too; the share above 1 is listed with them.
+    fs = FirstStage(a10=1.2, a11=0.0, a12=-0.2, a20=0.0, a21=-0.2, a22=0.0)
+    with pytest.raises(AssumptionError) as exc:
+        shares_from_first_stage(fs, Regime.NEXT_BEST_ONLY)
+    assert "P(AT1) = 1.2 outside [0, 1]" in exc.value.violations
+    # A share within SHARE_ATOL past 1, or past 0, is dust: it passes and comes back clamped to exactly 1 or 0.
+    dust = FirstStage(a10=0.0, a11=1.0 + 5e-10, a12=0.0, a20=0.0, a21=0.0, a22=1.0)
+    shares = shares_from_first_stage(dust, Regime.NEXT_BEST_ONLY)
+    assert (shares[G.C1], shares[G.NT1]) == (1.0, 0.0)
+
 def test_shares_round_trip_under_correct_maintained():
     for _ in range(50):
         # ND-free truth inverts exactly under maintained next-best.

@@ -39,6 +39,7 @@ from ivstrata import (
 from support import (
     FIELD_ARMS,
     cross_moment_cond,
+    exact_iv_hc0,
     random_population,
     reference_2sls,
     reference_cluster_wald,
@@ -708,3 +709,69 @@ def test_replicate_validation():
 def test_largest_count_is_numpys_intp_bound():
     # strata states the bound on sample sizes and replication counts without numpy; it is numpy's own.
     assert strata._MAX_COUNT == sys.maxsize // 64 == np.iinfo(np.intp).max // 64
+
+
+ORACLE_ARMS = {"2sls": (FIELD_ARMS, montecarlo._2sls_from_cells)} | {
+    s.label: ((s.s1,), partial(montecarlo._cluster_wald_from_cells, scenario=s))
+    for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)
+}
+
+
+def oracle_tables(count: int = 200) -> list[tuple[str, montecarlo.CellTable]]:
+    """Seeded drawn tables for the exact IV oracle, with n from 12 to 10^6: all ten strata at noise sd 0 to 300,
+    weak first stages (few compliers among many defiers), one to four strata (often singular), and a skewed
+    assignment with one mean per field, each under the field arms and every clustering's arms."""
+    rng, out = np.random.default_rng(26), []
+    for i in range(count):
+        n = (12, 10**6)[i] if i < 2 else int(np.exp(rng.uniform(np.log(12), np.log(10**6))))
+        noise_sd = float(rng.choice([0.0, 1.0, 50.0, 300.0]))
+        kind = i % 4
+        if kind == 0:
+            pop = random_population(rng, noise_sd=noise_sd)
+        elif kind == 1:
+            c = float(np.exp(rng.uniform(np.log(0.001), np.log(0.05))))
+            strata = (J.C1C2, J.ND1AT2, J.AT1ND2, J.NT1NT2)
+            probs = (c, (1 - c) / 3, (1 - c) / 3, 1 - c - 2 * (1 - c) / 3)
+            pop = Population(entries=tuple(
+                StratumEntry(s, p, tuple(float(v) for v in rng.uniform(-500.0, 500.0, 3)), noise_sd=noise_sd)
+                for s, p in zip(strata, probs)))
+        elif kind == 2:
+            strata = tuple(rng.choice(list(J), size=int(rng.integers(1, 5)), replace=False))
+            pop = random_population(rng, strata=strata, noise_sd=noise_sd)
+        else:
+            # One mean per field, so y depends on d alone: at sd 0 the IV fits exactly.
+            means = tuple(float(v) for v in rng.uniform(-500.0, 500.0, 3))
+            assignment = tuple(float(v) for v in rng.dirichlet((1, 1, 1)))
+            pop = random_population(rng, noise_sd=noise_sd, assignment=assignment, means=dict.fromkeys(J, means))
+        out.append((list(ORACLE_ARMS)[(i // 4) % 4], montecarlo.sample_table(pop, n, int(rng.integers(2**32)))))
+    return out
+
+
+def test_the_closed_form_iv_matches_an_exact_rational_iv():
+    # The kernel inverts each collapsed count matrix by its adjugate; the oracle solves the textbook cross-moment
+    # system in exact rationals from the same float table. Both read the same inputs, so the gap is the kernel's
+    # rounding alone: of order eps cond(A) max|ybar| for a coefficient, and eps cond(A) times the SE for an SE,
+    # where the residual dust of an exactly fit cell adds cond(A) max|ybar| / sqrt(n).
+    eps, checked, singular, noiseless, weak, exact_fit = 2.0**-52, 0, 0, 0, 0, 0
+    for what, table in oracle_tables():
+        arms, estimate = ORACLE_ARMS[what]
+        exact = exact_iv_hc0(table, arms)
+        if exact is None:
+            with pytest.raises(RankError, match="singular|never takes|is empty"):
+                estimate(table)
+            singular += 1
+            continue
+        (coef, se), (b, var, a) = estimate(table), exact
+        cond = float(np.linalg.cond(np.array(a, dtype=float)))
+        y_max = float(np.abs(table.mean[table.count > 0]).max())
+        dust = cond * y_max / float(table.count.sum()) ** 0.5
+        for j, (b_j, var_j) in enumerate(zip(b, var)):
+            se_j = float(var_j) ** 0.5
+            assert abs(coef[j] - float(b_j)) <= 16 * eps * cond * y_max, (what, j, coef[j], float(b_j))
+            assert abs(se[j] - se_j) <= 16 * eps * cond * (se_j + dust), (what, j, se[j], se_j)
+            exact_fit += se_j <= 16 * eps * cond * dust
+        checked += 1
+        noiseless += bool(((table.m2 == 0) & (table.count > 0)).any())
+        weak += cond > 1e3
+    assert checked >= 180 and singular >= 5 and noiseless >= 40 and weak >= 10 and exact_fit >= 5, (
+        checked, singular, noiseless, weak, exact_fit)
