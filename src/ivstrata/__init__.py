@@ -65,8 +65,8 @@ from .clustering import (
 __version__ = "0.1.0"
 
 # Served on first access (PEP 562): only code that draws samples loads montecarlo, and with it numpy.
-_MONTECARLO = ("Dataset", "EstimateSet", "ParamSummary", "ReplicationSummary", "WaldEstimate", "estimate_2sls",
-               "estimate_cluster_wald", "generate", "replicate", "replication_seed")
+_MONTECARLO = ("CellTable", "ParamSummary", "ReplicationSummary", "estimate_2sls", "estimate_cluster_wald",
+               "generate", "replicate", "replication_seed")
 
 # Every public name imported above or served lazily; the submodules themselves are not exported.
 __all__ = sorted(

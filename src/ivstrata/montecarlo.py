@@ -2,12 +2,13 @@
 stratum population, estimate by two-stage least squares or a clustered Wald
 ratio, and compare replication summaries against the exact estimands.
 
-Every estimator reads only a sample's (z, d) cell table, so a replication
-draws that table from its (stratum, z) group summaries, exact in
+Every estimator takes only a (z, d) cell table, the one data type here:
+`CellTable.from_codes` builds a sample's table from its rows, and a
+replication draws its table from its (stratum, z) group summaries, exact in
 distribution, never its rows. A study reads three PCG64 streams, seeded by
 hashing "{master_seed}:{j}", in replication order, so replication r's table
 does not depend on how many replications run or how they are blocked.
-`generate` draws rows, with `Generator.choice`.
+`generate` draws rows (z, d, y), with `Generator.choice`.
 """
 
 from __future__ import annotations
@@ -24,42 +25,7 @@ from .clustering import ClusterScenario, Semantics, cluster_wald_oracle
 from .estimands import solve_moment_system
 from .exceptions import ConfigError, RankError
 from .identification import COEFFICIENTS, FirstStage, first_stage_from_shares
-from .strata import RANK_TOL, Population, Target, check_count, check_seed, marginal_shares, marginalize
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """One sample, simulated or a user's own: instrument, chosen field, outcome.
-
-    `z` and `d` are stored as integer codes in {0, 1, 2}; float-coded input such as 1.0 is accepted and converted,
-    any other value is rejected. `y` must hold finite real numbers.
-    """
-
-    z: np.ndarray
-    d: np.ndarray
-    y: np.ndarray
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        for name in ("z", "d", "y"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
-        if not (self.z.shape == self.d.shape == self.y.shape) or self.z.ndim != 1:
-            shapes = ", ".join(str(a.shape) for a in (self.z, self.d, self.y))
-            raise ConfigError(f"z, d, y must be equal-length vectors, got shapes {shapes}")
-        if self.n == 0:
-            raise ConfigError("dataset is empty")
-        for name, label in (("z", "instrument z"), ("d", "field d")):
-            object.__setattr__(self, name, _as_codes(label, getattr(self, name)))
-        if self.y.dtype.kind not in "biuf":
-            raise ConfigError(f"outcome y must hold real numbers, got dtype {self.y.dtype}")
-        bad = ~np.isfinite(self.y)
-        if bad.any():
-            shown = ", ".join(sorted(set(map(str, self.y[bad].tolist()))))
-            raise ConfigError(f"outcome y must be finite; {int(bad.sum())} rows hold {shown}")
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
+from .strata import MAX_MAGNITUDE, RANK_TOL, Population, Target, check_count, check_seed, marginal_shares, marginalize
 
 
 def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
@@ -121,9 +87,10 @@ def _streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.PCG64(replication_seed(seed, j))) for j in range(3))
 
 
-def generate(pop: Population, n: int, seed: int) -> Dataset:
-    """An i.i.d. size-n sample, drawn from the seed's PCG64 stream as stream version 1 drew it: `Generator.choice`
-    of n strata, then of n instrument values, then n standard normals (drawn even where noise_sd is 0)."""
+def generate(pop: Population, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An i.i.d. size-n sample's rows (z, d, y), drawn from the seed's PCG64 stream as stream version 1 drew them:
+    `Generator.choice` of n strata, then of n instrument values, then n standard normals (drawn even where noise_sd
+    is 0). `CellTable.from_codes(*generate(...))` is the sample's table."""
     check_count("sample size", n, 1)
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -131,7 +98,7 @@ def generate(pop: Population, n: int, seed: int) -> Dataset:
     z = rng.choice(3, size=n, p=pop.assignment)
     d = np.array([e.stratum.trajectory for e in pop.entries])[stratum, z]
     means, sds = np.array([e.means for e in pop.entries]), np.array([e.noise_sd for e in pop.entries])
-    return Dataset(z, d, means[stratum, d] + sds[stratum] * rng.standard_normal(n), seed)
+    return z, d, means[stratum, d] + sds[stratum] * rng.standard_normal(n)
 
 
 def sample_table(pop: Population, n: int, seed: int) -> "CellTable":
@@ -176,8 +143,27 @@ class CellTable:
         return CellTable(self.count[i], self.mean[i], self.m2[i])
 
     @classmethod
-    def from_dataset(cls, ds: Dataset) -> "CellTable":
-        cell, y = ds.z * 3 + ds.d, np.asarray(ds.y, dtype=float)
+    def from_codes(cls, z, d, y) -> "CellTable":
+        """The table of one sample's rows, simulated or a user's own: instrument z, chosen field d, outcome y.
+
+        z and d must hold codes in {0, 1, 2}, float codes such as 1.0 included; y finite real numbers of magnitude
+        at most MAX_MAGNITUDE, so that the estimators' squares stay finite. ConfigError otherwise.
+        """
+        z, d, y = np.asarray(z), np.asarray(d), np.asarray(y)
+        if not (z.shape == d.shape == y.shape) or z.ndim != 1:
+            shapes = ", ".join(str(a.shape) for a in (z, d, y))
+            raise ConfigError(f"z, d, y must be equal-length vectors, got shapes {shapes}")
+        if z.size == 0:
+            raise ConfigError("dataset is empty")
+        cell = _as_codes("instrument z", z) * 3 + _as_codes("field d", d)
+        if y.dtype.kind not in "biuf":
+            raise ConfigError(f"outcome y must hold real numbers, got dtype {y.dtype}")
+        y = y.astype(float, copy=False)
+        too_big = f"not exceed {MAX_MAGNITUDE:g} in magnitude"
+        for rule, bad in (("be finite", ~np.isfinite(y)), (too_big, np.abs(y) > MAX_MAGNITUDE)):
+            if bad.any():
+                shown = ", ".join(sorted(set(map(str, y[bad].tolist()))))
+                raise ConfigError(f"outcome y must {rule}; {int(bad.sum())} rows hold {shown}")
         count = np.bincount(cell, minlength=9).astype(float)
         mean = np.bincount(cell, weights=y, minlength=9) / np.maximum(count, 1.0)
         m2 = np.bincount(cell, weights=(y - mean[cell]) ** 2, minlength=9)
@@ -270,52 +256,19 @@ def _iv_hc0(table: CellTable, arm: tuple[int, ...], n: np.ndarray, what: str) ->
     return _total(contrast * s), _total(contrast * contrast * r)
 
 
-@dataclass(frozen=True)
-class EstimateSet:
-    """Second-stage and first-stage estimates from one sample."""
-
-    beta1: float
-    beta2: float
-    se_beta1: float
-    se_beta2: float
-    alphas: FirstStage
-    alpha_ses: FirstStage
-    n: int
-    seed: Optional[int]
+# The order of `estimate_2sls`'s estimates and standard errors: the two second-stage effects, then the first stage.
+PARAMS_2SLS = ("beta1", "beta2", *COEFFICIENTS)
 
 
-def estimate_2sls(ds: Dataset) -> EstimateSet:
-    """Two-stage least squares of y on the field indicators, instrumented
-    by the assignment indicators, plus the saturated first stages.
+def estimate_2sls(table: CellTable) -> tuple[np.ndarray, np.ndarray]:
+    """Two-stage least squares of y on the field indicators, instrumented by the assignment indicators, plus the
+    saturated first stages: each table's estimates and HC0 standard errors, (..., 8) in PARAMS_2SLS order.
 
-    Everything is computed from the 3x3 (z, d) cell table (count, mean and
-    centred M2 of y per cell). That is exact, not an approximation: every
-    instrument and regressor is an indicator of z or d, so the moment
-    matrices, the residual sums of squares in the HC0 sandwich and the
-    first-stage cell shares are all sums over the nine cells; the second
-    stage inverts the 3x3 count matrix N by its adjugate (`_iv_hc0`).
-
-    Raises
-    ------
-    RankError
-        If an instrument or field value never occurs (the design matrix is
-        collinear), or N is otherwise singular to float precision.
+    The table is exact, not an approximation: every instrument and regressor is an indicator of z or d, so the
+    moment matrices, the HC0 residual sums of squares and the first-stage shares are sums over the nine cells; the
+    second stage inverts the 3x3 count matrix N by its adjugate (`_iv_hc0`). RankError if an instrument or field
+    value never occurs (the design is collinear), or N is otherwise singular to float precision.
     """
-    est, se = _2sls_from_cells(CellTable.from_dataset(ds))
-    return EstimateSet(
-        beta1=float(est[0]),
-        beta2=float(est[1]),
-        se_beta1=float(se[0]),
-        se_beta2=float(se[1]),
-        alphas=FirstStage(*est[2:].tolist()),
-        alpha_ses=FirstStage(*se[2:].tolist()),
-        n=ds.n,
-        seed=ds.seed,
-    )
-
-
-def _2sls_from_cells(table: CellTable) -> tuple[np.ndarray, np.ndarray]:
-    """Each table's estimates and standard errors, (..., 8): beta1 and beta2 by `_iv_hc0`, then the first stage."""
     n_z = table.count.sum(axis=-1)
     _require_every_value("instrument z", n_z)
     _require_every_value("field d", table.count.sum(axis=-2))
@@ -324,29 +277,12 @@ def _2sls_from_cells(table: CellTable) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((beta, alphas), axis=-1), np.concatenate((np.sqrt(var), alpha_ses), axis=-1)
 
 
-@dataclass(frozen=True)
-class WaldEstimate:
-    """Two-arm Wald ratio from one sample under a cluster scenario."""
-
-    estimate: float
-    se: float
-    n: int
-    seed: Optional[int]
-
-
-def estimate_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstimate:
-    """Wald ratio of the collapsed outcome on the collapsed treatment.
-
-    Computed from the 3x3 (z, d) cell table, exactly as `estimate_2sls`:
-    the collapsed instrument and treatment are indicators of z and d, so
-    each cell maps to one pseudo-arm pair.
+def estimate_cluster_wald(table: CellTable, scenario: ClusterScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Wald ratio of the collapsed outcome on the collapsed treatment: each table's estimate and HC0 standard error,
+    (..., 1) each. The collapsed instrument and treatment are indicators of z and d, so each cell maps to one
+    pseudo-arm pair, and the ratio is `_iv_hc0` over the 2x2 counts by arm. ConfigError for a scenario without a
+    clustered estimand; RankError if an instrument arm is empty or the counts are singular.
     """
-    est, se = _cluster_wald_from_cells(CellTable.from_dataset(ds), scenario)
-    return WaldEstimate(estimate=float(est[0]), se=float(se[0]), n=ds.n, seed=ds.seed)
-
-
-def _cluster_wald_from_cells(table: CellTable, scenario: ClusterScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Each table's Wald ratio and its standard error, (..., 1)."""
     arm = tuple(int(v in scenario.require_collapse().s1) for v in range(3))
     hot = np.equal.outer((0, 1), arm)  # hot[g, v]: value v is in arm g; n sums integer counts, exact in any order
     n = (table.count[..., None, None, :, :] * (hot[:, None, :, None] & hot[:, None])).sum(axis=(-2, -1))
@@ -422,12 +358,12 @@ def replicate(
     target = Target.FIELD_2SLS if scenario is None else Target.CLUSTER_WALD
     if target is Target.CLUSTER_WALD:
         truths = [("wald", cluster_wald_oracle(pop, scenario, Semantics.POOLED))]
-        estimate = functools.partial(_cluster_wald_from_cells, scenario=scenario)
+        estimate = functools.partial(estimate_cluster_wald, scenario=scenario)
     else:
-        beta1, beta2 = solve_moment_system(marginalize(pop))
         fs = first_stage_from_shares(marginal_shares(pop))
-        truths = [("beta1", beta1), ("beta2", beta2), *((name, getattr(fs, name)) for name in COEFFICIENTS)]
-        estimate = _2sls_from_cells
+        values = (*solve_moment_system(marginalize(pop)), *(getattr(fs, name) for name in COEFFICIENTS))
+        truths = list(zip(PARAMS_2SLS, values))
+        estimate = estimate_2sls
     sampler, streams = _Sampler(pop), _streams(master_seed)
     estimates, ses = np.empty((2, len(truths), reps))
     for start in range(0, reps, _BLOCK_REPS):

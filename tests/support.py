@@ -18,9 +18,7 @@ from ivstrata import (
     BiasTerm,
     ClusterScenario,
     ConfigError,
-    Dataset,
     DefierBounds,
-    EstimateSet,
     FirstStage,
     InfeasibleError,
     JointStratum,
@@ -34,8 +32,9 @@ from ivstrata import (
     SweepAxis,
     SweepRow,
     Target,
-    WaldEstimate,
     cluster_wald_oracle,
+    estimate_2sls,
+    estimate_cluster_wald,
     first_stage_from_shares,
     marginal_shares,
     marginalize,
@@ -43,7 +42,7 @@ from ivstrata import (
     solve_moment_system,
 )
 from ivstrata.estimands import _TERMS
-from ivstrata.montecarlo import CellTable, _2sls_from_cells, _cluster_wald_from_cells
+from ivstrata.montecarlo import PARAMS_2SLS, CellTable
 from ivstrata.strata import DEN_TOL, MAX_MAGNITUDE, UNIFORM_ASSIGNMENT, as_float, reject_unknown
 
 EFFECT_SLOTS = (
@@ -311,12 +310,12 @@ def reference_replicate(
     target = Target.FIELD_2SLS if scenario is None else Target.CLUSTER_WALD
     if target is Target.CLUSTER_WALD:
         truths = [("wald", cluster_wald_oracle(pop, scenario, Semantics.POOLED))]
-        estimate = partial(_cluster_wald_from_cells, scenario=scenario)
+        estimate = partial(estimate_cluster_wald, scenario=scenario)
     else:
         fs = first_stage_from_shares(marginal_shares(pop))
         truths = [*zip(("beta1", "beta2"), solve_moment_system(marginalize(pop))),
                   *((f.name, getattr(fs, f.name)) for f in fields(FirstStage))]
-        estimate = _2sls_from_cells
+        estimate = estimate_2sls
     estimates, ses = [], []
     for rep, table in enumerate(reference_tables(pop, n, master_seed, reps)):
         try:
@@ -343,14 +342,15 @@ def indicator_design(codes: np.ndarray, arms: tuple[frozenset[int], ...]) -> np.
     return np.column_stack([np.ones(codes.size)] + [np.isin(codes, sorted(arm)) for arm in arms]).astype(float)
 
 
-def cross_moment_cond(ds: Dataset, arms: tuple[frozenset[int], ...]) -> float:
+def cross_moment_cond(z: np.ndarray, d: np.ndarray, arms: tuple[frozenset[int], ...]) -> float:
     """Condition number of the IV cross-moment matrix Z'X for these arms."""
-    return float(np.linalg.cond(indicator_design(ds.z, arms).T @ indicator_design(ds.d, arms)))
+    return float(np.linalg.cond(indicator_design(z, arms).T @ indicator_design(d, arms)))
 
 
-def _reference_iv_hc0(ds: Dataset, arms: tuple[frozenset[int], ...], what: str) -> tuple[np.ndarray, np.ndarray]:
+def _reference_iv_hc0(z: np.ndarray, d: np.ndarray, y: np.ndarray, arms: tuple[frozenset[int], ...],
+                      what: str) -> tuple[np.ndarray, np.ndarray]:
     """Just-identified IV with the HC0 sandwich over n-row design matrices."""
-    inst, regs, y = indicator_design(ds.z, arms), indicator_design(ds.d, arms), ds.y.astype(float)
+    inst, regs, y = indicator_design(z, arms), indicator_design(d, arms), y.astype(float)
     a = inst.T @ regs
     if np.linalg.matrix_rank(a) < a.shape[0]:
         raise RankError(f"{what}: instrument-regressor cross-moment matrix is singular")
@@ -364,43 +364,36 @@ def _reference_iv_hc0(ds: Dataset, arms: tuple[frozenset[int], ...], what: str) 
     return coef, cov
 
 
-def reference_2sls(ds: Dataset) -> EstimateSet:
+def reference_2sls(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-level restatement of `estimate_2sls`: 2SLS and HC0 on n x 3
     indicator matrices, the first stage from per-cell means of the field
-    indicators. Independent of the cell-table layer the package uses."""
-    for name, arr in (("instrument z", ds.z), ("field d", ds.d)):
+    indicators, estimates and standard errors in PARAMS_2SLS order.
+    Independent of the cell-table layer the package uses."""
+    for name, arr in (("instrument z", z), ("field d", d)):
         missing = sorted({0, 1, 2} - set(np.unique(arr).tolist()))
         if missing:
             raise RankError(f"{name} never takes value{'s' if len(missing) > 1 else ''} {missing} in this sample")
-    beta, cov = _reference_iv_hc0(ds, FIELD_ARMS, "second stage")
-    cells = [ds.z == v for v in (0, 1, 2)]
-    coefs, ses = {}, {}
+    beta, cov = _reference_iv_hc0(z, d, y, FIELD_ARMS, "second stage")
+    cells = [z == v for v in (0, 1, 2)]
+    coefs, ses = {"beta1": beta[1], "beta2": beta[2]}, {"beta1": cov[1, 1] ** 0.5, "beta2": cov[2, 2] ** 0.5}
     for j in (1, 2):
-        dj = (ds.d == j).astype(float)
+        dj = (d == j).astype(float)
         m = [float(dj[c].mean()) for c in cells]
-        v = [float(((dj[c] - m[z]) ** 2).sum()) / float(c.sum()) ** 2 for z, c in enumerate(cells)]
+        v = [float(((dj[c] - m[i]) ** 2).sum()) / float(c.sum()) ** 2 for i, c in enumerate(cells)]
         for k, (coef, var) in enumerate(((m[0], v[0]), (m[1] - m[0], v[0] + v[1]), (m[2] - m[0], v[0] + v[2]))):
             coefs[f"a{j}{k}"] = coef
             ses[f"a{j}{k}"] = var ** 0.5
-    return EstimateSet(
-        beta1=float(beta[1]),
-        beta2=float(beta[2]),
-        se_beta1=float(np.sqrt(cov[1, 1])),
-        se_beta2=float(np.sqrt(cov[2, 2])),
-        alphas=FirstStage(**coefs),
-        alpha_ses=FirstStage(**ses),
-        n=ds.n,
-        seed=ds.seed,
-    )
+    return tuple(np.array([x[name] for name in PARAMS_2SLS]) for x in (coefs, ses))
 
 
-def reference_cluster_wald(ds: Dataset, scenario: ClusterScenario) -> WaldEstimate:
-    """Row-level restatement of `estimate_cluster_wald` on n x 2 matrices."""
-    n1 = int(np.isin(ds.z, sorted(scenario.s1)).sum())
-    if n1 == 0 or n1 == ds.n:
+def reference_cluster_wald(z: np.ndarray, d: np.ndarray, y: np.ndarray,
+                           scenario: ClusterScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Row-level restatement of `estimate_cluster_wald` on n x 2 matrices: the ratio and its standard error."""
+    n1 = int(np.isin(z, sorted(scenario.s1)).sum())
+    if n1 == 0 or n1 == z.size:
         raise RankError(f"instrument arm z~={int(n1 == 0)} is empty under scenario {scenario.label!r}")
-    coef, cov = _reference_iv_hc0(ds, (scenario.s1,), f"clustered Wald ({scenario.label})")
-    return WaldEstimate(estimate=float(coef[1]), se=float(np.sqrt(cov[1, 1])), n=ds.n, seed=ds.seed)
+    coef, cov = _reference_iv_hc0(z, d, y, (scenario.s1,), f"clustered Wald ({scenario.label})")
+    return coef[1:], np.sqrt(cov[1:, 1])
 
 
 def _fraction_inverse(a: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:

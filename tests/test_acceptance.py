@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ivstrata import (
+    CellTable,
     ClusterScenario,
     FirstStage,
     JointStratum,
@@ -34,6 +35,7 @@ from ivstrata import (
     Semantics,
 )
 from ivstrata.cli import main as cli_main
+from ivstrata.montecarlo import PARAMS_2SLS
 from support import constant_effects_spec, grid_population, random_population, random_spec
 
 J = JointStratum
@@ -124,17 +126,15 @@ def test_c05_monte_carlo_consistency():
     truth_b1, _ = solve_moment_system(ANCHOR)
     truth_fs = first_stage_from_shares(marginal_shares(BENCHMARK_POP))
     names = ("a10", "a11", "a12", "a20", "a21", "a22")
+    columns = [PARAMS_2SLS.index(nm) for nm in names]
     t0 = time.perf_counter()
     betas = []
     alpha_hits = 0
     for rep in range(100):
-        ds = generate(BENCHMARK_POP, 200_000, replication_seed(20260817, rep))
-        est = estimate_2sls(ds)
-        betas.append(est.beta1)
-        if all(
-            abs(getattr(est.alphas, nm) - getattr(truth_fs, nm)) <= 4.0 * getattr(est.alpha_ses, nm)
-            for nm in names
-        ):
+        table = CellTable.from_codes(*generate(BENCHMARK_POP, 200_000, replication_seed(20260817, rep)))
+        est, se = estimate_2sls(table)
+        betas.append(est[0])
+        if all(abs(est[j] - getattr(truth_fs, nm)) <= 4.0 * se[j] for j, nm in zip(columns, names)):
             alpha_hits += 1
     elapsed = time.perf_counter() - t0
     mean = float(np.mean(betas))
@@ -183,9 +183,10 @@ def test_c06_bounds_containment_and_scan():
 
 
 def test_c07_corollary_refutation(capsys):
-    est = estimate_2sls(generate(BENCHMARK_POP, 200_000, seed=707))
-    gap = abs(est.alphas.a21 - 0.2)
-    recovered = gap <= 4.0 * est.alpha_ses.a21
+    est, se = estimate_2sls(CellTable.from_codes(*generate(BENCHMARK_POP, 200_000, seed=707)))
+    a21 = PARAMS_2SLS.index("a21")
+    gap = abs(est[a21] - 0.2)
+    recovered = gap <= 4.0 * se[a21]
     code = cli_main([
         "bounds", "--a10", "0.0", "--a11", "0.8", "--a12", "0.2",
         "--a20", "0.0", "--a21", "0.2", "--a22", "0.8",
@@ -193,7 +194,7 @@ def test_c07_corollary_refutation(capsys):
     ])
     capsys.readouterr()
     ok = recovered and code == 3
-    assert _report(7, ok, f"refutation: |a21_hat - P(ID1)| {gap:.5f} vs 4 SE {4.0 * est.alpha_ses.a21:.5f}; "
+    assert _report(7, ok, f"refutation: |a21_hat - P(ID1)| {gap:.5f} vs 4 SE {4.0 * se[a21]:.5f}; "
                           f"wrong maintained assumption exit code {code} (need 3)")
 
 

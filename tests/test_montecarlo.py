@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from ivstrata import montecarlo, strata
 from ivstrata import (
+    CellTable,
     ClusterScenario,
     ConfigError,
-    Dataset,
-    FirstStage,
     JointStratum,
     Population,
     RankError,
@@ -48,6 +47,12 @@ from support import (
 )
 
 J = JointStratum
+PARAMS = montecarlo.PARAMS_2SLS
+
+
+def generated_table(pop, n, seed):
+    """The cell table of the rows `generate` draws."""
+    return CellTable.from_codes(*generate(pop, n, seed))
 
 
 def benchmark_pop(noise_sd=0.0, assignment=(1 / 3, 1 / 3, 1 / 3)):
@@ -63,19 +68,19 @@ def test_generate_is_deterministic():
     a = generate(pop, 5000, seed=11)
     b = generate(pop, 5000, seed=11)
     c = generate(pop, 5000, seed=12)
-    assert np.array_equal(a.z, b.z) and np.array_equal(a.d, b.d) and np.array_equal(a.y, b.y)
-    assert not np.array_equal(a.y, c.y)
-    assert a.n == 5000 and a.seed == 11
-    est1, est2 = estimate_2sls(a), estimate_2sls(b)
-    assert est1.beta1 == est2.beta1 and est1.se_beta2 == est2.se_beta2
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    assert not np.array_equal(a[2], c[2])
+    assert [u.shape for u in a] == [(5000,)] * 3
+    est1, est2 = estimate_2sls(CellTable.from_codes(*a)), estimate_2sls(CellTable.from_codes(*b))
+    assert all(np.array_equal(u, v) for u, v in zip(est1, est2))
 
 
 def test_noise_sd_does_not_shift_the_assignment_stream():
     quiet = generate(benchmark_pop(noise_sd=0.0), 2000, seed=3)
     loud = generate(benchmark_pop(noise_sd=300.0), 2000, seed=3)
-    assert np.array_equal(quiet.z, loud.z)
-    assert np.array_equal(quiet.d, loud.d)
-    assert not np.array_equal(quiet.y, loud.y)
+    assert np.array_equal(quiet[0], loud[0])
+    assert np.array_equal(quiet[1], loud[1])
+    assert not np.array_equal(quiet[2], loud[2])
 
 
 @st.composite
@@ -138,9 +143,8 @@ STREAM_1_DIGESTS = {
 @pytest.mark.parametrize("pop, n, seed, digest", STREAM_1_DIGESTS.values(), ids=STREAM_1_DIGESTS.keys())
 def test_generate_draws_the_stream_1_bytes(pop, n, seed, digest):
     # generate maps the stream through Generator.choice, so a numpy that changes how choice reads it fails here.
-    ds = generate(pop, n, seed)
     h = hashlib.sha256()
-    for a in (ds.z, ds.d, ds.y):
+    for a in generate(pop, n, seed):
         h.update(a.dtype.str.encode() + a.tobytes())
     assert h.hexdigest() == digest
 
@@ -318,8 +322,8 @@ def test_replicate_names_the_first_failing_replication_anywhere_in_its_block(mon
         assert str(got.value) == str(want.value), where
 
 
-TABLE_BODIES = {"2sls": montecarlo._2sls_from_cells} | {
-    s.label: partial(montecarlo._cluster_wald_from_cells, scenario=s)
+TABLE_BODIES = {"2sls": estimate_2sls} | {
+    s.label: partial(estimate_cluster_wald, scenario=s)
     for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)
 }
 
@@ -412,7 +416,7 @@ def test_merging_exact_group_summaries_gives_the_table_of_the_sample():
         m2 = np.bincount(group, weights=(y - mean[group]) ** 2, minlength=groups)
         cell = (3 * np.arange(3) + traj).ravel()  # group 3 * stratum + z lies in cell row 3 * z + d
         got = montecarlo.CellTable.from_groups(cell, count, mean, m2)
-        want = montecarlo.CellTable.from_dataset(Dataset(z=z, d=d, y=y))
+        want = CellTable.from_codes(z, d, y)
         assert np.array_equal(got.count, want.count)
         scale = np.zeros(9)
         np.maximum.at(scale, 3 * z + d, np.abs(y))
@@ -446,14 +450,11 @@ def test_table_engine_matches_the_microdata_path_in_distribution():
     for pop in DISTRIBUTION_POPS.values():
         sampler = montecarlo._Sampler(pop)
         tables = sampler.tables(n, montecarlo._streams(1), reps)
-        engine = np.hstack([np.hstack(montecarlo._2sls_from_cells(tables)),
-                            np.hstack(montecarlo._cluster_wald_from_cells(tables, scenario))])
+        engine = np.hstack([*estimate_2sls(tables), *estimate_cluster_wald(tables, scenario)])
         rows = []
         for r in range(reps):
-            ds = generate(pop, n, replication_seed(2, r))
-            est, wald = estimate_2sls(ds), estimate_cluster_wald(ds, scenario)
-            rows.append([est.beta1, est.beta2, *vars(est.alphas).values(),
-                         est.se_beta1, est.se_beta2, *vars(est.alpha_ses).values(), wald.estimate, wald.se])
+            table = generated_table(pop, n, replication_seed(2, r))
+            rows.append(np.hstack([*estimate_2sls(table), *estimate_cluster_wald(table, scenario)]))
         micro = np.array(rows)
         for a, b in zip(engine.T, micro.T):
             if a.min() == a.max() and b.min() == b.max():
@@ -505,61 +506,67 @@ def test_generate_validation():
             replicate(benchmark_pop(), n=10, reps=n, master_seed=0)
 
 
-def test_dataset_rejects_codes_outside_0_1_2():
+def test_from_codes_rejects_codes_outside_0_1_2():
     z = np.array([0, 1, 2, 1, 0, 2])
     with pytest.raises(ConfigError, match=r"field d must take codes 0, 1, 2; 2 rows hold 3"):
-        Dataset(z=z, d=np.array([0, 1, 3, 3, 0, 2]), y=np.zeros(6))
+        CellTable.from_codes(z, np.array([0, 1, 3, 3, 0, 2]), np.zeros(6))
     with pytest.raises(ConfigError, match=r"instrument z .* 2 rows hold -1.0, 1.5"):
-        Dataset(z=np.array([0.0, 1.0, 2.0, -1.0, 1.5, 2.0]), d=z, y=np.zeros(6))
+        CellTable.from_codes(np.array([0.0, 1.0, 2.0, -1.0, 1.5, 2.0]), z, np.zeros(6))
     with pytest.raises(ConfigError, match="rows hold nan"):
-        Dataset(z=z, d=np.array([0.0, 1.0, np.nan, 1.0, 0.0, 2.0]), y=np.zeros(6))
+        CellTable.from_codes(z, np.array([0.0, 1.0, np.nan, 1.0, 0.0, 2.0]), np.zeros(6))
     with pytest.raises(ConfigError, match="numeric codes"):
-        Dataset(z=np.array(list("012120")), d=z, y=np.zeros(6))
+        CellTable.from_codes(np.array(list("012120")), z, np.zeros(6))
     with pytest.raises(ConfigError, match="equal-length vectors"):
-        Dataset(z=z, d=z[:5], y=np.zeros(6))
+        CellTable.from_codes(z, z[:5], np.zeros(6))
     with pytest.raises(ConfigError, match="dataset is empty"):
-        Dataset(z=z[:0], d=z[:0], y=np.zeros(0))
-    # Float-coded 0/1/2 input is stored as integer codes and estimates as before.
+        CellTable.from_codes(z[:0], z[:0], np.zeros(0))
+    # Float-coded 0/1/2 input reads as integer codes: the same table, byte for byte, and the same estimates.
     pop = benchmark_pop(noise_sd=150.0)
-    ds = generate(pop, 3000, seed=4)
-    as_float = Dataset(z=ds.z.astype(float), d=ds.d.astype(float), y=ds.y, seed=ds.seed)
-    assert as_float.z.dtype.kind == as_float.d.dtype.kind == "i"
-    assert np.array_equal(as_float.z, ds.z) and np.array_equal(as_float.d, ds.d)
-    assert estimate_2sls(as_float) == estimate_2sls(ds)
+    z, d, y = generate(pop, 3000, seed=4)
+    as_float, as_int = CellTable.from_codes(z.astype(float), d.astype(float), y), CellTable.from_codes(z, d, y)
+    assert_same_table(as_float, as_int)
+    assert all(np.array_equal(u, v) for u, v in zip(estimate_2sls(as_float), estimate_2sls(as_int)))
 
 
-def test_dataset_rejects_an_outcome_that_is_not_finite_and_real():
+def test_from_codes_rejects_an_outcome_that_is_not_finite_and_real():
     z = np.array([0, 1, 2, 1, 0, 2])
     with pytest.raises(ConfigError, match=r"outcome y must be finite; 1 rows hold nan$"):
-        Dataset(z=z, d=z, y=np.array([0.0, 1.0, np.nan, 2.0, 0.5, 1.0]))
+        CellTable.from_codes(z, z, np.array([0.0, 1.0, np.nan, 2.0, 0.5, 1.0]))
     with pytest.raises(ConfigError, match=r"outcome y must be finite; 4 rows hold -inf, inf, nan$"):
-        Dataset(z=z, d=z, y=np.array([np.inf, 1.0, -np.inf, np.nan, 0.5, np.inf]))
+        CellTable.from_codes(z, z, np.array([np.inf, 1.0, -np.inf, np.nan, 0.5, np.inf]))
     with pytest.raises(ConfigError, match=r"outcome y must hold real numbers, got dtype <U3$"):
-        Dataset(z=z, d=z, y=np.array(["0.5", "1", "2", "3", "4", "5"]))
+        CellTable.from_codes(z, z, np.array(["0.5", "1", "2", "3", "4", "5"]))
 
 
-def _numbers(est) -> dict:
-    """Every float of an EstimateSet or WaldEstimate, first stages flattened."""
-    out = {}
-    for key, value in vars(est).items():
-        if isinstance(value, FirstStage):
-            out.update({f"{key}.{k}": v for k, v in vars(value).items()})
-        elif isinstance(value, float):
-            out[key] = value
-    return out
+def test_from_codes_rejects_an_outcome_beyond_the_magnitude_bound():
+    # An outcome of 1e200 is finite, but its square in a cell's M2 overflows to inf; the bound on population means
+    # bounds a sample's outcomes too. At the bound itself a sample of 100,000 rows estimates without a warning.
+    z = np.array([0, 1, 2, 1, 0, 2])
+    too_big = r"outcome y must not exceed 1e\+100 in magnitude; 2 rows hold -1e\+200, 1e\+101$"
+    with pytest.raises(ConfigError, match=too_big):
+        CellTable.from_codes(z, z, np.array([0.0, 1e101, 2.0, -1e200, 0.5, 1.0]))
+    rng = np.random.default_rng(3)
+    n = 100_000
+    z, d = rng.integers(0, 3, n), rng.integers(0, 3, n)
+    y = rng.choice([-strata.MAX_MAGNITUDE, strata.MAX_MAGNITUDE], n)
+    est, se = estimate_2sls(CellTable.from_codes(z, d, y))
+    assert np.isfinite(est).all() and np.isfinite(se).all() and (se[:2] > 0).all()
+    wald, wald_se = estimate_cluster_wald(CellTable.from_codes(z, d, y), ClusterScenario.TREATMENT)
+    assert np.isfinite(wald).all() and np.isfinite(wald_se).all()
 
 
 def test_cell_table_estimators_match_the_design_matrix_reference():
     rng = np.random.default_rng(2027)
-    estimators = [(estimate_2sls, reference_2sls, FIELD_ARMS, "2sls")] + [
-        (partial(estimate_cluster_wald, scenario=s), partial(reference_cluster_wald, scenario=s), (s.s1,), s.label)
+    estimators = [(estimate_2sls, reference_2sls, FIELD_ARMS, "2sls", PARAMS)] + [
+        (partial(estimate_cluster_wald, scenario=s), partial(reference_cluster_wald, scenario=s), (s.s1,), s.label,
+         ("wald",))
         for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)
     ]
     pure = Population(entries=(
         StratumEntry(J.C1C2, 0.6, (0.0, 1000.0, 500.0)),
         StratumEntry(J.NT1NT2, 0.4, (0.0, 0.0, 0.0)),
     ))
-    datasets = [generate(pure, 5_000, seed=5)]
+    samples = [generate(pure, 5_000, seed=5)]
     for i in range(90):
         n = int(np.exp(rng.uniform(np.log(12), np.log(50_000))))
         if i % 3 == 0:
@@ -570,34 +577,33 @@ def test_cell_table_estimators_match_the_design_matrix_reference():
             strata = tuple(rng.choice(list(J), size=int(rng.integers(1, 5)), replace=False))
             pop = random_population(rng, strata=strata, noise_sd=float(rng.choice([0.0, 100.0])))
         else:
-            datasets.append(Dataset(z=rng.integers(0, 3, n), d=rng.integers(0, 3, n), y=rng.normal(0.0, 1000.0, n)))
+            samples.append((rng.integers(0, 3, n), rng.integers(0, 3, n), rng.normal(0.0, 1000.0, n)))
             continue
-        datasets.append(generate(pop, n, seed=int(rng.integers(2**32))))
+        samples.append(generate(pop, n, seed=int(rng.integers(2**32))))
     checked = degenerate = weak = 0
-    for ds in datasets:
-        y_scale = float(np.abs(ds.y).max())
-        for new, ref, arms, what in estimators:
+    for z, d, y in samples:
+        table, y_scale = CellTable.from_codes(z, d, y), float(np.abs(y).max())
+        for new, ref, arms, what, params in estimators:
             try:
-                want = _numbers(ref(ds))
+                want = np.concatenate(ref(z, d, y))
             except RankError as err:
                 degenerate += 1
                 with pytest.raises(RankError) as got:
-                    new(ds)
+                    new(table)
                 assert str(got.value) == str(err), what
                 continue
-            got = _numbers(new(ds))
-            assert got.keys() == want.keys()
+            got = np.concatenate(new(table))
+            assert got.shape == want.shape == (2 * len(params),)
             # Both paths sum the same terms in another order, so each
             # carries rounding error of order cond(Z'X) * eps * max|y|.
             # Below `dust` a value is zero to float precision (an exactly
             # fit SE). A well-conditioned design must agree to 1e-9
             # relative; a weak first stage (cond > 1e3) only to `dust`.
-            cond = cross_moment_cond(ds, arms)
+            cond = cross_moment_cond(z, d, arms)
             dust = 1e-12 * cond * y_scale
-            for key in want:
-                a, b = got[key], want[key]
+            for key, a, b in zip([*params, *(f"se {p}" for p in params)], got, want):
                 close = abs(a - b) <= 1e-9 * abs(b) or (abs(a - b) if cond > 1e3 else max(abs(a), abs(b))) <= dust
-                assert close, (what, ds.n, cond, key, a, b)
+                assert close, (what, z.size, cond, key, a, b)
             checked += 1
             weak += cond > 1e3
     assert checked > 200 and degenerate > 10 and weak > 0
@@ -607,12 +613,12 @@ def test_2sls_recovers_the_exact_estimands():
     pop = benchmark_pop(noise_sd=200.0)
     beta1, beta2 = solve_moment_system(marginalize(pop))
     truth_fs = first_stage_from_shares(marginal_shares(pop))
-    est = estimate_2sls(generate(pop, 200_000, seed=20260817))
-    assert abs(est.beta1 - beta1) <= 4.0 * est.se_beta1
-    assert abs(est.beta2 - beta2) <= 4.0 * est.se_beta2
-    for name in ("a10", "a11", "a12", "a20", "a21", "a22"):
-        err = abs(getattr(est.alphas, name) - getattr(truth_fs, name))
-        assert err <= 4.0 * max(getattr(est.alpha_ses, name), 1e-12), name
+    est, se = estimate_2sls(generated_table(pop, 200_000, seed=20260817))
+    assert abs(est[0] - beta1) <= 4.0 * se[0]
+    assert abs(est[1] - beta2) <= 4.0 * se[1]
+    for j, name in enumerate(PARAMS[2:], 2):
+        err = abs(est[j] - getattr(truth_fs, name))
+        assert err <= 4.0 * max(se[j], 1e-12), name
 
 
 def test_pure_cells_estimate_exactly():
@@ -622,31 +628,32 @@ def test_pure_cells_estimate_exactly():
         StratumEntry(J.C1C2, 0.6, (0.0, 1000.0, 500.0)),
         StratumEntry(J.NT1NT2, 0.4, (0.0, 0.0, 0.0)),
     ))
-    est = estimate_2sls(generate(pop, 20_000, seed=5))
-    assert est.alphas.a10 == 0.0 and est.alpha_ses.a10 == 0.0
-    assert est.alphas.a12 == 0.0 and est.alphas.a21 == 0.0
+    est, se = estimate_2sls(generated_table(pop, 20_000, seed=5))
+    a10, a12, a21 = (PARAMS.index(name) for name in ("a10", "a12", "a21"))
+    assert est[a10] == 0.0 and se[a10] == 0.0
+    assert est[a12] == 0.0 and est[a21] == 0.0
 
 
 def test_missing_category_raises():
     only_never = Population(entries=(StratumEntry(J.NT1NT2, 1.0, (0.0, 0.0, 0.0)),))
     with pytest.raises(RankError, match="d never takes"):
-        estimate_2sls(generate(only_never, 500, seed=2))
+        estimate_2sls(generated_table(only_never, 500, seed=2))
     skewed = Population(
         entries=(StratumEntry(J.C1C2, 1.0, (0.0, 1.0, 2.0)),),
         assignment=(0.5, 0.5, 0.0),
     )
     with pytest.raises(RankError, match="z never takes"):
-        estimate_2sls(generate(skewed, 500, seed=2))
+        estimate_2sls(generated_table(skewed, 500, seed=2))
 
 
 def test_cluster_wald_estimator_tracks_the_pooled_oracle():
     pop = benchmark_pop(noise_sd=100.0)
     scen = ClusterScenario.control(1)
     oracle = cluster_wald_oracle(pop, scen)
-    est = estimate_cluster_wald(generate(pop, 100_000, seed=8), scen)
-    assert est.se > 0.0
-    assert abs(est.estimate - oracle) <= 5.0 * est.se
-    empty_arm = generate(
+    (est,), (se,) = estimate_cluster_wald(generated_table(pop, 100_000, seed=8), scen)
+    assert se > 0.0
+    assert abs(est - oracle) <= 5.0 * se
+    empty_arm = generated_table(
         Population(
             entries=(StratumEntry(J.C1C2, 1.0, (0.0, 1.0, 2.0)),),
             assignment=(0.5, 0.0, 0.5),
@@ -711,8 +718,8 @@ def test_largest_count_is_numpys_intp_bound():
     assert strata._MAX_COUNT == sys.maxsize // 64 == np.iinfo(np.intp).max // 64
 
 
-ORACLE_ARMS = {"2sls": (FIELD_ARMS, montecarlo._2sls_from_cells)} | {
-    s.label: ((s.s1,), partial(montecarlo._cluster_wald_from_cells, scenario=s))
+ORACLE_ARMS = {"2sls": (FIELD_ARMS, estimate_2sls)} | {
+    s.label: ((s.s1,), partial(estimate_cluster_wald, scenario=s))
     for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)
 }
 
