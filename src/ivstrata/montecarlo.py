@@ -53,16 +53,16 @@ _BLOCK_REPS = 1024
 
 
 class _Sampler:
-    """A population's group tables, built once a study and indexed by the group k = stratum * 3 + z: probability,
-    noise sd, outcome mean means[stratum, d] and (z, d) cell row z * 3 + d, d the field the stratum takes at z."""
+    """A population's group tables, built once a study from plain lists and indexed by the group k = stratum * 3 + z:
+    probability, noise sd, twice the noise variance, outcome mean means[stratum, d] and (z, d) cell row z * 3 + d,
+    d the field the stratum takes at z."""
 
     def __init__(self, pop: Population):
-        self.prob = np.outer([e.prob for e in pop.entries], pop.assignment).ravel()
+        groups = [(e.prob * p, e.noise_sd, e.means[d], z * 3 + d)
+                  for e in pop.entries for z, (p, d) in enumerate(zip(pop.assignment, e.stratum.trajectory))]
+        self.prob, self.sd, self.mean, self.cell = map(np.array, zip(*groups))
         self.prob /= self.prob.sum()
-        d = np.array([e.stratum.trajectory for e in pop.entries], dtype=np.intp)
-        self.sd = np.repeat([e.noise_sd for e in pop.entries], 3)
-        self.mean = np.take_along_axis(np.array([e.means for e in pop.entries]), d, axis=1).ravel()
-        self.cell = (d + np.arange(0, 9, 3)).ravel()
+        self.var2 = self.sd * self.sd * 2.0  # x2 is exact, so (2 sd^2) G has the bytes of (2G) sd^2
 
     def tables(self, n: int, streams: Sequence[np.random.Generator], reps: int) -> "CellTable":
         """The next `reps` cell tables of a study's three streams (see `_streams`), stacked along a leading axis.
@@ -77,8 +77,7 @@ class _Sampler:
         normal *= self.sd
         normal /= np.sqrt(np.maximum(count, 1))
         normal += self.mean
-        gamma *= 2.0
-        gamma *= self.sd * self.sd
+        gamma *= self.var2
         return CellTable.from_groups(self.cell, count, normal, gamma)
 
 
@@ -219,17 +218,19 @@ def _total(x: np.ndarray) -> np.ndarray:
     return x[..., 0] + x[..., 1] if x.shape[-1] == 2 else x[..., 0] + x[..., 1] + x[..., 2]
 
 
-# Rows and columns 1, 2, 0, 1 of a 3x3 matrix m form e, e[i, j] = m[i+1, j+1] (indices mod 3), so that m's
-# cofactor (i, j), m[i+1, j+1] m[i+2, j+2] - m[i+1, j+2] m[i+2, j+1], is e[i, j] e[i+1, j+1] - e[i, j+1] e[i+1, j].
-_ROLL = np.array([1, 2, 0, 1])
+# A 3x3 matrix m's adjugate is adj[i, j] = m[j+1, i+1] m[j+2, i+2] - m[j+1, i+2] m[j+2, i+1] (indices mod 3):
+# _COFACTOR[f, i, j] is the flat index of factor f of that product pair, so one gather of m.ravel() gives all four.
+_COFACTOR = np.array([[[3 * ((j + a) % 3) + (i + b) % 3 for j in range(3)] for i in range(3)]
+                      for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))])
 _SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a 2x2 matrix's cofactor (i, j) is (-1)^(i+j) m[1-i, 1-j]
 
 
-def _iv_hc0(table: CellTable, arm: tuple[int, ...], n: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _iv_hc0(table: CellTable, arm: tuple[int, ...] | slice, n: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Just-identified IV of y on [1, d in arm 1, ...] instrumented by [1, z in arm 1, ...], with the HC0 sandwich,
     summed over each cell table: the coefficients of arms 1 to k - 1 and their variances, (..., k - 1) each. arm[v]
-    is value v's arm, n (..., k, k) the counts by arm, n[g, h] the rows with z in arm g and d in arm h. RankError
-    (see `_require`) for the first table whose n is singular to float precision: |det n| <= RANK_TOL ||n||_F^k.
+    is value v's arm (slice(None) when each value is its own arm), n (..., k, k) the counts by arm, n[g, h] the rows
+    with z in arm g and d in arm h. RankError (see `_require`) for the first table whose n is singular to float
+    precision: |det n| <= RANK_TOL ||n||_F^k.
 
     The cross-moment matrix is L n L' with L unimodular, so this is the sample analogue of `solve_moment_system`:
     arm h's fitted mean is mu[h], mu = n^-1 s with s[g] the sum of y over z's arm g; coefficient j is mu[j] - mu[0]
@@ -242,8 +243,8 @@ def _iv_hc0(table: CellTable, arm: tuple[int, ...], n: np.ndarray, what: str) ->
     if n.shape[-1] == 2:
         adj = n[..., ::-1, ::-1].swapaxes(-1, -2) * _SIGNS
     else:
-        e = n[..., _ROLL[:, None], _ROLL]
-        adj = (e[..., :3, :3] * e[..., 1:, 1:] - e[..., :3, 1:] * e[..., 1:, :3]).swapaxes(-1, -2)
+        f = n.reshape(n.shape[:-2] + (9,))[..., _COFACTOR]
+        adj = f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
     det = _total(n[..., 0, :] * adj[..., :, 0])
     norm = np.sqrt(_total(_total(n * n)))
     _require(np.abs(det) <= RANK_TOL * norm ** n.shape[-1],
@@ -269,10 +270,11 @@ def estimate_2sls(table: CellTable) -> tuple[np.ndarray, np.ndarray]:
     second stage inverts the 3x3 count matrix N by its adjugate (`_iv_hc0`). RankError if an instrument or field
     value never occurs (the design is collinear), or N is otherwise singular to float precision.
     """
-    n_z = table.count.sum(axis=-1)
-    _require_every_value("instrument z", n_z)
-    _require_every_value("field d", table.count.sum(axis=-2))
-    beta, var = _iv_hc0(table, (0, 1, 2), table.count, "second stage")
+    n_z, n_d = table.count.sum(axis=-1), table.count.sum(axis=-2)
+    if not np.logical_and(n_z, n_d).all():  # a value is missing: name it, z before d
+        _require_every_value("instrument z", n_z)
+        _require_every_value("field d", n_d)
+    beta, var = _iv_hc0(table, slice(None), table.count, "second stage")
     alphas, alpha_ses = _first_stage(table.count, n_z)
     return np.concatenate((beta, alphas), axis=-1), np.concatenate((np.sqrt(var), alpha_ses), axis=-1)
 
@@ -381,10 +383,12 @@ def replicate(
         estimates[:, start:stop] = est.T
         ses[:, start:stop] = se.T
     truth = np.array([t for _, t in truths])[:, None]
-    # One reduction a statistic along each parameter's contiguous row: the bytes of np.mean / np.std on its column.
-    means = estimates.mean(axis=1).tolist()
-    sds = estimates.std(axis=1, ddof=1).tolist()
-    coverage = (np.abs(estimates - truth) <= 1.96 * ses).mean(axis=1).tolist()
-    rows = tuple(ParamSummary(param=param, truth=float(t), mean=m, sd=sd, bias=m - float(t), coverage=c)
-                 for (param, t), m, sd, c in zip(truths, means, sds, coverage))
+    # np.mean's and np.std(ddof=1)'s own operations (add.reduce, divide by the count, square, sqrt) along each
+    # parameter's contiguous row: the bytes they give its column, without their Python wrappers.
+    mean = np.add.reduce(estimates, axis=1) / reps
+    dev = estimates - mean[:, None]
+    sd = np.sqrt(np.add.reduce(dev * dev, axis=1) / (reps - 1))
+    coverage = np.count_nonzero(np.abs(estimates - truth) <= 1.96 * ses, axis=1) / reps
+    rows = tuple(ParamSummary(param=param, truth=float(t), mean=m, sd=s, bias=m - float(t), coverage=c)
+                 for (param, t), m, s, c in zip(truths, mean.tolist(), sd.tolist(), coverage.tolist()))
     return ReplicationSummary(rows=rows, n=n, reps=reps, master_seed=master_seed, target=target)

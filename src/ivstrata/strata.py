@@ -249,8 +249,11 @@ class Population:
     assignment: tuple[float, float, float] = UNIFORM_ASSIGNMENT
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "assignment", tuple(float(p) for p in self.assignment))
+        # Both fields are stored as tuples (assignment of floats), by StratumEntry's rule: one already so is kept.
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
+        if not (type(self.assignment) is tuple and all(type(p) is float for p in self.assignment)):
+            object.__setattr__(self, "assignment", tuple(float(p) for p in self.assignment))
         if not self.entries:
             raise ConfigError("population has no strata")
         seen = set()

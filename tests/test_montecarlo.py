@@ -646,6 +646,21 @@ def test_missing_category_raises():
         estimate_2sls(generated_table(skewed, 500, seed=2))
 
 
+def test_a_table_missing_an_instrument_and_a_field_value_names_the_instrument():
+    # z is checked before d: a table where z never takes 2 and d never takes 1 raises the instrument's text,
+    # alone and in a stack with a well-formed table on either side.
+    bad = CellTable(np.array([[4.0, 0.0, 3.0], [2.0, 0.0, 5.0], [0.0, 0.0, 0.0]]), np.ones((3, 3)), np.zeros((3, 3)))
+    good = CellTable(np.array([[3.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 3.0]]), np.ones((3, 3)), np.ones((3, 3)))
+    estimate_2sls(good)
+    want = "instrument z never takes value [2] in this sample"
+    stacked = [CellTable(*(np.stack([getattr(t, k) for t in pair]) for k in ("count", "mean", "m2")))
+               for pair in ((good, bad), (bad, good))]
+    for table in (bad, *stacked):
+        with pytest.raises(RankError) as got:
+            estimate_2sls(table)
+        assert str(got.value) == want
+
+
 def test_cluster_wald_estimator_tracks_the_pooled_oracle():
     pop = benchmark_pop(noise_sd=100.0)
     scen = ClusterScenario.control(1)

@@ -85,3 +85,15 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
                if not callable(getattr(importlib.import_module(f"ivstrata.{layer}"), name, None))]
     assert layers and not missing
+
+
+def test_montecarlo_makes_no_linalg_call():
+    # The estimators invert each 3x3 or 2x2 count matrix in closed form by its adjugate, elementwise, so that a
+    # stacked table gets the bytes it gets alone; a LAPACK call (np.linalg, or numpy.linalg imported by any name)
+    # would not keep that. The module is parsed, so a reference in any function counts.
+    tree = ast.parse((ROOT / "src" / "ivstrata" / "montecarlo.py").read_text(encoding="utf-8"))
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "linalg"
+            or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+            or isinstance(node, (ast.Import, ast.ImportFrom)) and any("linalg" in a.name for a in node.names)]
+    assert tree.body and not uses

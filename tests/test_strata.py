@@ -137,6 +137,20 @@ def test_population_validation():
         )
 
 
+def test_population_stores_tuples_of_entries_and_float_probabilities():
+    e, f = StratumEntry(J.C1C2, 0.5, (0.0, 1.0, 2.0)), StratumEntry(J.NT1NT2, 0.5, (0.0, 0.0, 0.0))
+    # Lists, and int or numpy probabilities, are converted to a tuple of entries and one of plain floats.
+    for assignment in ([1, 0, 0], (1, 0.0, 0.0), np.array([1.0, 0.0, 0.0])):
+        pop = Population(entries=[e, f], assignment=assignment)
+        assert type(pop.entries) is tuple and pop.entries == (e, f)
+        assert type(pop.assignment) is tuple and [type(p) for p in pop.assignment] == [float] * 3
+        assert pop.assignment == (1.0, 0.0, 0.0)
+    # Fields that already are a tuple (of floats) are stored as given.
+    entries, assignment = (e, f), (0.25, 0.5, 0.25)
+    pop = Population(entries=entries, assignment=assignment)
+    assert pop.entries is entries and pop.assignment is assignment
+
+
 def test_marginal_shares_sum_per_instrument():
     pop = Population(entries=(
         StratumEntry(J.C1C2, 0.25, (0.0, 0.0, 0.0)),
