@@ -5,9 +5,7 @@ ratio, and compare replication summaries against the exact estimands.
 Every estimator takes only a (z, d) cell table, the one data type here:
 `CellTable.from_codes` builds a sample's table from its rows, and a
 replication draws its table from its (stratum, z) group summaries, exact in
-distribution, never its rows. A study reads three PCG64 streams, seeded by
-hashing "{master_seed}:{j}", in replication order, so replication r's table
-does not depend on how many replications run or how they are blocked.
+distribution, never its rows; `_draws` holds a study's stream layout.
 `generate` draws rows (z, d, y), with `Generator.choice`.
 """
 
@@ -17,7 +15,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -42,48 +40,39 @@ def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.intp)
 
 
-# The version of the random stream: which sample or cell table a (population, n, seed) draws. Any change that
-# draws different bytes for some seed bumps it. Version 3 draws every cell table of a study from the study's three
-# streams (version 2 gave each replication its own stream); `generate` draws version 1's rows, by Generator.choice.
+# The version of the random stream: which sample or cell table a (population, n, seed) draws (see `_draws`). Any
+# change that draws different bytes for some seed bumps it. Version 2 gave each replication its own stream; version
+# 1's rows are what `generate` still draws, by Generator.choice.
 STREAM_VERSION = 3
 
 
-# Replicate draws and estimates its replications' cell tables in blocks of this many.
+# A study draws and estimates its replications' cell tables in blocks of this many.
 _BLOCK_REPS = 1024
 
 
-class _Sampler:
-    """A population's group tables, built once a study from plain lists and indexed by the group k = stratum * 3 + z:
-    probability, noise sd, twice the noise variance, outcome mean means[stratum, d] and (z, d) cell row z * 3 + d,
-    d the field the stratum takes at z."""
-
-    def __init__(self, pop: Population):
-        groups = [(e.prob * p, e.noise_sd, e.means[d], z * 3 + d)
-                  for e in pop.entries for z, (p, d) in enumerate(zip(pop.assignment, e.stratum.trajectory))]
-        self.prob, self.sd, self.mean, self.cell = map(np.array, zip(*groups))
-        self.prob /= self.prob.sum()
-        self.var2 = self.sd * self.sd * 2.0  # x2 is exact, so (2 sd^2) G has the bytes of (2G) sd^2
-
-    def tables(self, n: int, streams: Sequence[np.random.Generator], reps: int) -> "CellTable":
-        """The next `reps` cell tables of a study's three streams (see `_streams`), stacked along a leading axis.
-        Each table takes K values from each stream, one per group: stream 0 the group counts, multinomial(n, prob);
-        stream 1 standard normals Z; stream 2 standard gammas G of shape max(count - 1, 0) / 2. Each stream is read
-        in table order, so no table depends on how a study splits its tables into calls. For Gaussian noise a group's
-        mean and within-group M2 are independent (Cochran's theorem), mean + sd Z / sqrt(count) and sd^2 2G =
-        sd^2 chi2(count - 1), so each table has the distribution of the table of an n-row sample."""
-        count = streams[0].multinomial(n, self.prob, size=reps)
+def _draws(pop: Population, n: int, seed: int, reps: int) -> Iterator[CellTable]:
+    """The cell tables of the `reps`-replication study at `seed`, in blocks of at most _BLOCK_REPS stacked along a
+    leading axis. The study reads three PCG64 streams, stream j seeded by replication_seed(seed, j). Each table
+    takes K values from each, one per group k = stratum * 3 + z: stream 0 the group counts, multinomial(n, prob);
+    stream 1 standard normals Z; stream 2 standard gammas G of shape max(count - 1, 0) / 2. Each stream is read in
+    table order, so no table depends on the block size or on how many tables the study draws. For Gaussian noise a
+    group's mean and within-group M2 are independent (Cochran's theorem), mean + sd Z / sqrt(count) and
+    sd^2 2G = sd^2 chi2(count - 1), so each table has the distribution of the table of an n-row sample."""
+    groups = [(e.prob * p, e.noise_sd, e.means[d], z * 3 + d)  # d: the field the stratum takes at z
+              for e in pop.entries for z, (p, d) in enumerate(zip(pop.assignment, e.stratum.trajectory))]
+    prob, sd, mean, cell = map(np.array, zip(*groups))
+    prob /= prob.sum()
+    var2 = sd * sd * 2.0  # x2 is exact, so (2 sd^2) G has the bytes of (2G) sd^2
+    streams = [np.random.Generator(np.random.PCG64(replication_seed(seed, j))) for j in range(3)]
+    for start in range(0, reps, _BLOCK_REPS):
+        count = streams[0].multinomial(n, prob, size=min(_BLOCK_REPS, reps - start))
         normal = streams[1].standard_normal(count.shape)
         gamma = streams[2].standard_gamma(np.maximum(count - 1, 0) / 2)
-        normal *= self.sd
+        normal *= sd
         normal /= np.sqrt(np.maximum(count, 1))
-        normal += self.mean
-        gamma *= self.var2
-        return CellTable.from_groups(self.cell, count, normal, gamma)
-
-
-def _streams(seed: int) -> tuple[np.random.Generator, ...]:
-    """A study's three streams, for counts, normals and gammas: stream j is seeded by replication_seed(seed, j)."""
-    return tuple(np.random.Generator(np.random.PCG64(replication_seed(seed, j))) for j in range(3))
+        normal += mean
+        gamma *= var2
+        yield CellTable.from_groups(cell, count, normal, gamma)
 
 
 def generate(pop: Population, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,7 +93,7 @@ def sample_table(pop: Population, n: int, seed: int) -> "CellTable":
     """A seeded size-n sample's cell table, drawn from its group summaries: table 0 of the study at `seed`."""
     check_count("sample size", n, 1)
     check_seed(seed)
-    return _Sampler(pop).tables(n, _streams(seed), 1)[0]
+    return next(_draws(pop, n, seed, 1))[0]
 
 
 @dataclass(frozen=True)
@@ -345,14 +334,12 @@ def replicate(
     percent interval (1.96 standard errors) covers the exact value.
 
     Each replication draws its (z, d) cell table directly, never its n
-    rows (see `_Sampler.tables`): the estimators read only that table, so
-    the summaries have the distribution an n-row sample gives them, at a
-    cost and memory that do not grow with n. Replications run in blocks of
-    _BLOCK_REPS: one stacked table draw from the study's three streams and
-    one estimator call per block. The streams are read in replication
-    order, and the estimators give a stacked table the bytes it gets alone
-    (`_iv_hc0`), so the block size changes no byte. A block that raises
-    RankError is estimated again one drawn table at a time, so the error
+    rows (see `_draws`): the estimators read only that table, so the
+    summaries have the distribution an n-row sample gives them, at a cost
+    and memory that do not grow with n. One estimator call takes each
+    drawn block, and the estimators give a stacked table the bytes it gets
+    alone (`_iv_hc0`), so the block size changes no byte. A block that
+    raises RankError is estimated again one table at a time, so the error
     names the first replication that fails and that replication's own failure.
     """
     check_count("replications", reps, 2)
@@ -366,11 +353,10 @@ def replicate(
         values = (*solve_moment_system(marginalize(pop)), *(getattr(fs, name) for name in COEFFICIENTS))
         truths = list(zip(PARAMS_2SLS, values))
         estimate = estimate_2sls
-    sampler, streams = _Sampler(pop), _streams(master_seed)
     estimates, ses = np.empty((2, len(truths), reps))
-    for start in range(0, reps, _BLOCK_REPS):
-        stop = min(start + _BLOCK_REPS, reps)
-        tables = sampler.tables(n, streams, stop - start)
+    stop = 0
+    for tables in _draws(pop, n, master_seed, reps):
+        start, stop = stop, stop + len(tables.count)
         try:
             est, se = estimate(tables)
         except RankError:
@@ -380,8 +366,7 @@ def replicate(
                 except RankError as err:
                     raise RankError(f"replication {rep}: {err}") from err
             raise
-        estimates[:, start:stop] = est.T
-        ses[:, start:stop] = se.T
+        estimates[:, start:stop], ses[:, start:stop] = est.T, se.T
     truth = np.array([t for _, t in truths])[:, None]
     # np.mean's and np.std(ddof=1)'s own operations (add.reduce, divide by the count, square, sqrt) along each
     # parameter's contiguous row: the bytes they give its column, without their Python wrappers.

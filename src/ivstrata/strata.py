@@ -279,16 +279,16 @@ def marginal_shares(pop: Population) -> dict[MarginalGroup, float]:
     P(C_k) + P(AT_k) + P(NT_k) + P(OT_k) + P(ID_k) + P(ND_k) is the stratum probabilities' sum, 1 within
     PROB_SUM_TOL. Each share is rounded once, so the six shares' fsum lies within 2 * ulp(1.0) of the probabilities'.
     """
-    return {g: math.fsum([e.prob for e in part]) for g, part in _group_entries(pop).items()}
+    return _group_entries(pop)[0]
 
 
-def _group_entries(pop: Population) -> dict[MarginalGroup, list[StratumEntry]]:
-    """Each group's entries, in entry order, from one pass over the membership table."""
+def _group_entries(pop: Population) -> tuple[dict[MarginalGroup, float], dict[MarginalGroup, list[StratumEntry]]]:
+    """Each group's share and its entries, in entry order, from one pass over the membership table."""
     parts = [[] for _ in _GROUPS]
     for e in pop.entries:
         for i in _GROUPS_OF[e.stratum]:
             parts[i].append(e)
-    return dict(zip(_GROUPS, parts))
+    return {g: math.fsum([e.prob for e in part]) for g, part in zip(_GROUPS, parts)}, dict(zip(_GROUPS, parts))
 
 
 def group_prob(pop: Population, groups: Iterable[MarginalGroup]) -> float:
@@ -439,7 +439,7 @@ def marginalize(pop: Population) -> MarginalSpec:
     """Collapse a joint-strata population to the shares and effects the
     estimand formulas consume. Effect slots of zero-share groups are absent.
     """
-    shares, parts = marginal_shares(pop), _group_entries(pop)
+    shares, parts = _group_entries(pop)
     kwargs = {attr: shares[MarginalGroup[key]] for key, attr in _SHARE_KEYS.items()}
     for slot, (group, j, k) in EFFECT_SLOTS.items():
         if shares[group] > 0.0:

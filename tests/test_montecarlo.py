@@ -7,6 +7,7 @@ import statistics
 import sys
 import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,36 +160,40 @@ def assert_same_table(got, want):
 TABLE_SIZES = (1, 3, 2000, 10**12, strata._MAX_COUNT)
 
 
+def drawn_tables(pop, n, seed, reps, block):
+    """The tables of the `reps`-replication study at `seed`, one by one, drawn in blocks of at most `block`."""
+    with mock.patch.object(montecarlo, "_BLOCK_REPS", block):
+        return [tables[r] for tables in montecarlo._draws(pop, n, seed, reps) for r in range(len(tables.count))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     pop=sampling_populations(),
     sizes=st.lists(st.sampled_from(TABLE_SIZES), min_size=2, max_size=2, unique=True),
     seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=2),
-    splits=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    reps=st.integers(1, 12),
+    blocks=st.lists(st.integers(1, 4), min_size=1, max_size=2),
 )
-@example(pop=ONE_STRATUM, sizes=[2000, 3], seeds=[0, 1], splits=[1, 2])
-def test_sampler_tables_match_the_reference_table(pop, sizes, seeds, splits):
-    # One sampler draws a study's tables in one call and split over several calls on the same streams: every table
-    # must have the reference's count, mean and M2 bytes, however the calls split the study.
-    sampler = montecarlo._Sampler(pop)
-    reps = sum(splits)
-    for n in (*sizes, sizes[0]):
+@example(pop=ONE_STRATUM, sizes=[2000, 3], seeds=[0, 1], reps=3, blocks=[1, 2])
+def test_sampler_tables_match_the_reference_table(pop, sizes, seeds, reps, blocks):
+    # A study's tables, drawn in one block and in blocks of one to four: every table must have the reference's
+    # count, mean and M2 bytes, whatever the block size.
+    for n in sizes:
         for seed in seeds:
             want = reference_tables(pop, n, seed, reps)
-            streams = montecarlo._streams(seed)
-            parts = [sampler.tables(n, streams, k) for k in splits]
-            whole = sampler.tables(n, montecarlo._streams(seed), reps)
-            got = [whole[r] for r in range(reps)] + [part[r] for part in parts for r in range(len(part.count))]
-            for r, table in enumerate(got):
-                assert_same_table(table, want[r % reps])
+            for block in (montecarlo._BLOCK_REPS, *blocks):
+                got = drawn_tables(pop, n, seed, reps, block)
+                assert len(got) == reps
+                for table, ref in zip(got, want):
+                    assert_same_table(table, ref)
 
 
-def test_a_drawn_table_shares_no_array_with_later_draws():
-    sampler, streams = montecarlo._Sampler(benchmark_pop(noise_sd=150.0)), montecarlo._streams(4)
-    table = sampler.tables(500, streams, 1)[0]
+def test_a_drawn_table_shares_no_array_with_later_draws(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 2)
+    blocks = montecarlo._draws(benchmark_pop(noise_sd=150.0), 500, 4, 5)
+    table = next(blocks)[0]
     kept = [a.copy() for a in (table.count, table.mean, table.m2)]
-    for reps in (1, 2):
-        sampler.tables(500, streams, reps)
+    assert [len(later.count) for later in blocks] == [2, 1]
     for a, b in zip((table.count, table.mean, table.m2), kept):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
@@ -266,17 +271,27 @@ def test_the_block_size_changes_no_summary(monkeypatch, target):
         assert summaries[0] == summaries[1] == summaries[2], reps
 
 
+def test_a_study_seeds_its_three_streams_once(monkeypatch):
+    # One seed hash for each of the three streams, however many blocks the study draws.
+    seeds = []
+    monkeypatch.setattr(montecarlo, "replication_seed", lambda s, j: seeds.append((s, j)) or replication_seed(s, j))
+    monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 5)
+    replicate(benchmark_pop(noise_sd=1.0), n=50, reps=13, master_seed=8)
+    assert seeds == [(8, 0), (8, 1), (8, 2)]
+
+
 def test_a_study_draws_the_first_tables_of_any_longer_study(monkeypatch):
     # Adding replications never changes earlier ones: a 13-replication study's tables are the first 13 of a
     # 40-replication study's, whatever blocks either draws them in.
     pop, drawn = random_population(np.random.default_rng(5), noise_sd=10.0), []
-    tables = montecarlo._Sampler.tables
+    draws = montecarlo._draws
 
     def record(*args):
-        drawn.append(tables(*args))
-        return drawn[-1]
+        for tables in draws(*args):
+            drawn.append(tables)
+            yield tables
 
-    monkeypatch.setattr(montecarlo._Sampler, "tables", record)
+    monkeypatch.setattr(montecarlo, "_draws", record)
 
     def study(reps, block):
         drawn.clear()
@@ -302,6 +317,7 @@ FAILING = {
     "field d never takes": (RARE_FIELDS, None, 15),
     "second stage: instrument-regressor": (benchmark_pop(), None, 7),
     "instrument arm z~=1 is empty": (benchmark_pop(assignment=(0.45, 0.1, 0.45)), ClusterScenario.CONTROL_1, 4),
+    "instrument arm z~=0 is empty": (benchmark_pop(assignment=(0.05, 0.9, 0.05)), ClusterScenario.CONTROL_1, 0),
     "clustered Wald (control-1): instrument-regressor": (RARE_FIELDS, ClusterScenario.CONTROL_1, 15),
 }
 
@@ -337,9 +353,9 @@ def test_a_stack_of_tables_fails_exactly_when_one_of_its_tables_fails_alone(body
     mixed = passed = 0  # stacks that raise with a table that passes alone; stacks that pass
     for _ in range(300):
         strata = tuple(rng.choice(list(J), size=int(rng.integers(1, 11)), replace=False))
-        sampler = montecarlo._Sampler(random_population(rng, strata=strata, noise_sd=float(rng.choice([0.0, 50.0]))))
+        pop = random_population(rng, strata=strata, noise_sd=float(rng.choice([0.0, 50.0])))
         n, reps = int(rng.integers(3, 13)), int(rng.integers(2, 6))
-        tables = sampler.tables(n, montecarlo._streams(int(rng.integers(2**63))), reps)
+        tables = next(montecarlo._draws(pop, n, int(rng.integers(2**63)), reps))
         alone = []
         for rep in range(reps):
             try:
@@ -448,8 +464,7 @@ def test_table_engine_matches_the_microdata_path_in_distribution():
     scenario = ClusterScenario.control(1)
     zs, constant = [], 0
     for pop in DISTRIBUTION_POPS.values():
-        sampler = montecarlo._Sampler(pop)
-        tables = sampler.tables(n, montecarlo._streams(1), reps)
+        tables = next(montecarlo._draws(pop, n, 1, reps))  # reps < _BLOCK_REPS: one block
         engine = np.hstack([*estimate_2sls(tables), *estimate_cluster_wald(tables, scenario)])
         rows = []
         for r in range(reps):
@@ -514,6 +529,15 @@ def test_from_codes_rejects_codes_outside_0_1_2():
         CellTable.from_codes(np.array([0.0, 1.0, 2.0, -1.0, 1.5, 2.0]), z, np.zeros(6))
     with pytest.raises(ConfigError, match="rows hold nan"):
         CellTable.from_codes(z, np.array([0.0, 1.0, np.nan, 1.0, 0.0, 2.0]), np.zeros(6))
+    # Integer codes below 0 and float codes between 0 and 2 that are not whole are refused too.
+    with pytest.raises(ConfigError, match=r"instrument z must take codes 0, 1, 2; 1 rows hold -1$"):
+        CellTable.from_codes(np.array([0, 1, 2, -1, 1, 2]), z, np.zeros(6))
+    with pytest.raises(ConfigError, match=r"field d must take codes 0, 1, 2; 2 rows hold 0.5, 1.5$"):
+        CellTable.from_codes(z, np.array([0.0, 0.5, 2.0, 1.5, 0.0, 2.0]), np.zeros(6))
+    # The message lists at most five distinct values.
+    for bad, shown in ((np.arange(3, 8), "3, 4, 5, 6, 7"), (np.arange(3, 10), "3, 4, 5, 6, 7, ...")):
+        with pytest.raises(ConfigError, match=rf"{bad.size} rows hold {re.escape(shown)}$"):
+            CellTable.from_codes(bad, np.zeros(bad.size, int), np.zeros(bad.size))
     with pytest.raises(ConfigError, match="numeric codes"):
         CellTable.from_codes(np.array(list("012120")), z, np.zeros(6))
     with pytest.raises(ConfigError, match="equal-length vectors"):
@@ -661,6 +685,18 @@ def test_a_table_missing_an_instrument_and_a_field_value_names_the_instrument():
         assert str(got.value) == want
 
 
+def test_a_count_matrix_singular_but_for_rounding_dust_raises():
+    # Row 2 is the sum of rows 0 and 1, so the exact determinant is 0; the float adjugate leaves dust of about
+    # 2e19, far below RANK_TOL ||N||_F^3 (about 8e21), and the table must be refused as singular.
+    rows = [[700346781658, 296633628803, 45050865999], [18172327444, 894200084525, 1003585370534]]
+    count = np.array([*rows, [a + b for a, b in zip(*rows)]], dtype=float)
+    (a, b, c), (d, e, f), (g, h, i) = [[int(x) for x in row] for row in count.tolist()]
+    assert a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0
+    table = CellTable(count, np.zeros((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(RankError, match="second stage: instrument-regressor cross-moment matrix is singular"):
+        estimate_2sls(table)
+
+
 def test_cluster_wald_estimator_tracks_the_pooled_oracle():
     pop = benchmark_pop(noise_sd=100.0)
     scen = ClusterScenario.control(1)
@@ -722,6 +758,11 @@ def test_replicate_validation():
     pop = benchmark_pop()
     with pytest.raises(ConfigError):
         replicate(pop, n=100, reps=1, master_seed=0)
+    with pytest.raises(ConfigError, match="sample size"):
+        replicate(pop, n=0, reps=2, master_seed=0)
+    # n = 1 is a valid sample size, though no one-row sample can take every instrument value.
+    with pytest.raises(RankError, match=r"^replication 0: instrument z never takes values"):
+        replicate(pop, n=1, reps=2, master_seed=0)
     # A scenario picks the clustered Wald target, so one without a clustered estimand is refused.
     for scenario in (ClusterScenario.NO_CLUSTERING, ClusterScenario.UNDEFINED):
         with pytest.raises(ConfigError, match=f"no clustered estimand under scenario '{scenario.label}'"):

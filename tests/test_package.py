@@ -97,3 +97,17 @@ def test_montecarlo_makes_no_linalg_call():
             or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
             or isinstance(node, (ast.Import, ast.ImportFrom)) and any("linalg" in a.name for a in node.names)]
     assert tree.body and not uses
+
+
+def test_only_draws_and_generate_seed_a_random_stream():
+    # A study's stream layout (which seeds, how many streams) lives in montecarlo._draws, and stream version 1 in
+    # generate: no other code of the module may build a Generator or a bit generator. Calls are grouped by the
+    # top-level statement that holds them, so a method counts for its class.
+    tree = ast.parse((ROOT / "src" / "ivstrata" / "montecarlo.py").read_text(encoding="utf-8"))
+    seeders = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("Generator", "PCG64", "default_rng", "SeedSequence"):
+                seeders.setdefault(getattr(top, "name", f"line {top.lineno}"), set()).add(name)
+    assert seeders == {"_draws": {"Generator", "PCG64"}, "generate": {"Generator", "PCG64"}}

@@ -23,7 +23,9 @@ from ivstrata import (
     population_from_dict,
     population_to_dict,
     potential_choice,
+    replicate,
 )
+from ivstrata import strata
 from ivstrata.strata import EFFECT_BOUND, EFFECT_SLOTS, MAX_MAGNITUDE, PROB_SUM_TOL
 from support import random_population
 
@@ -329,6 +331,27 @@ def test_marginal_shares_add_up_within_two_ulps_of_the_stratum_probabilities():
             assert abs(six - total) <= 2 * math.ulp(1.0)
             exact += six == 1.0
     assert exact < 6000  # the bound is needed: an exact identity would hold in every check
+
+
+def test_marginalize_builds_the_group_partition_once(monkeypatch):
+    # marginalize takes its shares from the partition it builds for its effects, so it builds one; a field-2SLS
+    # study then builds two (its first-stage shares and marginalize), not three. The shares are the same bytes.
+    built, group_entries = [], strata._group_entries
+
+    def counted(pop):
+        built.append(pop)
+        return group_entries(pop)
+
+    monkeypatch.setattr(strata, "_group_entries", counted)
+    pop = random_population(np.random.default_rng(1))
+    spec = marginalize(pop)
+    assert len(built) == 1
+    shares = marginal_shares(pop)
+    assert [getattr(spec, f"p{k}") for k in ("C1", "ID1", "ND1", "C2", "ID2", "ND2")] == [
+        shares[G[k]] for k in ("C1", "ID1", "ND1", "C2", "ID2", "ND2")]
+    built.clear()
+    replicate(pop, n=100, reps=2, master_seed=3)
+    assert len(built) == 2
 
 
 # The membership scan, one group at a time over the spelled-out MEMBERS table: the formulas the package's one-pass
