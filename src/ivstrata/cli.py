@@ -57,6 +57,7 @@ from .strata import (
     MarginalSpec,
     Population,
     Target,
+    as_enum,
     as_float,
     check_count,
     check_seed,
@@ -101,14 +102,6 @@ def _as_bool(value, what: str) -> bool:
     return value
 
 
-def _enum(cls, value, what: str):
-    try:
-        return cls(value)
-    except ValueError:
-        choices = sorted(m.value for m in cls)
-        raise ConfigError(f"{what} must be one of {choices}, got {value!r}") from None
-
-
 def _sweep_floats(value, what: str) -> list[float]:
     what = f"sweep {what}"
     if not isinstance(value, list) or not value:
@@ -141,7 +134,7 @@ def _sample_size(value, what: str) -> int:
 # the JSON type).
 _OPTIONS = {
     "sweep": {
-        "axis": (partial(_enum, SweepAxis), SweepAxis.DEFIER_SHARE, {"choices": _values(SweepAxis)}),
+        "axis": (partial(as_enum, SweepAxis), SweepAxis.DEFIER_SHARE, {"choices": _values(SweepAxis)}),
         "grid": (_sweep_floats, None,  # None: 0, 0.05, ..., 0.5, times the C1 effect on the effect-gap axis
                  {"type": lambda text: _parse_float_list(text, "--grid"), "help": "comma-separated grid points"}),
         "levels": (_sweep_floats, None,  # None: 0.1, 0.2 and 0.5, times the C1 effect on the defier-share axis
@@ -152,7 +145,7 @@ _OPTIONS = {
         "n": (_sample_size, 200000, {"type": int}),
         "reps": (lambda value, what: check_count("replications", _as_int(value, what), 2), 100, {"type": int}),
         "seed": (_as_int, 0, {"type": int}),  # a master seed is hashed, so any integer will do
-        "target": (partial(_enum, Target), Target.FIELD_2SLS, {"choices": _values(Target)}),
+        "target": (partial(as_enum, Target), Target.FIELD_2SLS, {"choices": _values(Target)}),
         "scenario": (lambda value, what: ClusterScenario.from_label(value).require_collapse(), None,
                      {"choices": [s.value for s in ClusterScenario if s.s1 is not None]}),
     },
@@ -160,8 +153,8 @@ _OPTIONS = {
         "scenario": (lambda value, what: ClusterScenario.from_label(value), None,
                      {"choices": _values(ClusterScenario), "help": "override the sign-based scenario choice"}),
         "sig_level": (lambda value, what: check_sig_level(as_float(value, what)), 0.05, {"type": float}),
-        "neg_neg_rule": (partial(_enum, NegNegRule), NegNegRule.UNDEFINED, {"choices": _values(NegNegRule)}),
-        "semantics": (partial(_enum, Semantics), Semantics.POOLED, {"choices": _values(Semantics)}),
+        "neg_neg_rule": (partial(as_enum, NegNegRule), NegNegRule.UNDEFINED, {"choices": _values(NegNegRule)}),
+        "semantics": (partial(as_enum, Semantics), Semantics.POOLED, {"choices": _values(Semantics)}),
         "n": (_sample_size, None,
               {"type": int, "help": "choose the scenario from an estimated first stage on a sample of this size"}),
         "seed": (lambda value, what: check_seed(_as_int(value, what)), 0, {"type": int}),

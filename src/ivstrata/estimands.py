@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .exceptions import AssumptionError, ConfigError, RankError
-from .strata import DEN_TOL, SWAPPED_NAME, MarginalSpec
+from .strata import DEN_TOL, MarginalSpec, absent_effect, as_enum, check_effect, check_share
 
 
 class Regime(enum.Enum):
@@ -90,17 +91,17 @@ _RULED_OUT = {Regime.IRRELEVANCE_ONLY: ("pID1", "pID2"), Regime.NEXT_BEST_ONLY: 
 _REGIME_TERMS = {regime: tuple(t for t in _TERMS if set(t[1]).isdisjoint(out)) for regime, out in _RULED_OUT.items()}
 
 
-def _denominator(spec: MarginalSpec) -> float:
+def _denominator(v: Mapping[str, float]) -> float:
     # One formula for every regime: `_check_regime` makes the shares a regime
     # excludes zero, so their products add exact zeros and a nonzero value is
     # the regime's own closed form bit for bit (term order matters for that).
     return (
-        spec.pC1 * spec.pC2
-        + spec.pC1 * spec.pND2
-        + spec.pND1 * spec.pC2
-        + spec.pND1 * spec.pID2
-        + spec.pID1 * spec.pND2
-        - spec.pID1 * spec.pID2
+        v["pC1"] * v["pC2"]
+        + v["pC1"] * v["pND2"]
+        + v["pND1"] * v["pC2"]
+        + v["pND1"] * v["pID2"]
+        + v["pID1"] * v["pND2"]
+        - v["pID1"] * v["pID2"]
     )
 
 
@@ -176,42 +177,37 @@ def _check_regime(spec: MarginalSpec, regime: Regime) -> None:
         raise AssumptionError(f"regime {regime.value!r} requires {'='.join(ruled_out)}=0, got {got}")
 
 
-def _first_terms(spec: MarginalSpec, regime: Regime, swapped: bool = False):
-    """The first estimand's denominator, LATE and (label, omega, delta, sign) terms, each adding sign*omega*delta."""
-    den = _denominator(spec)
+def _first_terms(values: Mapping[str, Optional[float]], regime: Regime, swapped: bool = False):
+    """The first estimand's denominator, LATE and (label, omega, delta, sign) terms, each adding sign*omega*delta,
+    from `values`, a spec's fields by name (its `vars`, or a sweep point's)."""
+    den = _denominator(values)
     if abs(den) <= DEN_TOL:
         raise RankError(f"degenerate identification: regime denominator {den!r} is near zero")
-    late = _effect(spec, "eff_c1", swapped)
+    late = values["eff_c1"]
+    if late is None:
+        raise absent_effect("eff_c1", swapped)
     terms = []
     for label, (sa, sb), (ea, eb), base_sign in _REGIME_TERMS[regime]:
-        product = getattr(spec, sa) * getattr(spec, sb)
-        if product != 0.0:
-            delta = _effect(spec, ea, swapped) - _effect(spec, eb, swapped)
-        else:
-            # The weight is exactly zero, so delta is immaterial: demand no effect slot for it.
-            va, vb = getattr(spec, ea), getattr(spec, eb)
-            delta = (va - vb) if (va is not None and vb is not None) else 0.0
+        product = values[sa] * values[sb]
+        va, vb = values[ea], values[eb]
+        if va is not None and vb is not None:
+            delta = va - vb
+        elif product != 0.0:
+            raise absent_effect(ea if va is None else eb, swapped)
+        else:  # the weight is exactly zero, so delta is immaterial: demand no effect slot for it
+            delta = 0.0
         terms.append((label, product / den, delta, base_sign))
     return den, late, terms
 
 
-def _effect(spec: MarginalSpec, slot: str, swapped: bool) -> float:
-    value = getattr(spec, slot)
-    if value is None:  # raise, naming the slot as the caller's spec does, not as its label-swapped copy
-        return spec.swapped().effect(SWAPPED_NAME[slot]) if swapped else spec.effect(slot)
-    return value
-
-
 def _decompose_first(spec: MarginalSpec, regime: Regime, swapped: bool = False) -> BiasDecomposition:
-    den, late, values = _first_terms(spec, regime, swapped)
+    den, late, values = _first_terms(vars(spec), regime, swapped)
     # A BiasTerm's weight is >= 0: fold the denominator's sign into the term sign.
     terms = tuple(BiasTerm(lb, -w, d, -s) if w < 0.0 else BiasTerm(lb, w, d, s) for lb, w, d, s in values)
     return BiasDecomposition(late, terms, den, total=late + math.fsum(t.contribution for t in terms))
 
 
-def decompose(
-    spec: MarginalSpec, regime: Regime = Regime.NEITHER
-) -> tuple[BiasDecomposition, BiasDecomposition]:
+def decompose(spec: MarginalSpec, regime: Regime | str = Regime.NEITHER) -> tuple[BiasDecomposition, BiasDecomposition]:
     """Decompose both IV estimands into complier LATE plus bias terms.
 
     The term list mirrors the regime's closed form exactly: 2 terms when
@@ -221,11 +217,14 @@ def decompose(
 
     Raises
     ------
+    ConfigError
+        If `regime` is neither a Regime nor one's value.
     AssumptionError
         If the spec violates the regime's share restrictions.
     RankError
         If the regime denominator is within 1e-10 of zero.
     """
+    regime = as_enum(Regime, regime, "regime")
     _check_regime(spec, regime)
     return _decompose_first(spec, regime), _decompose_first(spec.swapped(), regime, swapped=True)
 
@@ -250,18 +249,13 @@ class SweepRow:
         return not math.isnan(self.beta)
 
 
-def _sweep_spec(base: MarginalSpec, p: float, gap: float, defier: str) -> MarginalSpec:
-    # No always/never takers on the varied instrument: compliers absorb the
-    # complement. The gap is applied so only the first bias delta is nonzero.
-    c1, c2 = base.effect("eff_c1"), base.effect("eff_c2")
-    if defier == "id1":
-        point = {"pC1": 1.0 - p, "pID1": p, "pND1": 0.0, "eff_id1": c2, "eff_id2": c1 - gap}
-    else:
-        point = {"pC1": 1.0 - p, "pID1": 0.0, "pND1": p, "eff_nd1_1": c1 + gap, "eff_nd1_2": c2}
-    return MarginalSpec(**{**vars(base), **point})
-
-
-SWEEP_DEFIERS = ("id1", "nd1")
+# Per varied defier: its share, the other defier's share (held at 0), the effect the gap moves away from the
+# C1 effect and how, and the effect held at the C2 effect, so that only the first bias delta is nonzero.
+_SWEEP_FIELDS = {
+    "id1": ("pID1", "pND1", "eff_id2", operator.sub, "eff_id1"),
+    "nd1": ("pND1", "pID1", "eff_nd1_1", operator.add, "eff_nd1_2"),
+}
+SWEEP_DEFIERS = tuple(_SWEEP_FIELDS)
 
 
 def sweep_defier(defier: str) -> str:
@@ -272,11 +266,7 @@ def sweep_defier(defier: str) -> str:
 
 
 def bias_sweep(
-    base: MarginalSpec,
-    axis: SweepAxis,
-    grid: Sequence[float],
-    levels: Sequence[float],
-    defier: str = "id1",
+    base: MarginalSpec, axis: SweepAxis | str, grid: Sequence[float], levels: Sequence[float], defier: str = "id1"
 ) -> tuple[SweepRow, ...]:
     """Tabulate the first estimand's bias over a share/effect-gap grid.
 
@@ -285,21 +275,29 @@ def bias_sweep(
     of `base` fixed; each level is an effect gap between compliers and the
     varied defier group. EFFECT_GAP transposes the roles: the grid varies
     the gap, each level is a defier share. Rows come out in grid-major
-    order; a grid point with invalid shares or a degenerate denominator
-    yields a NaN-valued row rather than being dropped.
+    order. A grid point whose spec would not load (so every point of a base
+    without both complier effects) or whose denominator is within 1e-10 of
+    zero yields a NaN-valued row rather than being dropped. An `axis` or
+    `defier` outside its choices raises ConfigError.
     """
-    sweep_defier(defier)
-    if axis is SweepAxis.DEFIER_SHARE:
-        points = [(g, lv, g, lv) for g in grid for lv in levels]  # (axis, level, p, gap)
-    else:
-        points = [(g, lv, lv, g) for g in grid for lv in levels]
+    on_shares = as_enum(SweepAxis, axis, "axis") is SweepAxis.DEFIER_SHARE
+    share, other, varied, move, kept = _SWEEP_FIELDS[sweep_defier(defier)]
+    points = [(g, lv, g, lv) if on_shares else (g, lv, lv, g) for g in grid for lv in levels]  # (axis, level, p, gap)
+    # No always/never takers on the varied instrument: compliers absorb the complement. A point's spec loads when
+    # p and the varied effect pass their checks: 1 - p then lies in [0, 1] and the instrument-1 sum within an ulp of 1.
+    values = {**vars(base), other: 0.0}
     rows = []
     for axis_value, level, p, gap in points:
         try:
-            _, late, terms = _first_terms(_sweep_spec(base, p, gap, defier), Regime.NEITHER)
-            beta = late + math.fsum(s * omega * delta for _, omega, delta, s in terms)
+            values["pC1"] = 1.0 - p
+            values[share] = p
+            values[varied] = effect = move(base.effect("eff_c1"), gap)
+            values[kept] = base.effect("eff_c2")
+            check_share(share, p)
+            check_effect(varied, effect)
+            _, late, terms = _first_terms(values, Regime.NEITHER)
+            beta = late + math.fsum([s * omega * delta for _, omega, delta, s in terms])
             rows.append(SweepRow(axis=axis_value, level=level, beta=beta, late=late, bias=beta - late))
-        except (ConfigError, AssumptionError, RankError):
-            nan = float("nan")
-            rows.append(SweepRow(axis=axis_value, level=level, beta=nan, late=nan, bias=nan))
+        except (ConfigError, RankError):
+            rows.append(SweepRow(axis=axis_value, level=level, beta=math.nan, late=math.nan, bias=math.nan))
     return tuple(rows)

@@ -351,6 +351,25 @@ _EFFECT_KEYS = {
 }
 
 
+# A MarginalSpec's admissibility rules, one value at a time: each raises the ConfigError that loading a spec does.
+def check_share(name: str, v: float) -> None:
+    if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+        raise ConfigError(f"share {name}={v} outside [0, 1]")
+
+
+def check_effect(name: str, v: float) -> None:
+    if not math.isfinite(v):
+        raise ConfigError(f"effect {name}={v} is not finite")
+    if abs(v) > EFFECT_BOUND:
+        raise ConfigError(f"effect {name}={v} exceeds {EFFECT_BOUND:g} in magnitude")
+
+
+def absent_effect(slot: str, swapped: bool = False) -> ConfigError:
+    """The error for an absent effect slot, naming its group as the spec before a label swap does if `swapped`."""
+    group, j, k = EFFECT_SLOTS[SWAPPED_NAME[slot] if swapped else slot]
+    return ConfigError(f"effect E[y{j}-y{k} | {group.name}] is required here but absent from the spec")
+
+
 @dataclass(frozen=True)
 class MarginalSpec:
     """Marginal shares and conditional mean effects, the decomposition inputs.
@@ -392,8 +411,7 @@ class MarginalSpec:
     def __post_init__(self):
         for name in _SHARE_KEYS.values():
             v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ConfigError(f"share {name}={v} outside [0, 1]")
+            check_share(name, v)
             if type(v) is not float:  # a float is already its own float()
                 object.__setattr__(self, name, float(v))
         for k, (c, i, n) in ((1, ("pC1", "pID1", "pND1")), (2, ("pC2", "pID2", "pND2"))):
@@ -403,10 +421,7 @@ class MarginalSpec:
         for name in EFFECT_SLOTS:
             v = getattr(self, name)
             if v is not None:
-                if not math.isfinite(v):
-                    raise ConfigError(f"effect {name}={v} is not finite")
-                if abs(v) > EFFECT_BOUND:
-                    raise ConfigError(f"effect {name}={v} exceeds {EFFECT_BOUND:g} in magnitude")
+                check_effect(name, v)
                 if type(v) is not float:
                     object.__setattr__(self, name, float(v))
 
@@ -414,10 +429,7 @@ class MarginalSpec:
         """Value of an effect slot, or ConfigError naming the group if absent."""
         value = getattr(self, slot)
         if value is None:
-            group, j, k = EFFECT_SLOTS[slot]
-            raise ConfigError(
-                f"effect E[y{j}-y{k} | {group.name}] is required here but absent from the spec"
-            )
+            raise absent_effect(slot)
         return value
 
     def swapped(self) -> "MarginalSpec":
@@ -480,6 +492,15 @@ def as_float(value, what: str) -> float:
         return float(value)
     except OverflowError:
         raise ConfigError(f"{what} is an integer too large for a float") from None
+
+
+def as_enum(cls, value, what: str):
+    """The member of enum `cls` that `value` is or names; ConfigError listing the choices otherwise."""
+    try:
+        return cls(value)
+    except ValueError:
+        choices = sorted(m.value for m in cls)
+        raise ConfigError(f"{what} must be one of {choices}, got {value!r}") from None
 
 
 def _as_floats(value, what: str) -> tuple[float, ...]:

@@ -174,12 +174,28 @@ def test_complier_late_needs_complier_mass_on_both_sides():
         complier_late(MarginalSpec(pC1=1e-6, pC2=1e-6, eff_c1=1.0, eff_c2=1.0))
     assert complier_late(MarginalSpec(pC1=1e-4, pC2=1e-4, eff_c1=1.0, eff_c2=2.0)) == (1.0, 2.0)
 
+def test_a_denominator_just_past_den_tol_is_identified():
+    # P(C1) * P(C2) = 1.5e-10 is every routine's denominator here, and only a denominator within DEN_TOL = 1e-10 of
+    # zero is singular.
+    spec = MarginalSpec(pC1=1.5e-5, pC2=1e-5, eff_c1=1.0, eff_c2=2.0)
+    assert solve_moment_system(spec) == complier_late(spec) == (1.0, 2.0)
+    assert [dec.total for dec in decompose(spec)] == [1.0, 2.0]
+
+
 def test_decompose_requires_the_complier_effect():
     # Even with no compliers the reference point is the complier effect.
     spec = MarginalSpec(pC1=0.0, pND1=0.5, pC2=1.0,
                         eff_c2=1.0, eff_nd1_1=1.0, eff_nd1_2=2.0)
     with pytest.raises(ConfigError, match="required here but absent"):
         decompose(spec)
+
+
+def test_decompose_takes_a_regime_or_its_value_and_names_the_choices_otherwise():
+    spec = MarginalSpec(pC1=0.8, pC2=0.8, eff_c1=3.0, eff_c2=2.0)
+    for regime in Regime:
+        assert decompose(spec, regime.value) == decompose(spec, regime)
+    with pytest.raises(ConfigError, match=r"regime must be one of \['irrelevance', 'neither', 'next-best'\]"):
+        decompose(ANCHOR, "none")
 
 
 def test_late_coefficient_identity():
@@ -256,6 +272,34 @@ def test_sweep_next_best_variant_and_validation():
         bias_sweep(SWEEP_BASE, SweepAxis.DEFIER_SHARE, grid=[0.1], levels=[1.0], defier="at1")
 
 
+def test_sweep_takes_an_axis_or_its_value_and_names_the_choices_otherwise():
+    for axis in SweepAxis:
+        rows = bias_sweep(SWEEP_BASE, axis.value, grid=[0.0, 0.2], levels=[0.1, 100.0])
+        assert _row_bits(rows) == _row_bits(bias_sweep(SWEEP_BASE, axis, grid=[0.0, 0.2], levels=[0.1, 100.0]))
+    with pytest.raises(ConfigError, match=r"axis must be one of \['defier-share', 'effect-gap'\], got 'share'"):
+        bias_sweep(SWEEP_BASE, "share", grid=[0.1], levels=[1.0])
+
+
+def test_sweep_builds_no_spec_per_grid_point(monkeypatch):
+    # A grid point is checked value by value: the specs built (counted through __post_init__) must not grow with it.
+    built = []
+    post_init = MarginalSpec.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MarginalSpec, "__post_init__", counting_post_init)
+    counts = []
+    for size in (11, 1000):
+        built.clear()
+        grid = [0.5 * i / size for i in range(size)]
+        rows = bias_sweep(SWEEP_BASE, SweepAxis.DEFIER_SHARE, grid, levels=[100.0])
+        assert len(rows) == size and rows[1].feasible
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
+
+
 def _row_bits(rows) -> list[tuple[str, ...]]:
     # float.hex tells -0.0 from 0.0 and writes every NaN as "nan".
     return [tuple(float(v).hex() for v in (r.axis, r.level, r.beta, r.late, r.bias)) for r in rows]
@@ -266,7 +310,9 @@ def test_sweep_matches_the_reference_bit_for_bit():
     # it) and past EFFECT_BOUND with the gap; some specs leave slots absent that some points need.
     rng = np.random.default_rng(7)
     absent_sets = ((), ("eff_c1",), ("eff_c2",), ("eff_id2",), ("eff_nd2_1", "eff_nd2_2"), ("eff_id1", "eff_nd1_1"))
-    gaps = [0.0, 1.0, -250.0, 3e100, -3e100, 4e100, -4e100, 4.000001e100, -1e101, 1e300]
+    # Library callers may pass ints, bools, signed zeros and non-finite values, which the CLI never does.
+    odd = [0, 1, 2, -1, True, False, -0.0, math.nan, math.inf, -math.inf]
+    gaps = [0.0, 1.0, -250.0, 3e100, -3e100, 4e100, -4e100, 4.000001e100, -1e101, 1e300] + odd
     counts = {"feasible": 0, "nan": 0, "near_root": 0}
     for trial in range(24):
         absent = absent_sets[trial % len(absent_sets)]
@@ -278,7 +324,7 @@ def test_sweep_matches_the_reference_bit_for_bit():
                 a, b = base.pC2 + base.pND2, -(base.pC2 + base.pID2)
             else:
                 a, b = base.pC2 + base.pND2, base.pID2 - base.pND2
-            shares = [-0.1, -1e-12, 0.0, 0.05, 0.3, 0.5, 0.999, 1.0, 1.0 + 1e-12, 1.2]
+            shares = [-0.1, -1e-12, 0.0, 0.05, 0.3, 0.5, 0.999, 1.0, 1.0 + 1e-12, 1.2] + odd
             if b != 0.0:
                 shares += [-a / b + k * DEN_TOL / abs(b) for k in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)]
                 counts["near_root"] += 0.0 <= -a / b <= 1.0

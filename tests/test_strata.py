@@ -1,5 +1,6 @@
 """Population model: trajectories, group membership, marginalization, JSON."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -121,6 +122,7 @@ def test_a_stratum_entry_stores_floats_and_a_tuple():
     assert type(e.means) is tuple and [type(v) for v in (e.prob, *e.means, e.noise_sd)] == [float] * 5
     mixed = StratumEntry(J.C1C2, True, (0.0, 1, 2.0), noise_sd=2)
     assert [type(v) for v in (mixed.prob, *mixed.means, mixed.noise_sd)] == [float] * 5
+    assert [type(v) for v in StratumEntry(J.C1C2, 0.5, (1, 2.0, 3.0)).means] == [float] * 3
     # Means that already are a tuple of floats are stored as given.
     means = (0.5, -1.0, 2.0)
     assert StratumEntry(J.C1C2, 0.5, means, 3.0).means is means
@@ -137,6 +139,11 @@ def test_population_validation():
             entries=(StratumEntry(J.C1C2, 1.0, (0.0, 0.0, 0.0)),),
             assignment=(0.5, 0.5, 0.5),
         )
+    # Probabilities must sum to 1 within PROB_SUM_TOL = 1e-12 (written out, so that the test pins the value).
+    for dust, fails in ((0.5e-12, False), (1.5e-12, True)):
+        f = StratumEntry(J.NT1NT2, 0.5 + dust, (0.0, 0.0, 0.0))
+        with pytest.raises(ConfigError, match="sum") if fails else contextlib.nullcontext():
+            Population(entries=(e, f))
 
 
 def test_population_stores_tuples_of_entries_and_float_probabilities():
@@ -214,6 +221,15 @@ def test_marginalize_benchmark_population():
 def test_marginal_spec_validation():
     with pytest.raises(ConfigError, match="exceeding 1"):
         MarginalSpec(pC1=0.9, pID1=0.2)
+    # Each instrument's three shares are summed, and the sum may pass 1 by SHARE_ATOL = 1e-9 of float dust, no more.
+    for k in (1, 2):
+        c, i, n = f"pC{k}", f"pID{k}", f"pND{k}"
+        for a, b in ((c, i), (c, n), (i, n)):
+            with pytest.raises(ConfigError, match=f"instrument-{k} shares sum to 1.2, exceeding 1"):
+                MarginalSpec(**{a: 0.6, b: 0.6})
+        MarginalSpec(**{c: 1.0, n: 1e-9})
+        with pytest.raises(ConfigError, match=f"instrument-{k} shares sum"):
+            MarginalSpec(**{c: 1.0, n: 1.5e-9})
     with pytest.raises(ConfigError, match="outside"):
         MarginalSpec(pC1=-0.1)
     with pytest.raises(ConfigError, match="finite"):
@@ -231,6 +247,9 @@ def test_a_marginal_spec_stores_floats():
     # Floats are stored as given.
     effect = 2.5
     assert MarginalSpec(pC1=1.0, eff_c1=effect).eff_c1 is effect
+    # A share left out is 0 and an effect left out is absent.
+    assert vars(MarginalSpec()) == {**dict.fromkeys(["pC1", "pC2", "pID1", "pID2", "pND1", "pND2"], 0.0),
+                                    **dict.fromkeys(EFFECT_SLOTS)}
 
 
 def test_marginalize_keeps_a_population_at_the_magnitude_bound_admissible():
@@ -280,6 +299,13 @@ def test_population_from_dict_rejects_unknown_keys():
         population_from_dict(doc)
     with pytest.raises(ConfigError, match="unknown key"):
         population_from_dict({"strata": [], "population": {}})
+
+
+def test_population_from_dict_rejects_means_that_are_not_numbers():
+    # Whatever type the three means share, each must be a number, and a bool is not one.
+    for means in ([True, True, True], [True, True, 1.0], ["0", "0", 0.0]):
+        with pytest.raises(ConfigError, match=r"strata\[0\]\.means must be a number"):
+            population_from_dict({"strata": [{"tag": "C1C2", "prob": 1.0, "means": means}]})
 
 
 def test_marginal_spec_json_round_trip():
