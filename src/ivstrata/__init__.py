@@ -25,10 +25,7 @@ from .strata import (
     marginal_shares,
     marginalize,
     marginal_spec_from_dict,
-    marginal_spec_to_dict,
     population_from_dict,
-    population_to_dict,
-    potential_choice,
 )
 from .estimands import (
     BiasDecomposition,
@@ -37,7 +34,6 @@ from .estimands import (
     SweepAxis,
     SweepRow,
     bias_sweep,
-    complier_late,
     decompose,
     solve_moment_system,
 )

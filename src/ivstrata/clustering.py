@@ -324,11 +324,7 @@ class Semantics(enum.Enum):
     GROUP_RELEVANT = "group-relevant"
 
 
-def cluster_wald_oracle(
-    pop: Population,
-    scenario: ClusterScenario,
-    semantics: Semantics = Semantics.POOLED,
-) -> float:
+def cluster_wald_oracle(pop: Population, scenario: ClusterScenario, semantics: Semantics = Semantics.POOLED) -> float:
     """Exact clustered Wald value, computed without any decomposition.
 
     POOLED takes the two-arm Wald ratio literally: expectations of the
@@ -339,14 +335,13 @@ def cluster_wald_oracle(
     whenever no stratum is double-counted by the group union (control: no
     double compliers; treatment: additionally no irrelevance defiers).
     """
-    wiring = _wiring(scenario)
     if semantics is Semantics.POOLED:
         return _pooled_wald(pop, scenario)
-    return _group_relevant_wald(pop, scenario, wiring)
+    return _group_relevant_wald(pop, scenario)
 
 
 def _pooled_wald(pop: Population, scenario: ClusterScenario) -> float:
-    s1 = scenario.s1
+    s1 = scenario.require_collapse().s1
     p_z1 = math.fsum(pop.assignment[z] for z in s1)
     p_z0 = 1.0 - p_z1
     if p_z1 <= DEN_TOL or p_z0 <= DEN_TOL:
@@ -374,15 +369,15 @@ def _pooled_wald(pop: Population, scenario: ClusterScenario) -> float:
     return (ey[1] / p_z1 - ey[0] / p_z0) / first_stage
 
 
-def _group_relevant_wald(pop: Population, scenario: ClusterScenario, wiring) -> float:
-    den_groups, a_rows, bias_rows, _ = wiring
+def _group_relevant_wald(pop: Population, scenario: ClusterScenario) -> float:
+    den_groups, a_rows, bias_rows, _ = _wiring(scenario)
     contrasts = {grp: (j, kk, sign) for _, groups, j, kk, sign in a_rows + bias_rows for grp in groups}
     num = 0.0
     for e in pop.entries:
         if e.prob == 0.0:
             continue
         for grp, (j, kk, sign) in contrasts.items():
-            if grp.contains(e.stratum):
+            if e.stratum in grp.members():
                 num += sign * e.prob * (e.means[j] - e.means[kk])
     den = math.fsum(group_prob(pop, (grp,)) for grp in den_groups)
     if den <= DEN_TOL:

@@ -86,7 +86,7 @@ _TERMS = (
     ("w9", ("pID1", "pND2"), ("eff_nd2_2", "eff_id1"), -1),
 )
 
-# The defier shares each regime sets to zero, irrelevance first for `complier_late`'s order.
+# The defier shares each regime sets to zero.
 _RULED_OUT = {Regime.IRRELEVANCE_ONLY: ("pID1", "pID2"), Regime.NEXT_BEST_ONLY: ("pND1", "pND2"), Regime.NEITHER: ()}
 _REGIME_TERMS = {regime: tuple(t for t in _TERMS if set(t[1]).isdisjoint(out)) for regime, out in _RULED_OUT.items()}
 
@@ -147,27 +147,6 @@ def solve_moment_system(spec: MarginalSpec) -> tuple[float, float]:
     beta1 = (b1 * a22 - a21 * b2) / det
     beta2 = (a11 * b2 - b1 * a12) / det
     return beta1, beta2
-
-
-def complier_late(spec: MarginalSpec) -> tuple[float, float]:
-    """The complier LATEs (E[y1-y0|C1], E[y2-y0|C2]), valid only without defiers.
-
-    Raises
-    ------
-    AssumptionError
-        If any defier share is nonzero, naming the offending share.
-    RankError
-        If there are no compliers for one of the instruments.
-    """
-    for regime, ruled_out in _RULED_OUT.items():
-        for name in ruled_out:
-            v = getattr(spec, name)
-            if v != 0.0:
-                raise AssumptionError(f"{regime.value} violated: P({name[1:]})={v} must be 0 for a complier LATE")
-    det = spec.pC1 * spec.pC2
-    if abs(det) <= DEN_TOL:
-        raise RankError(f"no complier mass (P(C1)*P(C2)={det!r}); the estimands are not identified")
-    return spec.effect("eff_c1"), spec.effect("eff_c2")
 
 
 def _check_regime(spec: MarginalSpec, regime: Regime) -> None:

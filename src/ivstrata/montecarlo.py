@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .clustering import ClusterScenario, Semantics, cluster_wald_oracle
+from .clustering import ClusterScenario, cluster_wald_oracle
 from .estimands import solve_moment_system
 from .exceptions import ConfigError, RankError
 from .identification import COEFFICIENTS, FirstStage, first_stage_from_shares
@@ -346,7 +346,7 @@ def replicate(
     check_count("sample size", n, 1)
     target = Target.FIELD_2SLS if scenario is None else Target.CLUSTER_WALD
     if target is Target.CLUSTER_WALD:
-        truths = [("wald", cluster_wald_oracle(pop, scenario, Semantics.POOLED))]
+        truths = [("wald", cluster_wald_oracle(pop, scenario))]
         estimate = functools.partial(estimate_cluster_wald, scenario=scenario)
     else:
         fs = first_stage_from_shares(marginal_shares(pop))

@@ -3,9 +3,14 @@
 Setting: three mutually exclusive fields 0, 1, 2 (0 is the reference) and a
 randomly assigned instrument Z in {0, 1, 2}. An individual's behavior is a
 trajectory (d0, d1, d2) of potential field choices, one per instrument
-state. Under monotonicity only ten trajectories are possible; those ten
-joint strata, with probabilities and per-field mean outcomes, are the
-generative ground truth everything else in the package consumes.
+state. Whoever chooses field j under some assignment chooses j when
+assigned j: d_z = j implies d_j = j, z = 0 counting as assignment to field
+0. For instrument k and k' the other non-reference field, that is (R1)
+d0 = k implies dk = k, (R2) dk' = k implies dk = k and (R3) dk = 0 implies
+d0 = 0. R1 alone admits 15 of the 27 triples; all three admit ten. Those
+ten joint strata, with probabilities and per-field mean outcomes, are the
+generative ground truth everything else in the package consumes, and the
+defier bounds are sharp relative to this ten-type model.
 
 Marginal behavioral groups (compliers, defiers, takers) are defined per
 instrument purely by trajectory predicates, so membership never depends on
@@ -17,6 +22,8 @@ labels: for instrument k with k' the other non-reference field,
 * always taker     AT_k : d0 = k and dk = k
 * never taker      NT_k : d0 = 0 and dk = 0
 * other taker      OT_k : d0 = k' and dk = k'
+
+By R3 no stratum has (d0, dk) = (k', 0): the six kinds split the ten strata.
 """
 
 from __future__ import annotations
@@ -83,9 +90,9 @@ def _check_level(value: int, what: str) -> int:
 class JointStratum(enum.Enum):
     """The ten joint behavioral types, keyed by trajectory (d0, d1, d2).
 
-    Each member's value is its potential-choice triple: the field chosen
-    under Z=0, Z=1, Z=2. Any triple violating monotonicity (assignment to k
-    never moves anyone out of field k) is unrepresentable.
+    Each member's value is its trajectory: the fields chosen under Z=0, 1,
+    2, so `stratum.trajectory[z]` is the field chosen under Z=z. A triple
+    that breaks R1-R3 (d_z = j implies d_j = j) is unrepresentable.
     """
 
     C1C2 = (0, 1, 2)
@@ -116,12 +123,6 @@ class JointStratum(enum.Enum):
 _BY_TAG = dict(JointStratum.__members__)
 
 
-def potential_choice(stratum: JointStratum, z: Instrument) -> Field:
-    """Field chosen by `stratum` when assigned instrument state `z`."""
-    _check_level(z, "instrument")
-    return stratum.trajectory[z]
-
-
 class MarginalGroup(enum.Enum):
     """Per-instrument behavioral groups, decided by trajectory predicates."""
 
@@ -147,9 +148,6 @@ class MarginalGroup(enum.Enum):
     @property
     def kind(self) -> str:
         return self.name[:-1]
-
-    def contains(self, stratum: JointStratum) -> bool:
-        return stratum in _MEMBERS[self]
 
     def members(self) -> frozenset[JointStratum]:
         return _MEMBERS[self]
@@ -460,22 +458,7 @@ def marginalize(pop: Population) -> MarginalSpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization. Documents are plain dicts; file IO lives in the CLI.
-
-def population_to_dict(pop: Population) -> dict:
-    return {
-        "assignment": list(pop.assignment),
-        "strata": [
-            {
-                "tag": e.stratum.name,
-                "prob": e.prob,
-                "means": list(e.means),
-                "noise_sd": e.noise_sd,
-            }
-            for e in pop.entries
-        ],
-    }
-
+# JSON loading. Documents are plain dicts; file IO lives in the CLI.
 
 def reject_unknown(doc: Mapping, allowed: Iterable[str], what: str) -> None:
     """Raise ConfigError naming every key of `doc` outside `allowed`."""
@@ -559,16 +542,6 @@ def population_from_dict(doc: Mapping) -> Population:
         entries.append(StratumEntry(stratum, prob, means, noise_sd))
     assignment = _as_floats(doc.get("assignment", UNIFORM_ASSIGNMENT), "assignment")
     return Population(entries=tuple(entries), assignment=assignment)
-
-
-def marginal_spec_to_dict(spec: MarginalSpec) -> dict:
-    shares = {key: getattr(spec, attr) for key, attr in _SHARE_KEYS.items()}
-    effects: dict[str, object] = {}
-    for key, slots in _EFFECT_KEYS.items():
-        values = [getattr(spec, slot) for slot in slots]
-        if any(v is not None for v in values):
-            effects[key] = values if len(values) == 2 else values[0]
-    return {"shares": shares, "effects": effects}
 
 
 def marginal_spec_from_dict(doc: Mapping) -> MarginalSpec:

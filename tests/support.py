@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from ivstrata import (
-    AssumptionError,
     BiasDecomposition,
     BiasTerm,
     ClusterScenario,
@@ -27,7 +27,6 @@ from ivstrata import (
     Population,
     RankError,
     ReplicationSummary,
-    Semantics,
     StratumEntry,
     SweepAxis,
     SweepRow,
@@ -105,36 +104,41 @@ def constant_effects_spec(rng: np.random.Generator, den_floor: float = 0.05) -> 
     return random_spec(rng, den_floor=den_floor, effects=effects), tau1, tau2
 
 
-def _reference_sweep_spec(base: MarginalSpec, p: float, gap: float, defier: str) -> MarginalSpec:
+def _reference_sweep_point(base: MarginalSpec, p: float, gap: float, defier: str) -> SimpleNamespace:
+    """The grid point's spec fields, admitted by the sweep's rules as stated here: ConfigError for a share that is
+    not finite in [0, 1], or a varied effect that is not finite with |v| <= 4e100."""
+    first, kept = base.eff_c1, base.eff_c2
+    if first is None or kept is None:
+        raise ConfigError("the sweep needs both complier effects")
+    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+        raise ConfigError(f"share {p} outside [0, 1]")
+    varied = first - gap if defier == "id1" else first + gap
+    if not (math.isfinite(varied) and abs(varied) <= 4e100):
+        raise ConfigError(f"effect {varied} outside [-4e100, 4e100]")
     if defier == "id1":
-        return replace(
-            base,
-            pID1=p,
-            pC1=1.0 - p,
-            pND1=0.0,
-            eff_id2=base.effect("eff_c1") - gap,
-            eff_id1=base.effect("eff_c2"),
-        )
-    return replace(
-        base,
-        pND1=p,
-        pC1=1.0 - p,
-        pID1=0.0,
-        eff_nd1_1=base.effect("eff_c1") + gap,
-        eff_nd1_2=base.effect("eff_c2"),
-    )
+        point = {"pID1": p, "pND1": 0.0, "eff_id2": varied, "eff_id1": kept}
+    else:
+        point = {"pND1": p, "pID1": 0.0, "eff_nd1_1": varied, "eff_nd1_2": kept}
+    return SimpleNamespace(**{**{f.name: getattr(base, f.name) for f in fields(base)}, "pC1": 1.0 - p, **point})
 
 
-def _reference_decompose_first(spec: MarginalSpec) -> BiasDecomposition:
+def _effect(spec: SimpleNamespace, slot: str) -> float:
+    value = getattr(spec, slot)
+    if value is None:
+        raise ConfigError(f"effect slot {slot} is absent")
+    return value
+
+
+def _reference_decompose_first(spec: SimpleNamespace) -> BiasDecomposition:
     den = wbar(spec)
     if abs(den) <= DEN_TOL:
         raise RankError(f"degenerate identification: regime denominator {den!r} is near zero")
-    late = spec.effect("eff_c1")
+    late = _effect(spec, "eff_c1")
     terms = []
     for label, (sa, sb), (ea, eb), base_sign in _TERMS:
         product = getattr(spec, sa) * getattr(spec, sb)
         if product != 0.0:
-            delta = spec.effect(ea) - spec.effect(eb)
+            delta = _effect(spec, ea) - _effect(spec, eb)
         else:
             va, vb = getattr(spec, ea), getattr(spec, eb)
             delta = (va - vb) if (va is not None and vb is not None) else 0.0
@@ -150,10 +154,10 @@ def _reference_decompose_first(spec: MarginalSpec) -> BiasDecomposition:
 def reference_sweep(
     base: MarginalSpec, axis: SweepAxis, grid: list[float], levels: list[float], defier: str = "id1"
 ) -> tuple[SweepRow, ...]:
-    """`bias_sweep` the long way: each grid point's spec from
-    `dataclasses.replace`, then a full neither-regime decomposition into
-    BiasTerms, of which a row reads only `total` and `late`. The rows the
-    package's sweep must reproduce bit for bit, NaN rows included."""
+    """`bias_sweep` the long way: each grid point's fields checked by the sweep's admissibility rules, stated
+    literally rather than by building a MarginalSpec, then a full neither-regime decomposition into BiasTerms, of
+    which a row reads only `total` and `late`. The rows the package's sweep must reproduce bit for bit, NaN rows
+    included."""
     if axis is SweepAxis.DEFIER_SHARE:
         points = [(g, lv, g, lv) for g in grid for lv in levels]  # (axis, level, p, gap)
     else:
@@ -161,11 +165,11 @@ def reference_sweep(
     rows = []
     for axis_value, level, p, gap in points:
         try:
-            dec = _reference_decompose_first(_reference_sweep_spec(base, p, gap, defier))
+            dec = _reference_decompose_first(_reference_sweep_point(base, p, gap, defier))
             rows.append(
                 SweepRow(axis=axis_value, level=level, beta=dec.total, late=dec.late, bias=dec.total - dec.late)
             )
-        except (ConfigError, AssumptionError, RankError):
+        except (ConfigError, RankError):
             nan = float("nan")
             rows.append(SweepRow(axis=axis_value, level=level, beta=nan, late=nan, bias=nan))
     return tuple(rows)
@@ -309,7 +313,7 @@ def reference_replicate(
     `replicate` names it."""
     target = Target.FIELD_2SLS if scenario is None else Target.CLUSTER_WALD
     if target is Target.CLUSTER_WALD:
-        truths = [("wald", cluster_wald_oracle(pop, scenario, Semantics.POOLED))]
+        truths = [("wald", cluster_wald_oracle(pop, scenario))]
         estimate = partial(estimate_cluster_wald, scenario=scenario)
     else:
         fs = first_stage_from_shares(marginal_shares(pop))

@@ -22,7 +22,6 @@ from ivstrata import (
     choose_clustering,
     cluster_estimand_formula,
     cluster_wald_oracle,
-    complier_late,
     decompose,
     defier_bounds,
     estimate_2sls,
@@ -88,7 +87,7 @@ def test_c02_regime_nesting():
         worst_id = max(worst_id, abs(c[0].total - d[0].total), abs(c[1].total - d[1].total))
 
         free = random_spec(rng, defier_free=True)
-        late = complier_late(free)
+        late = (free.eff_c1, free.eff_c2)
         for regime in Regime:
             e = decompose(free, regime)
             worst_free = max(worst_free, abs(e[0].total - late[0]), abs(e[1].total - late[1]))

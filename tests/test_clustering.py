@@ -87,10 +87,16 @@ def test_clustering_with_standard_errors():
     # |z| = 1.67: crosses over between the 5% and 10% levels.
     assert choose_clustering(fs, se21=0.06, sig_level=0.05).label == "no-clustering"
     assert choose_clustering(fs, se21=0.06, sig_level=0.10).label == "control-1"
+    assert choose_clustering(fs, se21=0.06).label == "no-clustering"  # the default level is 5%
+    # A p-value equal to the level is not significant; one just below it is.
+    p = 2.0 * (1.0 - NormalDist().cdf(0.1 / 0.06))
+    assert choose_clustering(fs, se21=0.06, sig_level=p).label == "no-clustering"
+    assert choose_clustering(fs, se21=0.06, sig_level=math.nextafter(p, 1.0)).label == "control-1"
     with pytest.raises(ConfigError, match="nonnegative"):
         choose_clustering(fs, se21=-1.0)
-    with pytest.raises(ConfigError, match="significance"):
-        choose_clustering(fs, sig_level=1.5)
+    for level in (1.5, 0.0, 1.0):
+        with pytest.raises(ConfigError, match="significance"):
+            choose_clustering(fs, sig_level=level)
 
 
 def test_std_normal_cdf_is_bit_identical_to_statistics():
@@ -236,6 +242,17 @@ def test_constant_effects_paths_agree_on_random_populations():
             assert ce.total == pytest.approx(full.total, abs=1e-9), scen.label
 
 
+def test_constant_effects_are_read_from_live_strata_and_both_contrasts():
+    live = [(J.C1NT2, 0.5, (0.0, 1.0, 3.0)), (J.NT1C2, 0.5, (5.0, 6.0, 8.0))]
+    want = cluster_estimand_constant_effects(make_pop(live), CONTROL_1)
+    # A zero-probability stratum's effects do not count.
+    assert cluster_estimand_constant_effects(make_pop(live + [(J.ID1C2, 0.0, (0.0, 9.0, 9.0))]), CONTROL_1) == want
+    # A live stratum that breaks either contrast alone breaks constant effects.
+    for means in ((0.0, 2.0, 3.0), (0.0, 1.0, 4.0)):
+        with pytest.raises(ConfigError, match="breaks constant effects"):
+            cluster_estimand_constant_effects(make_pop(live[:1] + [(J.NT1C2, 0.5, means)]), CONTROL_1)
+
+
 def test_exclusion_check():
     verdict = check_cluster_exclusion(POP_A, CONTROL_1)
     assert not verdict.holds and verdict.violations == ("ID1C2",)
@@ -295,6 +312,26 @@ def test_group_relevant_oracle_matches_formula_without_overlap():
         total_tr = cluster_estimand_formula(pop_tr, TREATMENT).total
         tol_tr = 1e-9 * max(1.0, abs(total_tr))
         assert cluster_wald_oracle(pop_tr, TREATMENT, Semantics.GROUP_RELEVANT) == pytest.approx(total_tr, abs=tol_tr)
+
+
+def test_group_relevant_oracle_counts_a_double_complier_twice():
+    # C1C2 is in C1 and C2, so its two contrasts (1 and 1 - 3) and its share enter twice: -2 / 2.
+    pop = make_pop([(J.C1C2, 1.0, (0.0, 1.0, 3.0))])
+    assert cluster_wald_oracle(pop, CONTROL_1, Semantics.GROUP_RELEVANT) == -0.5
+    assert cluster_estimand_formula(pop, CONTROL_1).total == -1.0
+
+
+def test_a_mass_of_exactly_den_tol_is_singular():
+    # The clustered first stage and the relevant-group mass are each exactly DEN_TOL = 1e-10 here, and so is the
+    # treated arm's assignment probability.
+    thin = make_pop([(J.C1NT2, 1e-10, (0.0, 1.0, 2.0)), (J.NT1NT2, 1.0 - 1e-10, (0.0, 1.0, 2.0))])
+    with pytest.raises(RankError, match="clustered first stage is zero"):
+        cluster_estimand_formula(thin, CONTROL_1)
+    with pytest.raises(RankError, match="relevant-group mass"):
+        cluster_wald_oracle(thin, CONTROL_1, Semantics.GROUP_RELEVANT)
+    starved = make_pop([(J.C1NT2, 1.0, (0.0, 1.0, 2.0))], assignment=(0.5, 1e-10, 0.5 - 1e-10))
+    with pytest.raises(RankError, match="empty cell"):
+        cluster_wald_oracle(starved, CONTROL_1)
 
 
 def test_rank_errors():

@@ -15,7 +15,6 @@ from ivstrata import (
     Regime,
     SweepAxis,
     bias_sweep,
-    complier_late,
     decompose,
     solve_moment_system,
 )
@@ -121,8 +120,7 @@ def test_regime_term_labels():
 def test_defier_free_reduces_to_complier_late():
     for _ in range(50):
         spec = random_spec(rng, defier_free=True)
-        late1, late2 = complier_late(spec)
-        assert late1 == spec.eff_c1 and late2 == spec.eff_c2
+        late1, late2 = spec.eff_c1, spec.eff_c2
         for regime in Regime:
             dec1, dec2 = decompose(spec, regime)
             assert abs(dec1.total - late1) <= 1e-12
@@ -139,14 +137,6 @@ def test_regime_guards():
                            eff_c1=1.0, eff_c2=1.0, eff_id1=1.0, eff_id2=1.0)
     with pytest.raises(AssumptionError):
         decompose(id_spec, Regime.IRRELEVANCE_ONLY)
-    with pytest.raises(AssumptionError):
-        complier_late(id_spec)
-    with pytest.raises(AssumptionError, match="next-best violated"):
-        complier_late(nd_spec)
-    both = MarginalSpec(pC1=0.4, pND1=0.3, pID1=0.3, pC2=1.0,
-                        eff_c1=1.0, eff_c2=1.0, eff_id1=1.0, eff_id2=1.0, eff_nd1_1=1.0, eff_nd1_2=1.0)
-    with pytest.raises(AssumptionError, match=r"irrelevance violated: P\(ID1\)=0.3"):
-        complier_late(both)
 
 
 def test_singular_moment_system_raises():
@@ -158,9 +148,6 @@ def test_singular_moment_system_raises():
     assert exc.value.exit_code == 4
     with pytest.raises(RankError):
         decompose(spec)
-    with pytest.raises(RankError, match="no complier mass"):
-        complier_late(MarginalSpec(pC2=1.0, eff_c2=1.0))
-
 
 
 def test_a_complier_share_of_one_keeps_its_effect():
@@ -168,18 +155,21 @@ def test_a_complier_share_of_one_keeps_its_effect():
     assert solve_moment_system(MarginalSpec(pC1=1.0, pC2=1.0, eff_c1=3.0, eff_c2=-2.0)) == (3.0, -2.0)
 
 
-def test_complier_late_needs_complier_mass_on_both_sides():
-    # Both complier shares are nonzero, yet their product is below DEN_TOL: not identified.
-    with pytest.raises(RankError, match="no complier mass"):
-        complier_late(MarginalSpec(pC1=1e-6, pC2=1e-6, eff_c1=1.0, eff_c2=1.0))
-    assert complier_late(MarginalSpec(pC1=1e-4, pC2=1e-4, eff_c1=1.0, eff_c2=2.0)) == (1.0, 2.0)
-
 def test_a_denominator_just_past_den_tol_is_identified():
     # P(C1) * P(C2) = 1.5e-10 is every routine's denominator here, and only a denominator within DEN_TOL = 1e-10 of
     # zero is singular.
     spec = MarginalSpec(pC1=1.5e-5, pC2=1e-5, eff_c1=1.0, eff_c2=2.0)
-    assert solve_moment_system(spec) == complier_late(spec) == (1.0, 2.0)
+    assert solve_moment_system(spec) == (1.0, 2.0)
     assert [dec.total for dec in decompose(spec)] == [1.0, 2.0]
+
+
+def test_a_denominator_of_exactly_den_tol_is_singular():
+    # P(C1) * P(C2) = 1e-10 * 1.0 is DEN_TOL exactly, and a denominator within DEN_TOL of zero is singular.
+    spec = MarginalSpec(pC1=1e-10, pC2=1.0, eff_c1=1.0, eff_c2=2.0)
+    with pytest.raises(RankError, match="moment system is singular"):
+        solve_moment_system(spec)
+    with pytest.raises(RankError, match="regime denominator"):
+        decompose(spec)
 
 
 def test_decompose_requires_the_complier_effect():

@@ -697,6 +697,18 @@ def test_a_count_matrix_singular_but_for_rounding_dust_raises():
         estimate_2sls(table)
 
 
+def test_a_count_matrix_between_three_and_six_ulps_of_its_norm_is_estimated():
+    # det N = m^2 - (m + 1)(m - 1) = 1 exactly, which is about 4.5 * 2^-52 ||N||_F^3: N is regular to float
+    # precision at RANK_TOL's factor 3, and a factor of 6 would refuse it. Every product here is an exact integer,
+    # so with each cell's mean equal to its d the estimates are the slopes 1 and 2 exactly.
+    m = 50_000.0
+    count = np.array([[m, m + 1.0, 0.0], [m - 1.0, m, 0.0], [0.0, 0.0, 1.0]])
+    assert 3.0 < 1.0 / (2.0**-52 * np.sqrt((count * count).sum()) ** 3) < 6.0
+    est, se = estimate_2sls(CellTable(count, np.tile([0.0, 1.0, 2.0], (3, 1)), np.zeros((3, 3))))
+    assert est[:2].tolist() == [1.0, 2.0]
+    assert np.isfinite(se).all()
+
+
 def test_cluster_wald_estimator_tracks_the_pooled_oracle():
     pop = benchmark_pop(noise_sd=100.0)
     scen = ClusterScenario.control(1)

@@ -22,11 +22,10 @@ PUBLIC_NAMES = [
     "RankError", "Regime", "ReplicationSummary", "Semantics", "StratumEntry", "SweepAxis",
     "SweepRow", "Target", "UNIFORM_ASSIGNMENT", "bias_sweep", "check_cluster_exclusion",
     "choose_clustering", "cluster_estimand_constant_effects", "cluster_estimand_formula", "cluster_wald_oracle",
-    "complier_late", "decompose", "defier_bounds", "estimate_2sls", "estimate_cluster_wald", "feasible_set_scan",
+    "decompose", "defier_bounds", "estimate_2sls", "estimate_cluster_wald", "feasible_set_scan",
     "first_stage_from_shares", "generate", "group_effect", "group_prob", "marginal_shares",
-    "marginal_spec_from_dict", "marginal_spec_to_dict", "marginalize", "population_from_dict",
-    "population_to_dict", "potential_choice", "replicate", "replication_seed", "shares_from_first_stage",
-    "solve_moment_system",
+    "marginal_spec_from_dict", "marginalize", "population_from_dict", "replicate", "replication_seed",
+    "shares_from_first_stage", "solve_moment_system",
 ]
 
 

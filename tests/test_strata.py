@@ -1,6 +1,8 @@
 """Population model: trajectories, group membership, marginalization, JSON."""
 
 import contextlib
+import itertools
+import json
 import math
 
 import numpy as np
@@ -20,10 +22,7 @@ from ivstrata import (
     marginal_shares,
     marginalize,
     marginal_spec_from_dict,
-    marginal_spec_to_dict,
     population_from_dict,
-    population_to_dict,
-    potential_choice,
     replicate,
 )
 from ivstrata import strata
@@ -86,13 +85,22 @@ def test_subset_relations_between_instruments():
     assert MEMBERS["AT1"] == MEMBERS["OT2"] | MEMBERS["ND2"]
 
 
-def test_potential_choice_reads_trajectory():
-    assert potential_choice(J.C1C2, 0) == 0
-    assert potential_choice(J.C1C2, 1) == 1
-    assert potential_choice(J.C1C2, 2) == 2
-    assert potential_choice(J.ND1AT2, 0) == 2
-    with pytest.raises(ConfigError):
-        potential_choice(J.C1C2, 3)
+def test_the_strata_are_the_triples_the_full_choice_rule_admits():
+    triples = list(itertools.product((0, 1, 2), repeat=3))
+    # d_z = j implies d_j = j, for every z and j, with z = 0 counted as assignment to field 0 (R1-R3).
+    full = {t for t in triples if all(t[j] == j for z in range(3) for j in range(3) if t[z] == j)}
+    r1_alone = {t for t in triples if all(t[k] == k for k in (1, 2) if t[0] == k)}
+    assert full == {s.trajectory for s in J}
+    assert len(r1_alone) == 15
+    for k in (1, 2):
+        o = 3 - k
+        kinds = {"C": (0, k), "ID": (0, o), "ND": (o, k), "AT": (k, k), "NT": (0, 0), "OT": (o, o)}  # (d0, dk)
+        # The pairs are distinct, so no triple has two kinds; each admitted one has one, the group it is put in.
+        for t in full:
+            (kind,) = [name for name, pair in kinds.items() if pair == (t[0], t[k])]
+            assert J(t) in G[f"{kind}{k}"].members(), (t, k)
+        # Without R3 a triple can have no kind: R1 alone admits one with (d0, dk) = (k', 0).
+        assert [t for t in r1_alone if (t[0], t[k]) not in kinds.values()] == {1: [(2, 0, 2)], 2: [(1, 1, 0)]}[k]
 
 
 def test_from_tag_rejects_unknown():
@@ -283,6 +291,13 @@ def test_swapped_relabels_instruments():
 
 
 def test_population_json_round_trip():
+    doc = {
+        "assignment": [0.5, 0.25, 0.25],
+        "strata": [
+            {"tag": "C1C2", "prob": 0.6, "means": [0.0, 1.5, 2.5], "noise_sd": 3.0},
+            {"tag": "NT1NT2", "prob": 0.4, "means": [-1.0, 0.0, 1.0], "noise_sd": 0.0},
+        ],
+    }
     pop = Population(
         entries=(
             StratumEntry(J.C1C2, 0.6, (0.0, 1.5, 2.5), noise_sd=3.0),
@@ -290,7 +305,7 @@ def test_population_json_round_trip():
         ),
         assignment=(0.5, 0.25, 0.25),
     )
-    assert population_from_dict(population_to_dict(pop)) == pop
+    assert population_from_dict(doc) == population_from_dict(json.loads(json.dumps(doc))) == pop
 
 
 def test_population_from_dict_rejects_unknown_keys():
@@ -309,9 +324,13 @@ def test_population_from_dict_rejects_means_that_are_not_numbers():
 
 
 def test_marginal_spec_json_round_trip():
+    doc = {
+        "shares": {"C1": 0.7, "C2": 0.8, "ID1": 0.1, "ID2": 0.0, "ND1": 0.0, "ND2": 0.1},
+        "effects": {"C1": 10.0, "ND2": [1.0, 2.0]},
+    }
     spec = MarginalSpec(pC1=0.7, pID1=0.1, pC2=0.8, pND2=0.1,
                         eff_c1=10.0, eff_nd2_1=1.0, eff_nd2_2=2.0)
-    assert marginal_spec_from_dict(marginal_spec_to_dict(spec)) == spec
+    assert marginal_spec_from_dict(doc) == marginal_spec_from_dict(json.loads(json.dumps(doc))) == spec
 
 
 def test_marginal_spec_from_dict_shapes():
@@ -321,14 +340,6 @@ def test_marginal_spec_from_dict_shapes():
     assert spec.eff_nd1_1 == 1.0 and spec.eff_nd1_2 == 2.0
     with pytest.raises(ConfigError, match="unknown key"):
         marginal_spec_from_dict({"shares": {"XX": 0.5}})
-
-
-@given(st.sampled_from(list(J)))
-def test_membership_predicates_agree_with_table(stratum):
-    for kind in ("C", "ID", "ND", "AT", "NT", "OT"):
-        for inst in (1, 2):
-            grp = G[f"{kind}{inst}"]
-            assert grp.contains(stratum) == (stratum in MEMBERS[grp.name])
 
 
 @given(st.lists(st.sampled_from(list(J)), min_size=1, max_size=10, unique=True))
