@@ -48,7 +48,6 @@ from .identification import (
 from .clustering import (
     ClusterDecomposition,
     ClusterScenario,
-    ExclusionVerdict,
     NegNegRule,
     Semantics,
     check_cluster_exclusion,

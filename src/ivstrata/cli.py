@@ -31,6 +31,7 @@ from functools import cache, partial
 from typing import Iterator, Optional
 
 from .clustering import (
+    DEFAULT_SIG_LEVEL,
     ClusterScenario,
     NegNegRule,
     Semantics,
@@ -45,6 +46,7 @@ from .estimands import SWEEP_DEFIERS, Regime, SweepAxis, bias_sweep, decompose, 
 from .exceptions import ConfigError, IVStrataError
 from .identification import (
     COEFFICIENTS,
+    DEFAULT_SCAN_STEP,
     FirstStage,
     defier_bounds,
     feasible_set_scan,
@@ -152,7 +154,7 @@ _OPTIONS = {
     "cluster": {
         "scenario": (lambda value, what: ClusterScenario.from_label(value), None,
                      {"choices": _values(ClusterScenario), "help": "override the sign-based scenario choice"}),
-        "sig_level": (lambda value, what: check_sig_level(as_float(value, what)), 0.05, {"type": float}),
+        "sig_level": (lambda value, what: check_sig_level(as_float(value, what)), DEFAULT_SIG_LEVEL, {"type": float}),
         "neg_neg_rule": (partial(as_enum, NegNegRule), NegNegRule.UNDEFINED, {"choices": _values(NegNegRule)}),
         "semantics": (partial(as_enum, Semantics), Semantics.POOLED, {"choices": _values(Semantics)}),
         "n": (_sample_size, None,
@@ -305,7 +307,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Iterator[tuple]:
     else:
         rows = [(name, lo, hi) for name, (lo, hi) in defier_bounds(fs).intervals().items()]
         if args.scan:
-            scan = feasible_set_scan(fs, step=0.05 if args.step is None else args.step)
+            scan = feasible_set_scan(fs, step=DEFAULT_SCAN_STEP if args.step is None else args.step)
             rows += [(f"{name}_scan", lo, hi) for name, (lo, hi) in scan.intervals().items()]
     yield ("group", "lo", "hi")
     yield from rows
@@ -331,7 +333,7 @@ def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
     if scenario.s1 is None:  # no collapse, so no clustered estimand
         return
     dec = (cluster_estimand_constant_effects if opts["constant_effects"] else cluster_estimand_formula)(pop, scenario)
-    verdict = check_cluster_exclusion(pop, scenario)
+    violations = check_cluster_exclusion(pop, scenario)
     oracle = cluster_wald_oracle(pop, scenario, opts["semantics"])
     yield ()
     yield "pi", dec.pi
@@ -341,7 +343,7 @@ def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
     yield "a_total", dec.a_total
     yield "bias_total", dec.bias
     yield "total", dec.total
-    yield "exclusion", "holds" if verdict.holds else "violated:" + ";".join(verdict.violations)
+    yield "exclusion", "violated:" + ";".join(violations) if violations else "holds"
     yield "semantics", opts["semantics"].value
     yield "oracle", oracle
     yield "oracle_gap", oracle - dec.total
@@ -389,11 +391,6 @@ def _cmd_sweep(args: argparse.Namespace) -> Iterator[tuple]:
         yield row.axis, row.level, row.beta, row.late, row.bias
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The program's argument parser, built once a process."""
-    return _parsers()[0]
-
-
 @cache  # one parser a process: parse_args keeps no state in it, and handlers are looked up by name
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The program's parser and each command's own parser by name (the `choices` of its subparsers action)."""
@@ -423,7 +420,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     for coef in COEFFICIENTS:
         bounds.add_argument(f"--{coef}", type=float, default=None, help=f"first-stage coefficient {coef}")
     bounds.add_argument("--scan", action="store_true", help="add grid feasibility-scan intervals")
-    bounds.add_argument("--step", type=float, default=None, help="scan grid step (default 0.05)")
+    bounds.add_argument("--step", type=float, default=None, help=f"scan grid step (default {DEFAULT_SCAN_STEP})")
     bounds.add_argument("--maintained", choices=[r.value for r in Regime if r is not Regime.NEITHER], default=None,
                         help="point-identify all group shares under this assumption")
 

@@ -105,6 +105,9 @@ def _sign(coef: float, se: Optional[float], sig_level: float) -> int:
     return 1 if coef > 0.0 else -1
 
 
+DEFAULT_SIG_LEVEL = 0.05  # the sign tests' level in choose_clustering and `cluster --n`
+
+
 def check_sig_level(sig_level: float) -> float:
     """`sig_level`, if it is a significance level."""
     if not (0.0 < sig_level < 1.0):
@@ -116,7 +119,7 @@ def choose_clustering(
     fs: FirstStage,
     se21: Optional[float] = None,
     se12: Optional[float] = None,
-    sig_level: float = 0.05,
+    sig_level: float = DEFAULT_SIG_LEVEL,
     neg_neg_rule: NegNegRule = NegNegRule.UNDEFINED,
 ) -> ClusterScenario:
     """Map the signs of the cross slopes (a21, a12) to a scenario.
@@ -140,8 +143,7 @@ def choose_clustering(
         if neg_neg_rule is NegNegRule.FAIL:
             raise AssumptionError(
                 f"both cross slopes are negative (a21={fs.a21:.6g}, a12={fs.a12:.6g}); "
-                "no catalogued clustering applies",
-                violations=("a21 < 0", "a12 < 0"),
+                "no catalogued clustering applies"
             )
         if neg_neg_rule is NegNegRule.LARGER_MAGNITUDE:
             return ClusterScenario.control(1 if fs.a21 <= fs.a12 else 2)
@@ -163,7 +165,6 @@ class ClusterDecomposition:
     its effect in `delta`.
     """
 
-    scenario: ClusterScenario
     pi: float
     a_terms: tuple[BiasTerm, ...]
     bias_terms: tuple[BiasTerm, ...]
@@ -247,7 +248,7 @@ def cluster_estimand_formula(pop: Population, scenario: ClusterScenario) -> Clus
     pi = _pi(pop, pi_groups, scenario)
     effect = partial(group_effect, pop)
     return ClusterDecomposition(
-        scenario=scenario, pi=pi, a_terms=_terms(pop, pi, a_rows, effect), bias_terms=_terms(pop, pi, bias_rows, effect)
+        pi=pi, a_terms=_terms(pop, pi, a_rows, effect), bias_terms=_terms(pop, pi, bias_rows, effect)
     )
 
 
@@ -285,20 +286,12 @@ def cluster_estimand_constant_effects(pop: Population, scenario: ClusterScenario
     if diff != 0.0:
         sign = 1 if diff > 0.0 else -1
         bias_terms = (BiasTerm(label=bias_label, weight=abs(diff) / pi, delta=tau[j] - tau[kk], sign=sign),)
-    return ClusterDecomposition(scenario=scenario, pi=pi, a_terms=a_terms, bias_terms=bias_terms)
+    return ClusterDecomposition(pi=pi, a_terms=a_terms, bias_terms=bias_terms)
 
 
-@dataclass(frozen=True)
-class ExclusionVerdict:
-    """Whether collapsing preserves the exclusion restriction, with the
-    offending strata when it does not."""
-
-    holds: bool
-    violations: tuple[str, ...]
-
-
-def check_cluster_exclusion(pop: Population, scenario: ClusterScenario) -> ExclusionVerdict:
-    """Check that the collapsed instrument is excludable.
+def check_cluster_exclusion(pop: Population, scenario: ClusterScenario) -> tuple[str, ...]:
+    """The strata that make the collapsed instrument non-excludable, by
+    name; an empty tuple means the exclusion restriction holds.
 
     Control clustering relabels field o observations as controls, so any
     irrelevance-defier stratum whose field-o outcome differs from its
@@ -309,12 +302,9 @@ def check_cluster_exclusion(pop: Population, scenario: ClusterScenario) -> Exclu
     """
     (_, (first,), j, kk, _), (_, (second,), _, _, _) = _wiring(scenario)[2]
     members = first.members() | second.members()
-    violations = tuple(
-        e.stratum.name
-        for e in pop.entries
-        if e.prob > 0.0 and e.stratum in members and e.means[j] != e.means[kk]
+    return tuple(
+        e.stratum.name for e in pop.entries if e.prob > 0.0 and e.stratum in members and e.means[j] != e.means[kk]
     )
-    return ExclusionVerdict(holds=not violations, violations=violations)
 
 
 class Semantics(enum.Enum):

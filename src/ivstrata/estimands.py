@@ -223,10 +223,6 @@ class SweepRow:
     late: float
     bias: float
 
-    @property
-    def feasible(self) -> bool:
-        return not math.isnan(self.beta)
-
 
 # Per varied defier: its share, the other defier's share (held at 0), the effect the gap moves away from the
 # C1 effect and how, and the effect held at the C2 effect, so that only the first bias delta is nonzero.

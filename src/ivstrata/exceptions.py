@@ -30,20 +30,11 @@ class AssumptionError(IVStrataError):
     Raised when defier shares are present where an operation requires none,
     when data refute a maintained assumption (implied shares land outside
     [0, 1]), or when the clustering sign pattern is one the algorithm
-    declines to classify under the chosen policy.
-
-    Attributes
-    ----------
-    violations : tuple of str
-        The individual failed inequalities or restrictions, when the check
-        produces more than a single message.
+    declines to classify under the chosen policy. The message names every
+    failed inequality or restriction.
     """
 
     exit_code = 3
-
-    def __init__(self, message: str, violations: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.violations = violations
 
 
 class InfeasibleError(IVStrataError):

@@ -144,10 +144,7 @@ def shares_from_first_stage(fs: FirstStage, maintained: Regime) -> dict[Marginal
         if v < -SHARE_ATOL or v > 1.0 + SHARE_ATOL
     ]
     if violations:
-        raise AssumptionError(
-            f"data refute maintained assumption {maintained.value!r}: " + "; ".join(violations),
-            violations=tuple(violations),
-        )
+        raise AssumptionError(f"data refute maintained assumption {maintained.value!r}: " + "; ".join(violations))
     # Clamp float dust so downstream probability checks see clean values.
     return {grp: min(1.0, max(0.0, v)) for grp, v in shares.items()}
 
@@ -214,7 +211,10 @@ def defier_bounds(fs: FirstStage) -> DefierBounds:
     return DefierBounds(*intervals)
 
 
-def feasible_set_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:
+DEFAULT_SCAN_STEP = 0.05  # the grid step of feasible_set_scan and `bounds --scan`
+
+
+def feasible_set_scan(fs: FirstStage, step: float = DEFAULT_SCAN_STEP) -> DefierBounds:
     """Attained defier-share ranges from exact feasibility on a grid.
 
     Keeps every probability vector over the ten joint strata on the 1/k

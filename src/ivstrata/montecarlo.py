@@ -304,12 +304,6 @@ class ReplicationSummary:
     master_seed: int
     target: Target
 
-    def row(self, param: str) -> ParamSummary:
-        for r in self.rows:
-            if r.param == param:
-                return r
-        raise KeyError(param)
-
 
 def replication_seed(master_seed: int, rep: int) -> int:
     """Stable 64-bit seed of stream `rep` (0 counts, 1 normals, 2 gammas) of the study at `master_seed`."""

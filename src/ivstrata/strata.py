@@ -78,13 +78,9 @@ class Target(enum.Enum):
     CLUSTER_WALD = "cluster-wald"
 
 
-_VALID_LEVELS = (0, 1, 2)
-
-
-def _check_level(value: int, what: str) -> int:
-    if value not in _VALID_LEVELS:
+def _check_level(value: int, what: str) -> None:
+    if type(value) is not int or not 0 <= value <= 2:  # not a float or bool that compares equal to one
         raise ConfigError(f"{what} must be 0, 1 or 2, got {value!r}")
-    return value
 
 
 class JointStratum(enum.Enum):

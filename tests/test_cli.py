@@ -894,4 +894,4 @@ def test_cached_parser_keeps_no_state_between_calls(write_json, capsys):
             assert _in_process(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
             codes.append(fresh.returncode)
     assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 2, 2, 2, 0, 0, 0, 0]
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers() is cli._parsers()

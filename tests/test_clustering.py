@@ -119,7 +119,7 @@ def test_both_negative_rules():
     with pytest.raises(AssumptionError) as exc:
         choose_clustering(fs_with(-0.1, -0.1), neg_neg_rule=NegNegRule.FAIL)
     assert exc.value.exit_code == 3
-    assert exc.value.violations == ("a21 < 0", "a12 < 0")
+    assert str(exc.value) == "both cross slopes are negative (a21=-0.1, a12=-0.1); no catalogued clustering applies"
 
 
 def test_scenario_shapes_and_labels():
@@ -254,19 +254,18 @@ def test_constant_effects_are_read_from_live_strata_and_both_contrasts():
 
 
 def test_exclusion_check():
-    verdict = check_cluster_exclusion(POP_A, CONTROL_1)
-    assert not verdict.holds and verdict.violations == ("ID1C2",)
+    # The offending strata come back by name; none means exclusion holds.
+    assert check_cluster_exclusion(POP_A, CONTROL_1) == ("ID1C2",)
     pop_nd = make_pop([(J.C1NT2, 0.5, (0.0, 7.0, 0.0)), (J.AT1ND2, 0.5, (0.0, 300.0, 700.0))])
-    tr_verdict = check_cluster_exclusion(pop_nd, TREATMENT)
-    assert not tr_verdict.holds and tr_verdict.violations == ("AT1ND2",)
+    assert check_cluster_exclusion(pop_nd, TREATMENT) == ("AT1ND2",)
     # Zero-probability suspects do not count.
     pop_zero = make_pop([(J.C1NT2, 1.0, (0.0, 7.0, 0.0)), (J.ID1C2, 0.0, (0.0, 0.0, 9.0))])
-    assert check_cluster_exclusion(pop_zero, CONTROL_1).holds
+    assert check_cluster_exclusion(pop_zero, CONTROL_1) == ()
     # Suspects whose relabelled outcome matches control do not count either.
     pop_eq = make_pop([(J.C1NT2, 0.5, (0.0, 7.0, 0.0)), (J.ID1C2, 0.5, (3.0, 8.0, 3.0))])
-    assert check_cluster_exclusion(pop_eq, CONTROL_1).holds
+    assert check_cluster_exclusion(pop_eq, CONTROL_1) == ()
     pop_tr_eq = make_pop([(J.C1NT2, 0.5, (0.0, 7.0, 0.0)), (J.AT1ND2, 0.5, (1.0, 5.0, 5.0))])
-    assert check_cluster_exclusion(pop_tr_eq, TREATMENT).holds
+    assert check_cluster_exclusion(pop_tr_eq, TREATMENT) == ()
 
 
 CONTROL_1_AGREEMENT = (J.C1NT2, J.ND1AT2, J.NT1NT2, J.OT1AT2, J.AT1OT2)
@@ -322,13 +321,15 @@ def test_group_relevant_oracle_counts_a_double_complier_twice():
 
 
 def test_a_mass_of_exactly_den_tol_is_singular():
-    # The clustered first stage and the relevant-group mass are each exactly DEN_TOL = 1e-10 here, and so is the
-    # treated arm's assignment probability.
+    # The clustered first stage, the relevant-group mass and the pooled first stage are each exactly DEN_TOL = 1e-10
+    # here, and so is the treated arm's assignment probability.
     thin = make_pop([(J.C1NT2, 1e-10, (0.0, 1.0, 2.0)), (J.NT1NT2, 1.0 - 1e-10, (0.0, 1.0, 2.0))])
     with pytest.raises(RankError, match="clustered first stage is zero"):
         cluster_estimand_formula(thin, CONTROL_1)
     with pytest.raises(RankError, match="relevant-group mass"):
         cluster_wald_oracle(thin, CONTROL_1, Semantics.GROUP_RELEVANT)
+    with pytest.raises(RankError, match="pooled first stage is 1e-10"):
+        cluster_wald_oracle(thin, CONTROL_1)
     starved = make_pop([(J.C1NT2, 1.0, (0.0, 1.0, 2.0))], assignment=(0.5, 1e-10, 0.5 - 1e-10))
     with pytest.raises(RankError, match="empty cell"):
         cluster_wald_oracle(starved, CONTROL_1)

@@ -243,7 +243,7 @@ def test_sweep_defier_share_frozen_rows():
     assert by_axis[0.2].bias == pytest.approx(4.0 / 0.6, abs=1e-9)
     assert by_axis[0.2].beta == pytest.approx(1000.0 + 4.0 / 0.6, abs=1e-9)
     # p = 0.8 collapses the denominator; the row is flagged, not raised.
-    assert math.isnan(by_axis[0.8].beta) and not by_axis[0.8].feasible
+    assert all(math.isnan(v) for v in (by_axis[0.8].beta, by_axis[0.8].late, by_axis[0.8].bias))
 
 
 def test_sweep_effect_gap_axis():
@@ -257,7 +257,7 @@ def test_sweep_effect_gap_axis():
 def test_sweep_next_best_variant_and_validation():
     rows = bias_sweep(SWEEP_BASE, SweepAxis.DEFIER_SHARE, grid=[0.0, 0.2], levels=[100.0], defier="nd1")
     assert rows[0].bias == 0.0
-    assert all(r.feasible for r in rows)
+    assert not any(math.isnan(r.beta) for r in rows)
     with pytest.raises(ConfigError, match="defier"):
         bias_sweep(SWEEP_BASE, SweepAxis.DEFIER_SHARE, grid=[0.1], levels=[1.0], defier="at1")
 
@@ -285,7 +285,7 @@ def test_sweep_builds_no_spec_per_grid_point(monkeypatch):
         built.clear()
         grid = [0.5 * i / size for i in range(size)]
         rows = bias_sweep(SWEEP_BASE, SweepAxis.DEFIER_SHARE, grid, levels=[100.0])
-        assert len(rows) == size and rows[1].feasible
+        assert len(rows) == size and not math.isnan(rows[1].beta)
         counts.append(len(built))
     assert counts[0] == counts[1], counts
 
@@ -322,6 +322,7 @@ def test_sweep_matches_the_reference_bit_for_bit():
                 got = bias_sweep(base, axis, grid, levels, defier=defier)
                 want = reference_sweep(base, axis, grid, levels, defier=defier)
                 assert _row_bits(got) == _row_bits(want), (trial, defier, axis)
-                counts["nan"] += sum(not r.feasible for r in got)
-                counts["feasible"] += sum(r.feasible for r in got)
+                nan = sum(math.isnan(r.beta) for r in got)
+                counts["nan"] += nan
+                counts["feasible"] += len(got) - nan
     assert min(counts.values()) > 0, counts

@@ -10,6 +10,7 @@ import pytest
 from ivstrata import (
     AssumptionError,
     ConfigError,
+    DefierBounds,
     FirstStage,
     InfeasibleError,
     JointStratum,
@@ -23,6 +24,7 @@ from ivstrata import (
     marginal_shares,
     shares_from_first_stage,
 )
+from ivstrata.strata import SHARE_ATOL
 from support import ALL_STRATA, grid_population, random_population, reference_scan
 
 rng = np.random.default_rng(41)
@@ -62,6 +64,30 @@ def test_first_stage_validation():
         bad.validate()
 
 
+@pytest.mark.parametrize("coefs,listed", [
+    # Each first stage breaks one bound (and a cross slope above 1 drags its never-taker share below 0 with it).
+    ({"a11": 1.2, "a21": -0.3}, ["a11 = 1.2 outside [0, 1]"]),
+    ({"a22": 1.2, "a12": -0.3}, ["a22 = 1.2 outside [0, 1]"]),
+    ({"a21": -1.2, "a10": 0.6, "a11": 0.6}, ["a21 = -1.2 outside [-1, 1]"]),
+    ({"a12": -1.2, "a20": 0.6, "a22": 0.6}, ["a12 = -1.2 outside [-1, 1]"]),
+    ({"a21": 1.2}, ["a21 = 1.2 outside [-1, 1]", "implied P(NT1) = -0.2 outside [0, 1]"]),
+    ({"a12": 1.2}, ["a12 = 1.2 outside [-1, 1]", "implied P(NT2) = -0.2 outside [0, 1]"]),
+    ({"a21": -0.2}, ["implied P(NT1) = 1.2 outside [0, 1]"]),
+    ({"a12": -0.2}, ["implied P(NT2) = 1.2 outside [0, 1]"]),
+])
+def test_validate_lists_every_broken_bound(coefs, listed):
+    fs = FirstStage(**{**dict.fromkeys(("a10", "a11", "a12", "a20", "a21", "a22"), 0.0), **coefs})
+    with pytest.raises(InfeasibleError) as exc:
+        fs.validate()
+    assert str(exc.value) == "first stage is not population-consistent: " + "; ".join(listed)
+
+
+def test_validate_takes_exactly_share_atol_past_a_bound_as_dust():
+    # a10 sits SHARE_ATOL below 0 and P(NT1) SHARE_ATOL above 1; a11 sits SHARE_ATOL above 1.
+    for fs in (FirstStage(a10=-SHARE_ATOL, a11=0.0, a12=0.0, a20=0.0, a21=0.0, a22=0.0),
+               FirstStage(a10=0.0, a11=1.0 + SHARE_ATOL, a12=0.0, a20=0.0, a21=-SHARE_ATOL, a22=0.0)):
+        assert fs.validate() is fs
+
 
 @pytest.mark.parametrize("name", ["a10", "a20"])
 def test_an_intercept_above_one_is_infeasible_on_its_own(name):
@@ -80,11 +106,15 @@ def test_a_share_above_one_refutes_and_float_dust_above_one_is_clamped():
     fs = FirstStage(a10=1.2, a11=0.0, a12=-0.2, a20=0.0, a21=-0.2, a22=0.0)
     with pytest.raises(AssumptionError) as exc:
         shares_from_first_stage(fs, Regime.NEXT_BEST_ONLY)
-    assert "P(AT1) = 1.2 outside [0, 1]" in exc.value.violations
+    assert "P(AT1) = 1.2 outside [0, 1]" in str(exc.value)
     # A share within SHARE_ATOL past 1, or past 0, is dust: it passes and comes back clamped to exactly 1 or 0.
     dust = FirstStage(a10=0.0, a11=1.0 + 5e-10, a12=0.0, a20=0.0, a21=0.0, a22=1.0)
     shares = shares_from_first_stage(dust, Regime.NEXT_BEST_ONLY)
     assert (shares[G.C1], shares[G.NT1]) == (1.0, 0.0)
+    # So is a share exactly SHARE_ATOL past 1 or past 0 (with P(ID1), and P(NT1), at the same distance).
+    for a11, a21, clamped in ((1.0 + SHARE_ATOL, -SHARE_ATOL, 1.0), (-SHARE_ATOL, 0.0, 0.0)):
+        edge = FirstStage(a10=0.0, a11=a11, a12=0.0, a20=0.0, a21=a21, a22=1.0)
+        assert shares_from_first_stage(edge, Regime.NEXT_BEST_ONLY)[G.C1] == clamped
 
 def test_shares_round_trip_under_correct_maintained():
     for _ in range(50):
@@ -109,12 +139,12 @@ def test_wrong_maintained_assumption_is_refuted():
     with pytest.raises(AssumptionError) as exc:
         shares_from_first_stage(fs, Regime.IRRELEVANCE_ONLY)
     assert exc.value.exit_code == 3
-    assert any("ND1" in v for v in exc.value.violations)
+    assert "P(ND1) = -0.2 outside [0, 1]" in str(exc.value)
     # Negative cross slope contradicts maintained next-best.
     fs2 = FirstStage(a10=0.0, a11=0.5, a12=0.0, a20=0.3, a21=-0.2, a22=0.4)
     with pytest.raises(AssumptionError) as exc2:
         shares_from_first_stage(fs2, Regime.NEXT_BEST_ONLY)
-    assert any("ID1" in v for v in exc2.value.violations)
+    assert "P(ID1) = -0.2 outside [0, 1]" in str(exc2.value)
 
 
 def test_no_point_identification_without_a_maintained_assumption():
@@ -138,7 +168,12 @@ def test_defier_bounds_infeasible_cross_slope():
     with pytest.raises(InfeasibleError) as exc:
         defier_bounds(fs)
     assert exc.value.exit_code == 4
-    assert "ND1" in str(exc.value)
+    assert str(exc.value).startswith("no feasible P(ND1): requires at least 0.2 from the cross slope")
+    # Only the ND2 interval inverts here, and the error names it.
+    fs2 = FirstStage(a10=0.1, a11=0.3, a12=-0.2, a20=0.1, a21=0.0, a22=0.5)
+    with pytest.raises(InfeasibleError) as exc2:
+        defier_bounds(fs2)
+    assert str(exc2.value).startswith("no feasible P(ND2): requires at least 0.2 from the cross slope")
 
 
 def test_defier_bounds_joint_cap_infeasible():
@@ -166,6 +201,9 @@ def test_defier_bounds_tolerate_float_dust_on_the_boundary():
     assert b.id2 == (0.17, 0.17)
     for lo, hi in b.intervals().values():
         assert lo <= hi
+    # An interval inverted by exactly SHARE_ATOL is dust too: P(ND1) >= -a21 = SHARE_ATOL, P(ND1) <= a20 = 0.
+    edge = FirstStage(a10=0.1, a11=0.5, a12=0.0, a20=0.0, a21=-SHARE_ATOL, a22=0.4)
+    assert defier_bounds(edge).nd1 == (SHARE_ATOL, SHARE_ATOL)
 
 
 def test_bounds_contain_truth_randomized():
@@ -193,6 +231,9 @@ def test_scan_step_validation():
     for bad in (0.0, -0.1, 0.2, 5e-324, 1e-320, 3e-17, 9.9e-16, float("nan")):
         with pytest.raises(ConfigError, match="step"):
             feasible_set_scan(fs, step=bad)
+    # Both ends of [1e-15, 0.1] are steps.
+    for step in (1e-15, 0.1):
+        assert isinstance(feasible_set_scan(fs, step=step), DefierBounds), step
 
 
 def test_scan_rejects_infeasible_first_stage():
@@ -280,7 +321,11 @@ def test_scan_skips_coefficients_beyond_the_grid():
     names = [f.name for f in dataclasses.fields(FirstStage)]
     outcomes = []
     for step in (0.1, 0.05, 0.02):
-        for shift in (1e-12, -1e-12, 1e-9, -1e-9, 0.3 * step, -0.3 * step):
+        # A shift of 1e-9 / k puts an edge on the window's 1e-9 grid-unit slack (exactly so on the 1/10 grid) and
+        # one of 1.5e-9 / k just past it.
+        k = round(1 / step)
+        slack_shifts = (1e-9 / k, -1e-9 / k, 1.5e-9 / k, -1.5e-9 / k)
+        for shift in (1e-12, -1e-12, 1e-9, -1e-9, 0.3 * step, -0.3 * step, *slack_shifts):
             for edge in (1.0 + step / 2 + shift, -1.0 - step / 2 + shift):
                 for fs in bases:
                     for name in names:

@@ -17,7 +17,7 @@ README = ROOT / "README.md"
 
 PUBLIC_NAMES = [
     "AssumptionError", "BiasDecomposition", "BiasTerm", "CellTable", "ClusterDecomposition", "ClusterScenario",
-    "ConfigError", "DefierBounds", "ExclusionVerdict", "FirstStage", "IVStrataError", "InfeasibleError",
+    "ConfigError", "DefierBounds", "FirstStage", "IVStrataError", "InfeasibleError",
     "JointStratum", "MarginalGroup", "MarginalSpec", "NegNegRule", "ParamSummary", "Population",
     "RankError", "Regime", "ReplicationSummary", "Semantics", "StratumEntry", "SweepAxis",
     "SweepRow", "Target", "UNIFORM_ASSIGNMENT", "bias_sweep", "check_cluster_exclusion",
@@ -65,7 +65,7 @@ def test_readme_quick_start_runs_and_holds():
     assert dec1.total == pytest.approx(1006.6667) and dec1.late == 1000.0
     assert (b.nd1, b.id1) == ((0.0, 0.3), (0.1, 0.4))
     assert names["shares"][ivstrata.MarginalGroup.ID1] == 0.1
-    assert abs(est[0] - summary.row("beta1").truth) <= 5 * se[0]
+    assert abs(est[0] - {r.param: r for r in summary.rows}["beta1"].truth) <= 5 * se[0]
 
 
 def test_readme_names_the_current_stream_version():

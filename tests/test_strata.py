@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,12 @@ def test_group_effect_is_probability_weighted_mixture():
     assert group_effect(pop, (G.C2,), 2, 0) == pytest.approx(1000.0, abs=1e-12)
     with pytest.raises(ConfigError, match="zero-probability"):
         group_effect(pop, (G.ND1,), 1, 0)
+    # A field is an int 0, 1 or 2: a float or bool equal to one, or a string, is no field.
+    for bad in (1.0, True, 3, -1, "1"):
+        with pytest.raises(ConfigError, match=re.escape(f"field j must be 0, 1 or 2, got {bad!r}")):
+            group_effect(pop, (G.C2,), bad, 0)
+        with pytest.raises(ConfigError, match=re.escape(f"field k must be 0, 1 or 2, got {bad!r}")):
+            group_effect(pop, (G.C2,), 2, bad)
 
 
 def test_group_prob_counts_overlap_once():
