@@ -42,7 +42,7 @@ from .clustering import (
     cluster_estimand_formula,
     cluster_wald_oracle,
 )
-from .estimands import SWEEP_DEFIERS, Regime, SweepAxis, bias_sweep, decompose, solve_moment_system, sweep_defier
+from .estimands import Regime, SweepAxis, SweepDefier, bias_sweep, decompose, solve_moment_system
 from .exceptions import ConfigError, IVStrataError
 from .identification import (
     COEFFICIENTS,
@@ -62,16 +62,12 @@ from .strata import (
     as_enum,
     as_float,
     check_count,
-    check_seed,
     marginal_shares,
     marginalize,
     marginal_spec_from_dict,
     population_from_dict,
     reject_unknown,
 )
-
-_GROUP_ORDER = ("C1", "ID1", "ND1", "AT1", "NT1", "OT1", "C2", "ID2", "ND2", "AT2", "NT2", "OT2")
-
 
 @dataclass(frozen=True)
 class ScenarioFile:
@@ -141,25 +137,25 @@ _OPTIONS = {
                  {"type": lambda text: _parse_float_list(text, "--grid"), "help": "comma-separated grid points"}),
         "levels": (_sweep_floats, None,  # None: 0.1, 0.2 and 0.5, times the C1 effect on the defier-share axis
                    {"type": lambda text: _parse_float_list(text, "--levels"), "help": "comma-separated curve levels"}),
-        "defier": (lambda value, what: sweep_defier(value), "id1", {"choices": SWEEP_DEFIERS}),
+        "defier": (partial(as_enum, SweepDefier), SweepDefier.ID1, {"choices": _values(SweepDefier)}),
     },
     "simulate": {
         "n": (_sample_size, 200000, {"type": int}),
         "reps": (lambda value, what: check_count("replications", _as_int(value, what), 2), 100, {"type": int}),
         "seed": (_as_int, 0, {"type": int}),  # a master seed is hashed, so any integer will do
         "target": (partial(as_enum, Target), Target.FIELD_2SLS, {"choices": _values(Target)}),
-        "scenario": (lambda value, what: ClusterScenario.from_label(value).require_collapse(), None,
+        "scenario": (lambda value, what: as_enum(ClusterScenario, value, what).require_collapse(), None,
                      {"choices": [s.value for s in ClusterScenario if s.s1 is not None]}),
     },
     "cluster": {
-        "scenario": (lambda value, what: ClusterScenario.from_label(value), None,
+        "scenario": (partial(as_enum, ClusterScenario), None,
                      {"choices": _values(ClusterScenario), "help": "override the sign-based scenario choice"}),
         "sig_level": (lambda value, what: check_sig_level(as_float(value, what)), DEFAULT_SIG_LEVEL, {"type": float}),
         "neg_neg_rule": (partial(as_enum, NegNegRule), NegNegRule.UNDEFINED, {"choices": _values(NegNegRule)}),
         "semantics": (partial(as_enum, Semantics), Semantics.POOLED, {"choices": _values(Semantics)}),
         "n": (_sample_size, None,
               {"type": int, "help": "choose the scenario from an estimated first stage on a sample of this size"}),
-        "seed": (lambda value, what: check_seed(_as_int(value, what)), 0, {"type": int}),
+        "seed": (_as_int, 0, {"type": int}),  # hashed as simulate's is: the sample is table 0 of its study
         "constant_effects": (_as_bool, False,
                              {"action": "store_true", "help": "use the constant-effects decomposition"}),
     },
@@ -235,8 +231,8 @@ def _cmd_validate(args: argparse.Namespace) -> Iterator[tuple]:
         yield "strata", len(pop.entries)
         yield "assignment", tuple(pop.assignment)
         shares = marginal_shares(pop)
-        for name in _GROUP_ORDER:
-            yield "share", name, shares[MarginalGroup[name]]
+        for group in MarginalGroup:
+            yield "share", group.name, shares[group]
         fs = first_stage_from_shares(shares)
         for coef in COEFFICIENTS:
             yield "first_stage", coef, getattr(fs, coef)
@@ -303,7 +299,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Iterator[tuple]:
         raise ConfigError("step is not used without --scan")
     if args.maintained:
         shares = shares_from_first_stage(fs, Regime(args.maintained))
-        rows = [(name, shares[MarginalGroup[name]], shares[MarginalGroup[name]]) for name in _GROUP_ORDER]
+        rows = [(group.name, shares[group], shares[group]) for group in MarginalGroup]
     else:
         rows = [(name, lo, hi) for name, (lo, hi) in defier_bounds(fs).intervals().items()]
         if args.scan:
@@ -329,9 +325,10 @@ def _cmd_cluster(args: argparse.Namespace) -> Iterator[tuple]:
         fs, ses = first_stage_from_cells(sample_table(pop, opts["n"], opts["seed"]))
         scenario = choose_clustering(fs, ses.a21, ses.a12, opts["sig_level"], opts["neg_neg_rule"])
     yield ("scenario", "s0", "s1")
-    yield scenario.label, tuple(sorted(scenario.s0 or ())), tuple(sorted(scenario.s1 or ()))
-    if scenario.s1 is None:  # no collapse, so no clustered estimand
+    if scenario.s1 is None:  # no collapse, so no arms and no clustered estimand
+        yield scenario.label, (), ()
         return
+    yield scenario.label, tuple(sorted({0, 1, 2} - scenario.s1)), tuple(sorted(scenario.s1))
     dec = (cluster_estimand_constant_effects if opts["constant_effects"] else cluster_estimand_formula)(pop, scenario)
     violations = check_cluster_exclusion(pop, scenario)
     oracle = cluster_wald_oracle(pop, scenario, opts["semantics"])

@@ -28,33 +28,24 @@ from .strata import DEN_TOL, MarginalGroup, Population, group_effect, group_prob
 class ClusterScenario(enum.Enum):
     """A two-arm collapse of the three fields, one member per label.
 
-    Each member is its label and its arm sets `s0` and `s1`: the original
-    field values mapped to the pseudo-control and pseudo-treatment arms, or
-    None when the scenario carries no collapse (no clustering needed, or the
-    sign pattern is outside the catalogue). The arm sets of each collapse
-    partition {0, 1, 2}; control clustering keeps one treated field as `s1`.
+    Each member is its label and its arm set `s1`: the original field values
+    mapped to the pseudo-treatment arm, the rest of {0, 1, 2} forming the
+    pseudo-control arm, or None when the scenario carries no collapse (no
+    clustering needed, or the sign pattern is outside the catalogue).
+    Control clustering keeps one treated field as `s1`.
     """
 
-    CONTROL_1 = ("control-1", frozenset({0, 2}), frozenset({1}))
-    CONTROL_2 = ("control-2", frozenset({0, 1}), frozenset({2}))
-    TREATMENT = ("treatment", frozenset({0}), frozenset({1, 2}))
-    NO_CLUSTERING = ("no-clustering", None, None)
-    UNDEFINED = ("undefined", None, None)
+    CONTROL_1 = ("control-1", frozenset({1}))
+    CONTROL_2 = ("control-2", frozenset({2}))
+    TREATMENT = ("treatment", frozenset({1, 2}))
+    NO_CLUSTERING = ("no-clustering", None)
+    UNDEFINED = ("undefined", None)
 
-    def __new__(cls, label, s0, s1):
+    def __new__(cls, label, s1):
         member = object.__new__(cls)
         member._value_ = label
-        member.s0 = s0
         member.s1 = s1
         return member
-
-    @classmethod
-    def control(cls, field: int) -> "ClusterScenario":
-        """Field `field` stays a treatment arm; the other treated field
-        joins the control arm."""
-        if field not in (1, 2):
-            raise ConfigError(f"treatment field must be 1 or 2, got {field}")
-        return cls.CONTROL_1 if field == 1 else cls.CONTROL_2
 
     def require_collapse(self) -> "ClusterScenario":
         """This scenario, if it collapses the fields into two arms; the
@@ -69,14 +60,6 @@ class ClusterScenario(enum.Enum):
     @property
     def label(self) -> str:
         return self.value
-
-    @classmethod
-    def from_label(cls, label: str) -> "ClusterScenario":
-        try:
-            return cls(label)
-        except ValueError:
-            labels = sorted(m.value for m in cls)
-            raise ConfigError(f"unknown cluster scenario {label!r}; expected one of {labels}") from None
 
 
 class NegNegRule(enum.Enum):
@@ -146,12 +129,12 @@ def choose_clustering(
                 "no catalogued clustering applies"
             )
         if neg_neg_rule is NegNegRule.LARGER_MAGNITUDE:
-            return ClusterScenario.control(1 if fs.a21 <= fs.a12 else 2)
+            return ClusterScenario.CONTROL_1 if fs.a21 <= fs.a12 else ClusterScenario.CONTROL_2
         return ClusterScenario.UNDEFINED
     if s21 < 0:
-        return ClusterScenario.control(1)
+        return ClusterScenario.CONTROL_1
     if s12 < 0:
-        return ClusterScenario.control(2)
+        return ClusterScenario.CONTROL_2
     if s21 == 0 and s12 == 0:
         return ClusterScenario.NO_CLUSTERING
     return ClusterScenario.TREATMENT

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .exceptions import AssumptionError, ConfigError, RankError
-from .strata import DEN_TOL, MarginalSpec, absent_effect, as_enum, check_effect, check_share
+from .strata import DEN_TOL, SWAPPED_NAME, MarginalSpec, absent_effect, as_enum, check_effect, check_share
 
 
 class Regime(enum.Enum):
@@ -73,7 +73,7 @@ class BiasDecomposition:
 
 # The nine-term table for the first instrument's estimand. Each row:
 # (label, (share, share) weight product, (slot, slot) effect difference, sign).
-# The other estimand follows by swapping instrument labels (MarginalSpec.swapped).
+# The other estimand follows by swapping instrument labels (strata.SWAPPED_NAME).
 _TERMS = (
     ("w1", ("pID1", "pID2"), ("eff_c1", "eff_id2"), +1),
     ("w2", ("pID1", "pC2"), ("eff_c2", "eff_id1"), -1),
@@ -179,10 +179,10 @@ def _first_terms(values: Mapping[str, Optional[float]], regime: Regime, swapped:
     return den, late, terms
 
 
-def _decompose_first(spec: MarginalSpec, regime: Regime, swapped: bool = False) -> BiasDecomposition:
-    den, late, values = _first_terms(vars(spec), regime, swapped)
+def _decompose_first(values: Mapping[str, Optional[float]], regime: Regime, swapped: bool = False) -> BiasDecomposition:
+    den, late, raw = _first_terms(values, regime, swapped)
     # A BiasTerm's weight is >= 0: fold the denominator's sign into the term sign.
-    terms = tuple(BiasTerm(lb, -w, d, -s) if w < 0.0 else BiasTerm(lb, w, d, s) for lb, w, d, s in values)
+    terms = tuple(BiasTerm(lb, -w, d, -s) if w < 0.0 else BiasTerm(lb, w, d, s) for lb, w, d, s in raw)
     return BiasDecomposition(late, terms, den, total=late + math.fsum(t.contribution for t in terms))
 
 
@@ -192,7 +192,7 @@ def decompose(spec: MarginalSpec, regime: Regime | str = Regime.NEITHER) -> tupl
     The term list mirrors the regime's closed form exactly: 2 terms when
     next-best defiers are assumed away, 4 under irrelevance only, all 9
     otherwise (weights may be zero). The second estimand's decomposition is
-    the first one evaluated on the label-swapped spec.
+    the first one evaluated on the spec's fields with labels 1 and 2 swapped.
 
     Raises
     ------
@@ -205,12 +205,21 @@ def decompose(spec: MarginalSpec, regime: Regime | str = Regime.NEITHER) -> tupl
     """
     regime = as_enum(Regime, regime, "regime")
     _check_regime(spec, regime)
-    return _decompose_first(spec, regime), _decompose_first(spec.swapped(), regime, swapped=True)
+    values = vars(spec)
+    relabeled = {name: values[other] for name, other in SWAPPED_NAME.items()}
+    return _decompose_first(values, regime), _decompose_first(relabeled, regime, swapped=True)
 
 
 class SweepAxis(enum.Enum):
     DEFIER_SHARE = "defier-share"
     EFFECT_GAP = "effect-gap"
+
+
+class SweepDefier(enum.Enum):
+    """The defier group whose share or effect gap `bias_sweep` varies."""
+
+    ID1 = "id1"
+    ND1 = "nd1"
 
 
 @dataclass(frozen=True)
@@ -227,21 +236,14 @@ class SweepRow:
 # Per varied defier: its share, the other defier's share (held at 0), the effect the gap moves away from the
 # C1 effect and how, and the effect held at the C2 effect, so that only the first bias delta is nonzero.
 _SWEEP_FIELDS = {
-    "id1": ("pID1", "pND1", "eff_id2", operator.sub, "eff_id1"),
-    "nd1": ("pND1", "pID1", "eff_nd1_1", operator.add, "eff_nd1_2"),
+    SweepDefier.ID1: ("pID1", "pND1", "eff_id2", operator.sub, "eff_id1"),
+    SweepDefier.ND1: ("pND1", "pID1", "eff_nd1_1", operator.add, "eff_nd1_2"),
 }
-SWEEP_DEFIERS = tuple(_SWEEP_FIELDS)
-
-
-def sweep_defier(defier: str) -> str:
-    """`defier` if it names a group `bias_sweep` can vary, else ConfigError."""
-    if defier not in SWEEP_DEFIERS:
-        raise ConfigError(f"defier must be 'id1' or 'nd1', got {defier!r}")
-    return defier
 
 
 def bias_sweep(
-    base: MarginalSpec, axis: SweepAxis | str, grid: Sequence[float], levels: Sequence[float], defier: str = "id1"
+    base: MarginalSpec, axis: SweepAxis | str, grid: Sequence[float], levels: Sequence[float],
+    defier: SweepDefier | str = SweepDefier.ID1,
 ) -> tuple[SweepRow, ...]:
     """Tabulate the first estimand's bias over a share/effect-gap grid.
 
@@ -256,7 +258,7 @@ def bias_sweep(
     `defier` outside its choices raises ConfigError.
     """
     on_shares = as_enum(SweepAxis, axis, "axis") is SweepAxis.DEFIER_SHARE
-    share, other, varied, move, kept = _SWEEP_FIELDS[sweep_defier(defier)]
+    share, other, varied, move, kept = _SWEEP_FIELDS[as_enum(SweepDefier, defier, "defier")]
     points = [(g, lv, g, lv) if on_shares else (g, lv, lv, g) for g in grid for lv in levels]  # (axis, level, p, gap)
     # No always/never takers on the varied instrument: compliers absorb the complement. A point's spec loads when
     # p and the varied effect pass their checks: 1 - p then lies in [0, 1] and the instrument-1 sum within an ulp of 1.

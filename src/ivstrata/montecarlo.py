@@ -23,7 +23,7 @@ from .clustering import ClusterScenario, cluster_wald_oracle
 from .estimands import solve_moment_system
 from .exceptions import ConfigError, RankError
 from .identification import COEFFICIENTS, FirstStage, first_stage_from_shares
-from .strata import MAX_MAGNITUDE, RANK_TOL, Population, Target, check_count, check_seed, marginal_shares, marginalize
+from .strata import MAX_MAGNITUDE, RANK_TOL, Population, Target, check_count, marginal_shares, marginalize
 
 
 def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
@@ -80,7 +80,8 @@ def generate(pop: Population, n: int, seed: int) -> tuple[np.ndarray, np.ndarray
     `Generator.choice` of n strata, then of n instrument values, then n standard normals (drawn even where noise_sd
     is 0). `CellTable.from_codes(*generate(...))` is the sample's table."""
     check_count("sample size", n, 1)
-    check_seed(seed)
+    if seed < 0:  # PCG64 takes no negative seed; the streams of `_draws` hash theirs, so any integer does there
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     stratum = rng.choice(len(pop.entries), size=n, p=[e.prob for e in pop.entries])
     z = rng.choice(3, size=n, p=pop.assignment)
@@ -92,7 +93,6 @@ def generate(pop: Population, n: int, seed: int) -> tuple[np.ndarray, np.ndarray
 def sample_table(pop: Population, n: int, seed: int) -> "CellTable":
     """A seeded size-n sample's cell table, drawn from its group summaries: table 0 of the study at `seed`."""
     check_count("sample size", n, 1)
-    check_seed(seed)
     return next(_draws(pop, n, seed, 1))[0]
 
 
@@ -275,7 +275,9 @@ def estimate_cluster_wald(table: CellTable, scenario: ClusterScenario) -> tuple[
     clustered estimand; RankError if an instrument arm is empty or the counts are singular.
     """
     arm = tuple(int(v in scenario.require_collapse().s1) for v in range(3))
-    hot = np.equal.outer((0, 1), arm)  # hot[g, v]: value v is in arm g; n sums integer counts, exact in any order
+    # hot[g, v]: value v is in arm g. n sums integer counts, exact in any order while they stay below 2^53; past
+    # that a count is a rounded float, and this order of summation is part of the printed bytes.
+    hot = np.equal.outer((0, 1), arm)
     n = (table.count[..., None, None, :, :] * (hot[:, None, :, None] & hot[:, None])).sum(axis=(-2, -1))
     n_arm = np.reshape(_total(n), (-1, 2))
     _require(n_arm[:, 0] * n_arm[:, 1] == 0,

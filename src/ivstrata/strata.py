@@ -33,7 +33,6 @@ import math
 import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Optional
 
 from .exceptions import ConfigError
@@ -62,13 +61,6 @@ def check_count(what: str, value: int, least: int) -> int:
     if not least <= value <= _MAX_COUNT:
         raise ConfigError(f"{what} must be between {least} and {_MAX_COUNT}, got {value}")
     return value
-
-
-def check_seed(seed: int) -> int:
-    """`seed`, if a sample can be drawn from it."""
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return seed
 
 
 class Target(enum.Enum):
@@ -120,19 +112,20 @@ _BY_TAG = dict(JointStratum.__members__)
 
 
 class MarginalGroup(enum.Enum):
-    """Per-instrument behavioral groups, decided by trajectory predicates."""
+    """Per-instrument behavioral groups, decided by trajectory predicates; declared instrument by instrument, in
+    the order `validate` and `bounds --maintained` print them."""
 
     C1 = "C1"
-    C2 = "C2"
     ID1 = "ID1"
-    ID2 = "ID2"
     ND1 = "ND1"
-    ND2 = "ND2"
     AT1 = "AT1"
-    AT2 = "AT2"
     NT1 = "NT1"
-    NT2 = "NT2"
     OT1 = "OT1"
+    C2 = "C2"
+    ID2 = "ID2"
+    ND2 = "ND2"
+    AT2 = "AT2"
+    NT2 = "NT2"
     OT2 = "OT2"
 
     __hash__ = object.__hash__  # as JointStratum's
@@ -426,19 +419,11 @@ class MarginalSpec:
             raise absent_effect(slot)
         return value
 
-    def swapped(self) -> "MarginalSpec":
-        """The same spec with instrument (and field) labels 1 and 2 exchanged.
 
-        Relabeling maps C1<->C2, ID1<->ID2, ND1<->ND2 and transposes the
-        two next-best-defier effect contrasts: every field takes the value of
-        the field whose name has its 1s and 2s exchanged.
-        """
-        return MarginalSpec(*_swapped_values(self))
-
-
-# Each MarginalSpec field's name with its 1s and 2s exchanged, in field order.
+# Each MarginalSpec field's name with its 1s and 2s exchanged, in field order. Exchanging instrument (and field)
+# labels 1 and 2 maps C1<->C2, ID1<->ID2, ND1<->ND2 and transposes the two next-best-defier effect contrasts: every
+# field of the relabeled spec takes the value of the field whose name has its 1s and 2s exchanged.
 SWAPPED_NAME = {f.name: f.name.translate(str.maketrans("12", "21")) for f in fields(MarginalSpec)}
-_swapped_values = attrgetter(*SWAPPED_NAME.values())
 
 
 def marginalize(pop: Population) -> MarginalSpec:

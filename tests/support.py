@@ -40,9 +40,8 @@ from ivstrata import (
     replication_seed,
     solve_moment_system,
 )
-from ivstrata.estimands import _TERMS
 from ivstrata.montecarlo import PARAMS_2SLS, CellTable
-from ivstrata.strata import DEN_TOL, MAX_MAGNITUDE, UNIFORM_ASSIGNMENT, as_float, reject_unknown
+from ivstrata.strata import DEN_TOL, MAX_MAGNITUDE, SWAPPED_NAME, UNIFORM_ASSIGNMENT, as_float, reject_unknown
 
 EFFECT_SLOTS = (
     "eff_c1", "eff_c2", "eff_id1", "eff_id2",
@@ -62,6 +61,12 @@ def wbar(spec: MarginalSpec) -> float:
         + spec.pID1 * spec.pND2
         - spec.pID1 * spec.pID2
     )
+
+
+def swapped(spec: MarginalSpec) -> MarginalSpec:
+    """`spec` with instrument (and field) labels 1 and 2 exchanged: each field takes the value of the field whose
+    name has its 1s and 2s exchanged (strata.SWAPPED_NAME), as `decompose` relabels its second estimand."""
+    return MarginalSpec(**{name: getattr(spec, other) for name, other in SWAPPED_NAME.items()})
 
 
 def random_spec(
@@ -129,13 +134,28 @@ def _effect(spec: SimpleNamespace, slot: str) -> float:
     return value
 
 
+# The first estimand's nine bias terms, stated here rather than read from the package's table, so that a wrong row
+# there fails the sweep's comparison: (label, (share, share) weight product, (slot, slot) effect difference, sign).
+_REFERENCE_TERMS = (
+    ("w1", ("pID1", "pID2"), ("eff_c1", "eff_id2"), +1),
+    ("w2", ("pID1", "pC2"), ("eff_c2", "eff_id1"), -1),
+    ("w3", ("pND1", "pC2"), ("eff_nd1_1", "eff_c1"), +1),
+    ("w4", ("pND1", "pC2"), ("eff_nd1_2", "eff_c2"), -1),
+    ("w5", ("pND1", "pND2"), ("eff_nd1_1", "eff_nd2_1"), +1),
+    ("w6", ("pND1", "pND2"), ("eff_nd1_2", "eff_nd2_2"), -1),
+    ("w7", ("pND1", "pID2"), ("eff_c1", "eff_id2"), -1),
+    ("w8", ("pID1", "pND2"), ("eff_nd2_1", "eff_c1"), +1),
+    ("w9", ("pID1", "pND2"), ("eff_nd2_2", "eff_id1"), -1),
+)
+
+
 def _reference_decompose_first(spec: SimpleNamespace) -> BiasDecomposition:
     den = wbar(spec)
     if abs(den) <= DEN_TOL:
         raise RankError(f"degenerate identification: regime denominator {den!r} is near zero")
     late = _effect(spec, "eff_c1")
     terms = []
-    for label, (sa, sb), (ea, eb), base_sign in _TERMS:
+    for label, (sa, sb), (ea, eb), base_sign in _REFERENCE_TERMS:
         product = getattr(spec, sa) * getattr(spec, sb)
         if product != 0.0:
             delta = _effect(spec, ea) - _effect(spec, eb)

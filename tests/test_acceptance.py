@@ -226,7 +226,7 @@ def test_c09_constant_effects_clustering_exhibit():
         StratumEntry(J.ID1C2, 0.2, means),
         StratumEntry(J.NT1NT2, 0.2, means),
     ))
-    control1 = ClusterScenario.control(1)
+    control1 = ClusterScenario.CONTROL_1
     dec = cluster_estimand_formula(unequal, control1)
     exact = dec.bias == 0.25 * 500.0
 
@@ -252,7 +252,7 @@ def test_c10_exclusion_passing_populations():
     worst_bias = worst_split = worst_oracle = 0.0
     oracle_checked = 0
     for i in range(100):
-        scenario = (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)[i % 3]
+        scenario = (ClusterScenario.CONTROL_1, ClusterScenario.CONTROL_2, ClusterScenario.TREATMENT)[i % 3]
         overlap_free = i % 2 == 0
         if scenario is ClusterScenario.TREATMENT:
             strata = no_overlap_tr if overlap_free else tuple(J)

@@ -53,6 +53,22 @@ def write_json(tmp_path):
     return _write
 
 
+@pytest.fixture
+def drawn_tables(monkeypatch):
+    """Each (pop, n, seed, table) that `cluster --n` draws through montecarlo.sample_table, in order."""
+    from ivstrata import montecarlo
+
+    drawn = []
+    sample_table = montecarlo.sample_table
+
+    def recording(pop, n, seed):
+        drawn.append((pop, n, seed, sample_table(pop, n, seed)))
+        return drawn[-1][-1]
+
+    monkeypatch.setattr(montecarlo, "sample_table", recording)
+    return drawn
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -313,6 +329,14 @@ def test_cluster_degenerate_scenario_prints_no_table(write_json, capsys):
     code, out, _ = run(capsys, ["cluster", write_json(CLUSTER_POP), "--scenario", "no-clustering"])
     assert code == 0
     assert out == ["scenario,s0,s1", "no-clustering,,"]
+
+
+def test_defaults_without_a_flag_or_block_value(write_json, capsys, drawn_tables):
+    path = write_json(BENCHMARK_POP)
+    code, out, _ = run(capsys, ["simulate", path])
+    assert code == 0 and out[:4] == ["n,200000", "reps,100", "seed,0", "target,field-2sls"]
+    assert run(capsys, ["cluster", path, "--n", "100"])[0] == 0
+    assert [seed for _, _, seed, _ in drawn_tables] == [0]
 
 
 def test_simulate_summary_and_flag_precedence(write_json, capsys):
@@ -625,7 +649,7 @@ _SCENARIO_CHOICES = "['control-1', 'control-2', 'no-clustering', 'treatment', 'u
 
 
 BAD_BLOCK_VALUES = [
-    ("cluster", {"scenario": "both"}, f"unknown cluster scenario 'both'; expected one of {_SCENARIO_CHOICES}"),
+    ("cluster", {"scenario": "both"}, f"scenario must be one of {_SCENARIO_CHOICES}, got 'both'"),
     ("cluster", {"sig_level": "x"}, "sig_level must be a number, got 'x'"),
     ("cluster", {"neg_neg_rule": "never"},
      "neg_neg_rule must be one of ['fail', 'larger-magnitude', 'undefined'], got 'never'"),
@@ -637,13 +661,13 @@ BAD_BLOCK_VALUES = [
     ("simulate", {"seed": True}, "seed must be an integer, got True"),
     ("simulate", {"target": "wald"}, "target must be one of ['cluster-wald', 'field-2sls'], got 'wald'"),
     ("simulate", {"target": "cluster-wald", "scenario": "control-3"},
-     f"unknown cluster scenario 'control-3'; expected one of {_SCENARIO_CHOICES}"),
+     f"scenario must be one of {_SCENARIO_CHOICES}, got 'control-3'"),
     ("sweep", {"axis": "share"}, "axis must be one of ['defier-share', 'effect-gap'], got 'share'"),
     ("sweep", {"grid": 0.5}, "sweep grid must be a nonempty list of numbers"),
     ("sweep", {"grid": []}, "sweep grid must be a nonempty list of numbers"),
     ("sweep", {"levels": [1.0, "2"]}, "sweep levels must be a number, got '2'"),
     ("sweep", {"levels": None}, "sweep levels must be a nonempty list of numbers"),
-    ("sweep", {"defier": "nd2"}, "defier must be 'id1' or 'nd1', got 'nd2'"),
+    ("sweep", {"defier": "nd2"}, "defier must be one of ['id1', 'nd1'], got 'nd2'"),
     # Written as JSON NaN and Infinity.
     ("sweep", {"grid": [0.1, float("nan")]}, "sweep grid must be finite numbers, got [0.1, nan]"),
     ("sweep", {"levels": [float("inf")]}, "sweep levels must be finite numbers, got [inf]"),
@@ -671,13 +695,13 @@ BAD_BLOCKS = dict(BENCHMARK_POP, cluster={"constant_effects": "false", "sig_leve
         (BAD_BLOCKS, ["analyze"], "n must be an integer, got 'many'"),
         (BAD_BLOCKS, ["bounds"], "n must be an integer, got 'many'"),
         (dict(BENCHMARK_POP, cluster={"scenario": ["x"]}), ["validate"],
-         f"unknown cluster scenario ['x']; expected one of {_SCENARIO_CHOICES}"),
+         f"scenario must be one of {_SCENARIO_CHOICES}, got ['x']"),
         (dict(BENCHMARK_POP, cluster={"scenario": ["x"]}), ["cluster"],
-         f"unknown cluster scenario ['x']; expected one of {_SCENARIO_CHOICES}"),
+         f"scenario must be one of {_SCENARIO_CHOICES}, got ['x']"),
         (dict(BENCHMARK_POP, simulate={"target": "cluster-wald", "scenario": ["x"]}), ["simulate"],
-         f"unknown cluster scenario ['x']; expected one of {_SCENARIO_CHOICES}"),
+         f"scenario must be one of {_SCENARIO_CHOICES}, got ['x']"),
         (dict(BENCHMARK_POP, simulate={"scenario": {"label": "treatment"}}), ["validate"],
-         f"unknown cluster scenario {{'label': 'treatment'}}; expected one of {_SCENARIO_CHOICES}"),
+         f"scenario must be one of {_SCENARIO_CHOICES}, got {{'label': 'treatment'}}"),
         (dict(BENCHMARK_POP, simulate=[1]), ["validate"], "scenario block 'simulate' must be a JSON object"),
         (ANCHOR_SPEC, ["cluster"], "cluster requires a scenario file with a population"),
         (ANCHOR_SPEC, ["simulate"], "simulate requires a scenario file with a population"),
@@ -688,7 +712,6 @@ BAD_BLOCKS = dict(BENCHMARK_POP, cluster={"constant_effects": "false", "sig_leve
          f"replications must be between 2 and {strata._MAX_COUNT}, got 1"),
         (dict(BENCHMARK_POP, cluster={"n": 0}), ["validate"],
          f"sample size must be between 1 and {strata._MAX_COUNT}, got 0"),
-        (dict(BENCHMARK_POP, cluster={"seed": -1}), ["validate"], "seed must be nonnegative, got -1"),
         (dict(BENCHMARK_POP, simulate={"scenario": "undefined"}), ["validate"],
          "no clustered estimand under scenario 'undefined'; only control and treatment clustering define one"),
         (BENCHMARK_POP, ["cluster", "--scenario", "treatment", "--sig-level", "5"],
@@ -702,7 +725,7 @@ BAD_BLOCKS = dict(BENCHMARK_POP, cluster={"constant_effects": "false", "sig_leve
     ],
     ids=["found-validate", "found-analyze", "found-bounds", "list-validate", "list-cluster", "list-simulate",
          "dict-validate", "block-list", "spec-cluster", "spec-simulate", "spec-bounds", "range-sig_level",
-         "range-reps", "range-n", "range-seed", "range-scenario", "range-sig_level-flag", "unread-n-validate",
+         "range-reps", "range-n", "range-scenario", "range-sig_level-flag", "unread-n-validate",
          "unread-seed-validate", "unread-sig_level-validate", "unread-neg_neg_rule-validate", "unread-n-analyze"],
 )
 def test_every_command_rejects_bad_block_values(write_json, capsys, doc, argv, err):
@@ -748,10 +771,23 @@ def test_validate_accepts_block_options_a_flag_makes_read(write_json, capsys, bl
     assert code == 0 and err == ""
 
 
-def test_negative_seed_exits_2_only_where_it_seeds_a_sample(write_json, capsys):
-    code, out, err = run(capsys, ["cluster", write_json(BENCHMARK_POP), "--n", "100", "--seed", "-1"])
-    assert code == 2 and out == [] and err == "error: seed must be nonnegative, got -1\n"
-    # simulate hashes its master seed into per-replication seeds.
+def test_negative_seed_draws_table_0_of_its_study(write_json, capsys, drawn_tables):
+    # Every command hashes its seed into the streams (montecarlo.replication_seed), so any integer will do:
+    # cluster --n's sample is table 0 of the study at --seed, as a flag or a block value.
+    from ivstrata import montecarlo
+    from ivstrata.clustering import choose_clustering
+
+    flag = run(capsys, ["cluster", write_json(BENCHMARK_POP), "--n", "100", "--seed", "-3"])
+    block = run(capsys, ["cluster", write_json(dict(BENCHMARK_POP, cluster={"n": 100, "seed": -3}))])
+    assert flag == block and flag[0] == 0 and flag[2] == ""
+    expected = next(montecarlo._draws(drawn_tables[0][0], 100, -3, 1))[0]
+    assert len(drawn_tables) == 2
+    for _, n, seed, table in drawn_tables:
+        assert (n, seed) == (100, -3)
+        assert [a.tolist() for a in (table.count, table.mean, table.m2)] == [
+            a.tolist() for a in (expected.count, expected.mean, expected.m2)]
+    fs, ses = montecarlo.first_stage_from_cells(expected)
+    assert flag[1][1].startswith(choose_clustering(fs, ses.a21, ses.a12).label + ",")
     code, out, _ = run(capsys, ["simulate", write_json(BENCHMARK_POP), "--n", "2000", "--reps", "2", "--seed", "-1"])
     assert code == 0 and out[2] == "seed,-1"
 

@@ -26,6 +26,7 @@ from ivstrata import (
     cluster_wald_oracle,
 )
 from ivstrata.clustering import _std_normal_cdf
+from ivstrata.strata import as_enum
 from support import random_population
 
 rng = np.random.default_rng(20260817)
@@ -56,7 +57,7 @@ POP_B = make_pop([
     (J.NT1NT2, 0.16, (50.0, 350.0, 550.0)),
 ])
 
-CONTROL_1 = ClusterScenario.control(1)
+CONTROL_1 = ClusterScenario.CONTROL_1
 TREATMENT = ClusterScenario.TREATMENT
 
 
@@ -123,24 +124,20 @@ def test_both_negative_rules():
 
 
 def test_scenario_shapes_and_labels():
-    assert CONTROL_1.s0 == frozenset({0, 2}) and CONTROL_1.s1 == frozenset({1})
-    c2 = ClusterScenario.control(2)
-    assert c2.s0 == frozenset({0, 1}) and c2.s1 == frozenset({2})
-    assert TREATMENT.s0 == frozenset({0}) and TREATMENT.s1 == frozenset({1, 2})
+    # A member is its label and its treatment arm s1; the control arm is the rest of {0, 1, 2}.
+    assert CONTROL_1.s1 == frozenset({1})
+    assert ClusterScenario.CONTROL_2.s1 == frozenset({2})
+    assert TREATMENT.s1 == frozenset({1, 2})
     labels = ("control-1", "control-2", "treatment", "no-clustering", "undefined")
     assert [s.label for s in ClusterScenario] == list(labels)
     for label in labels:
-        assert ClusterScenario.from_label(label).label == label
+        assert as_enum(ClusterScenario, label, "scenario").label == label
     for scen in ClusterScenario:
         if scen.s1 is not None:
-            assert scen.s0 | scen.s1 == {0, 1, 2} and not scen.s0 & scen.s1
+            assert scen.s1 < {0, 1, 2} and 0 not in scen.s1
             assert scen.require_collapse() is scen
-        else:
-            assert scen.s0 is None
-    with pytest.raises(ConfigError, match="unknown"):
-        ClusterScenario.from_label("both")
-    with pytest.raises(ConfigError):
-        ClusterScenario.control(3)
+    with pytest.raises(ConfigError, match="scenario must be one of"):
+        as_enum(ClusterScenario, "both", "scenario")
 
 
 def test_no_estimand_for_degenerate_scenarios():
@@ -226,7 +223,7 @@ def test_heterogeneous_effects_exhibits():
 
 
 def test_constant_effects_paths_agree_on_random_populations():
-    scenarios = (CONTROL_1, ClusterScenario.control(2), TREATMENT)
+    scenarios = (CONTROL_1, ClusterScenario.CONTROL_2, TREATMENT)
     for _ in range(40):
         # Integer-valued means keep the per-stratum differences bitwise
         # equal, which the exactness check requires.
@@ -278,7 +275,7 @@ def test_pooled_oracle_matches_formula_on_agreement_classes():
         assignment = tuple(rng.dirichlet((2.0, 2.0, 2.0)))
         cases = [
             (random_population(rng, strata=CONTROL_1_AGREEMENT, assignment=assignment), CONTROL_1),
-            (random_population(rng, strata=CONTROL_2_AGREEMENT, assignment=assignment), ClusterScenario.control(2)),
+            (random_population(rng, strata=CONTROL_2_AGREEMENT, assignment=assignment), ClusterScenario.CONTROL_2),
             (random_population(rng, strata=TREATMENT_AGREEMENT), TREATMENT),
         ]
         for pop, scen in cases:

@@ -18,7 +18,7 @@ from ivstrata import (
     decompose,
     solve_moment_system,
 )
-from support import EFFECT_SLOTS, random_spec, reference_sweep, wbar
+from support import EFFECT_SLOTS, random_spec, reference_sweep, swapped, wbar
 from ivstrata.strata import DEN_TOL
 
 rng = np.random.default_rng(20260817)
@@ -78,8 +78,11 @@ def test_swap_symmetry_is_exact():
     for _ in range(100):
         spec = random_spec(rng)
         beta1, beta2 = solve_moment_system(spec)
-        sb1, sb2 = solve_moment_system(spec.swapped())
+        sb1, sb2 = solve_moment_system(swapped(spec))
         assert sb1 == beta2 and sb2 == beta1
+        # decompose's second estimand is its first on the relabeled spec, and the other way round.
+        dec1, dec2 = decompose(spec)
+        assert decompose(swapped(spec)) == (dec2, dec1)
 
 
 def test_weights_are_nonnegative_even_with_negative_denominator():

@@ -202,12 +202,19 @@ def test_sample_table_is_the_reference_table():
     # reference_tables restates the layout of stream version 3; a change to it must bump the version.
     assert montecarlo.STREAM_VERSION == 3
     pop = benchmark_pop(noise_sd=150.0)
-    for n, seed in ((700, 3), (1, 0), (10**12, 2**64 - 1), (strata._MAX_COUNT, 5)):
+    # A seed is hashed into the streams, so any integer draws a table; a negative one is table 0 of its study too.
+    for n, seed in ((700, 3), (1, 0), (10**12, 2**64 - 1), (strata._MAX_COUNT, 5), (500, -3)):
         assert_same_table(montecarlo.sample_table(pop, n, seed), reference_tables(pop, n, seed, 1)[0])
     with pytest.raises(ConfigError, match="sample size"):
         montecarlo.sample_table(pop, 0, 3)
-    with pytest.raises(ConfigError, match="seed must be nonnegative"):
-        montecarlo.sample_table(pop, 10, -1)
+
+
+def test_cluster_wald_sums_counts_past_2_53_in_a_fixed_order():
+    # Past 2^53 a count is a rounded float, so the order in which estimate_cluster_wald sums an arm pair's counts
+    # is part of its bytes: summing them as hot @ count @ hot.T instead prints other digits at this seed.
+    table = montecarlo.sample_table(benchmark_pop(noise_sd=150.0), strata._MAX_COUNT, 28)
+    est, se = estimate_cluster_wald(table, ClusterScenario.TREATMENT)
+    assert (est.tolist(), se.tolist()) == ([739.9999992599855], [1.1507770849990048e-06])
 
 
 def mixed_noise_pop(noise_sd):
@@ -245,7 +252,7 @@ def test_replicate_matches_the_reference_table(monkeypatch, target):
     # edge, at the real block size and at a small one, and at sizes no
     # sample of rows could take.
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
-    scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
+    scenario = ClusterScenario.CONTROL_1 if target is Target.CLUSTER_WALD else None
     block = montecarlo._BLOCK_REPS
     for reps in (block - 1, block + 1):
         got = replicate(pop, n=2000, reps=reps, master_seed=9, scenario=scenario)
@@ -262,7 +269,7 @@ def test_the_block_size_changes_no_summary(monkeypatch, target):
     # The study's streams are read in replication order, so one replication a block, five and the real 1,024
     # give the same bytes, for studies shorter and longer than a block.
     pop = random_population(np.random.default_rng(3), noise_sd=25.0)
-    scenario = ClusterScenario.control(2) if target is Target.CLUSTER_WALD else None
+    scenario = ClusterScenario.CONTROL_2 if target is Target.CLUSTER_WALD else None
     for reps in (2, 13, 1100):
         summaries = []
         for block in (1, 5, 1024):
@@ -340,7 +347,7 @@ def test_replicate_names_the_first_failing_replication_anywhere_in_its_block(mon
 
 TABLE_BODIES = {"2sls": estimate_2sls} | {
     s.label: partial(estimate_cluster_wald, scenario=s)
-    for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)
+    for s in (ClusterScenario.CONTROL_1, ClusterScenario.CONTROL_2, ClusterScenario.TREATMENT)
 }
 
 
@@ -382,7 +389,7 @@ def test_replicate_peak_memory_per_row(target):
     # is about 20 kB at this n. The bound fails any path that holds a drawn
     # sample, as `generate` alone peaks at 48 bytes a row.
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
-    scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
+    scenario = ClusterScenario.CONTROL_1 if target is Target.CLUSTER_WALD else None
     n = 200_000
     tracemalloc.start()
     try:
@@ -399,7 +406,7 @@ def test_replicate_small_n_peak_memory_per_block(target):
     # sized by the block, not by its 25 replications. The bound is the 2**14
     # rows of 40 bytes that a block took when replications drew rows.
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
-    scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
+    scenario = ClusterScenario.CONTROL_1 if target is Target.CLUSTER_WALD else None
     tracemalloc.start()
     try:
         replicate(pop, n=2000, reps=25, master_seed=9, scenario=scenario)
@@ -461,7 +468,7 @@ def test_table_engine_matches_the_microdata_path_in_distribution():
     # coefficient and its zero SE) must be the same constant. Bonferroni over all tests gives family-wise size
     # 0.01 for a correct engine; the seeds are fixed, so the outcome is too.
     reps, n = 800, 2000
-    scenario = ClusterScenario.control(1)
+    scenario = ClusterScenario.CONTROL_1
     zs, constant = [], 0
     for pop in DISTRIBUTION_POPS.values():
         tables = next(montecarlo._draws(pop, n, 1, reps))  # reps < _BLOCK_REPS: one block
@@ -488,7 +495,7 @@ def test_table_engine_matches_the_microdata_path_in_distribution():
 def replicate_peak(n, target):
     """The tracemalloc peak of a 25-replication study, after a first study has filled the estimators' caches."""
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
-    scenario = ClusterScenario.control(1) if target is Target.CLUSTER_WALD else None
+    scenario = ClusterScenario.CONTROL_1 if target is Target.CLUSTER_WALD else None
     replicate(pop, n=n, reps=25, master_seed=9, scenario=scenario)
     tracemalloc.start()
     try:
@@ -584,7 +591,7 @@ def test_cell_table_estimators_match_the_design_matrix_reference():
     estimators = [(estimate_2sls, reference_2sls, FIELD_ARMS, "2sls", PARAMS)] + [
         (partial(estimate_cluster_wald, scenario=s), partial(reference_cluster_wald, scenario=s), (s.s1,), s.label,
          ("wald",))
-        for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)
+        for s in (ClusterScenario.CONTROL_1, ClusterScenario.CONTROL_2, ClusterScenario.TREATMENT)
     ]
     pure = Population(entries=(
         StratumEntry(J.C1C2, 0.6, (0.0, 1000.0, 500.0)),
@@ -711,7 +718,7 @@ def test_a_count_matrix_between_three_and_six_ulps_of_its_norm_is_estimated():
 
 def test_cluster_wald_estimator_tracks_the_pooled_oracle():
     pop = benchmark_pop(noise_sd=100.0)
-    scen = ClusterScenario.control(1)
+    scen = ClusterScenario.CONTROL_1
     oracle = cluster_wald_oracle(pop, scen)
     (est,), (se,) = estimate_cluster_wald(generated_table(pop, 100_000, seed=8), scen)
     assert se > 0.0
@@ -757,7 +764,7 @@ def test_replicate_field_2sls_summary():
 
 def test_replicate_cluster_wald_summary():
     pop = benchmark_pop(noise_sd=100.0)
-    scen = ClusterScenario.control(1)
+    scen = ClusterScenario.CONTROL_1
     summary = replicate(pop, n=5_000, reps=10, master_seed=5, scenario=scen)
     (row,) = summary.rows
     assert row.param == "wald" and summary.target is Target.CLUSTER_WALD
@@ -787,7 +794,7 @@ def test_largest_count_is_numpys_intp_bound():
 
 ORACLE_ARMS = {"2sls": (FIELD_ARMS, estimate_2sls)} | {
     s.label: ((s.s1,), partial(estimate_cluster_wald, scenario=s))
-    for s in (ClusterScenario.control(1), ClusterScenario.control(2), ClusterScenario.TREATMENT)
+    for s in (ClusterScenario.CONTROL_1, ClusterScenario.CONTROL_2, ClusterScenario.TREATMENT)
 }
 
 

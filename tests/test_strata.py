@@ -28,7 +28,7 @@ from ivstrata import (
 )
 from ivstrata import strata
 from ivstrata.strata import EFFECT_BOUND, EFFECT_SLOTS, MAX_MAGNITUDE, PROB_SUM_TOL
-from support import random_population
+from support import random_population, swapped
 
 J = JointStratum
 G = MarginalGroup
@@ -288,13 +288,13 @@ def test_swapped_relabels_instruments():
         eff_c1=1.0, eff_c2=2.0, eff_id1=3.0, eff_id2=4.0,
         eff_nd1_1=5.0, eff_nd1_2=6.0,
     )
-    sw = spec.swapped()
+    sw = swapped(spec)
     assert (sw.pC1, sw.pID1, sw.pND1) == (0.6, 0.05, 0.0)
     assert (sw.eff_c1, sw.eff_c2, sw.eff_id1, sw.eff_id2) == (2.0, 1.0, 4.0, 3.0)
     # Next-best slots swap both group and contrast indices.
     assert sw.eff_nd2_2 == 5.0 and sw.eff_nd2_1 == 6.0
     assert sw.eff_nd1_1 is None
-    assert sw.swapped() == spec
+    assert swapped(sw) == spec
 
 
 def test_population_json_round_trip():
