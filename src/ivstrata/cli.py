@@ -168,10 +168,12 @@ _UNREAD_WITH_SCENARIO = ("n", "seed", "sig_level", "neg_neg_rule")
 
 def load_scenario(path: str) -> ScenarioFile:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read scenario file {path}: {err}") from err
+    try:  # one decode, then text mode's newlines: JSON's line and column counts read as text mode's would
+        doc = json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except ValueError as err:  # bad JSON, bad UTF-8, or an integer literal past Python's digit limit
         raise ConfigError(f"scenario file {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
@@ -181,13 +183,14 @@ def load_scenario(path: str) -> ScenarioFile:
     has_spec = "marginal_spec" in doc
     if has_pop == has_spec:
         raise ConfigError("scenario file must hold exactly one of 'population' or 'marginal_spec'")
-    options = {}
+    options = {command: {} for command in _OPTIONS}
     for command, table in _OPTIONS.items():
-        block = doc.get(command, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"scenario block {command!r} must be a JSON object")
-        reject_unknown(block, table, command)
-        options[command] = {key: table[key][0](value, key) for key, value in block.items()}
+        if command in doc:
+            block = doc[command]
+            if not isinstance(block, dict):
+                raise ConfigError(f"scenario block {command!r} must be a JSON object")
+            reject_unknown(block, table, command)
+            options[command] = {key: table[key][0](value, key) for key, value in block.items()}
     sc = ScenarioFile(
         population=population_from_dict(doc["population"]) if has_pop else None,
         spec=marginal_spec_from_dict(doc["marginal_spec"]) if has_spec else None,
@@ -453,28 +456,31 @@ def _attach_list_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _cell(x, precision: str) -> str:
-    """One CSV cell: "" for None, a tuple's cells joined by ";", a str or integer (numpy's too) as it is, any
-    other number at 4 dp or, at --precision full, as the repr of a float (not of an np.float64, which numpy 2
-    wraps in its name)."""
-    if type(x) is float:  # most cells: tested first, the same text as the fallback below
-        return repr(x) if precision == "full" else f"{x:.4f}"
+# Each --precision's float text: repr (of a float, not of an np.float64, which numpy 2 wraps in its name) or 4 dp.
+_FORMATS = {"full": repr, "4": "{:.4f}".format}
+
+
+def _cell(x, fmt) -> str:
+    """One CSV cell: "" for None, a tuple's cells joined by ";", a str or integer (numpy's too) as it is, and any
+    other number as the float it holds, in `fmt` (which `main` applies to a float cell directly)."""
     if x is None:
         return ""
     if isinstance(x, tuple):
-        return ";".join(_cell(v, precision) for v in x)
+        return ";".join(_cell(v, fmt) for v in x)
     if isinstance(x, (str, numbers.Integral)):
         return str(x)
-    return repr(float(x)) if precision == "full" else f"{float(x):.4f}"
+    return fmt(float(x))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
         args = _parse(argv)  # --grid and --levels raise ConfigError while parsing
-        # Looked up by name at call time (the parser holds no handler); each row prints as it comes.
+        # Looked up by name at call time (the parser holds no handler); each row is written as it comes, in one
+        # write, its float cells (most cells) formatted inline.
+        fmt, write = _FORMATS[args.precision], sys.stdout.write
         for row in globals()[f"_cmd_{args.command}"](args):
-            print(",".join(_cell(x, args.precision) for x in row))
+            write(",".join([fmt(x) if type(x) is float else _cell(x, fmt) for x in row]) + "\n")
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return 0
     except BrokenPipeError:

@@ -49,7 +49,8 @@ class FirstStage:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"first-stage coefficient {name}={v} is not finite")
-            object.__setattr__(self, name, float(v))
+            if type(v) is not float:  # stored as float, as StratumEntry's fields are; a float is kept as it is
+                object.__setattr__(self, name, float(v))
 
     @property
     def nt1(self) -> float:

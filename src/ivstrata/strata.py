@@ -199,16 +199,19 @@ class StratumEntry:
             raise ConfigError(f"stratum {self.stratum.name}: prob {prob} outside [0, 1]")
         if len(means) != 3:
             raise ConfigError(f"stratum {self.stratum.name}: means must have 3 entries, got {len(means)}")
-        if not all(map(math.isfinite, means)):
-            raise ConfigError(f"stratum {self.stratum.name}: non-finite mean in {means}")
-        if max(map(abs, means)) > MAX_MAGNITUDE:
+        # One range comparison a value, which NaN and infinities fail too; only a failure tells the messages apart.
+        m0, m1, m2 = means
+        if not (-MAX_MAGNITUDE <= m0 <= MAX_MAGNITUDE and -MAX_MAGNITUDE <= m1 <= MAX_MAGNITUDE
+                and -MAX_MAGNITUDE <= m2 <= MAX_MAGNITUDE):
+            if not all(map(math.isfinite, means)):
+                raise ConfigError(f"stratum {self.stratum.name}: non-finite mean in {means}")
             raise ConfigError(f"stratum {self.stratum.name}: a mean in {means} exceeds {MAX_MAGNITUDE:g} in magnitude")
-        if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
-            raise ConfigError(f"stratum {self.stratum.name}: noise_sd {noise_sd} must be >= 0")
-        if noise_sd > MAX_MAGNITUDE:
+        if not 0.0 <= noise_sd <= MAX_MAGNITUDE:
+            if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+                raise ConfigError(f"stratum {self.stratum.name}: noise_sd {noise_sd} must be >= 0")
             raise ConfigError(f"stratum {self.stratum.name}: noise_sd {noise_sd} exceeds {MAX_MAGNITUDE:g}")
         # Each field is stored as float (means as a tuple of them); a value that already is one is left as it is.
-        if not (type(means) is tuple and type(means[0]) is type(means[1]) is type(means[2]) is float):
+        if not (type(means) is tuple and type(m0) is type(m1) is type(m2) is float):
             object.__setattr__(self, "means", tuple(map(float, means)))
         if type(prob) is not float:
             object.__setattr__(self, "prob", float(prob))
@@ -243,17 +246,18 @@ class Population:
             object.__setattr__(self, "assignment", tuple(float(p) for p in self.assignment))
         if not self.entries:
             raise ConfigError("population has no strata")
-        seen = set()
-        for e in self.entries:
-            if e.stratum in seen:
-                raise ConfigError(f"stratum {e.stratum.name} appears more than once")
-            seen.add(e.stratum)
-        total = math.fsum(e.prob for e in self.entries)
+        if len({e.stratum for e in self.entries}) < len(self.entries):  # a repeat: name the first
+            seen = set()
+            for e in self.entries:
+                if e.stratum in seen:
+                    raise ConfigError(f"stratum {e.stratum.name} appears more than once")
+                seen.add(e.stratum)
+        total = math.fsum([e.prob for e in self.entries])
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ConfigError(f"stratum probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
         if len(self.assignment) != 3:
             raise ConfigError(f"assignment must have 3 entries, got {len(self.assignment)}")
-        if any(not (math.isfinite(p) and p >= 0.0) for p in self.assignment):
+        if not all([0.0 <= p < math.inf for p in self.assignment]):  # NaN fails too
             raise ConfigError(f"assignment probabilities must be >= 0, got {self.assignment}")
         a_total = math.fsum(self.assignment)
         if abs(a_total - 1.0) > PROB_SUM_TOL:
@@ -501,7 +505,7 @@ def population_from_dict(doc: Mapping) -> Population:
     # or to convert a value of another type.
     entries = []
     for i, item in enumerate(raw):
-        if not isinstance(item, Mapping):
+        if not (type(item) is dict or isinstance(item, Mapping)):  # JSON gives a dict: the ABC check is slower
             raise ConfigError(f"strata[{i}] must be an object")
         if not _STRATUM_KEYS.issuperset(item):
             reject_unknown(item, _STRATUM_KEYS, f"strata[{i}]")

@@ -248,7 +248,7 @@ def _reference_entry(stratum: JointStratum, prob: float, means: tuple, noise_sd:
         raise ConfigError(f"stratum {stratum.name}: means must have 3 entries, got {len(means)}")
     if not all(map(math.isfinite, means)):
         raise ConfigError(f"stratum {stratum.name}: non-finite mean in {means}")
-    if max(map(abs, means)) > MAX_MAGNITUDE:
+    if any(abs(m) > MAX_MAGNITUDE for m in means):  # each value by itself: numpy compares an int to a float lossily
         raise ConfigError(f"stratum {stratum.name}: a mean in {means} exceeds {MAX_MAGNITUDE:g} in magnitude")
     if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
         raise ConfigError(f"stratum {stratum.name}: noise_sd {noise_sd} must be >= 0")
@@ -282,8 +282,29 @@ def reference_population_from_dict(doc: Mapping) -> Population:
             _reference_floats(item["means"], where + ".means"),
             as_float(item.get("noise_sd", 0.0), where + ".noise_sd"),
         ))
-    assignment = _reference_floats(doc.get("assignment", UNIFORM_ASSIGNMENT), "assignment")
-    return Population(entries=tuple(entries), assignment=assignment)
+    return reference_population(entries, _reference_floats(doc.get("assignment", UNIFORM_ASSIGNMENT), "assignment"))
+
+
+def reference_population(entries: list[StratumEntry], assignment: tuple[float, ...]) -> Population:
+    """Population's six rules restated in their order (no strata, a repeated stratum, the probability sum, the
+    assignment's length, its range, its sum), each with its tolerance written out, then the Population."""
+    if len(entries) == 0:
+        raise ConfigError("population has no strata")
+    for i, e in enumerate(entries):
+        if any(f.stratum is e.stratum for f in entries[:i]):
+            raise ConfigError(f"stratum {e.stratum.name} appears more than once")
+    total = math.fsum(e.prob for e in entries)
+    if not abs(total - 1.0) <= 1e-12:
+        raise ConfigError(f"stratum probabilities sum to {total!r}, expected 1 within 1e-12")
+    if len(assignment) != 3:
+        raise ConfigError(f"assignment must have 3 entries, got {len(assignment)}")
+    for p in assignment:
+        if math.isnan(p) or math.isinf(p) or p < 0.0:
+            raise ConfigError(f"assignment probabilities must be >= 0, got {tuple(assignment)}")
+    a_total = math.fsum(assignment)
+    if not abs(a_total - 1.0) <= 1e-12:
+        raise ConfigError(f"assignment probabilities sum to {a_total!r}, expected 1 within 1e-12")
+    return Population(entries=tuple(entries), assignment=tuple(assignment))
 
 
 def reference_tables(pop: Population, n: int, master_seed: int, reps: int) -> list[CellTable]:

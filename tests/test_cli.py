@@ -179,6 +179,51 @@ def test_config_errors_exit_2(write_json, capsys):
         assert code == 2 and out == [] and err.startswith("error: scan step") and err.count("\n") == 1
 
 
+_LINE_3_ERROR = '{\n"population" : {\n   "strata": x\n}}\n'
+
+
+@pytest.mark.parametrize(
+    "name, data, err",
+    [
+        ("crlf.json", _LINE_3_ERROR.replace("\n", "\r\n").encode(),
+         "is not valid JSON: Expecting value: line 3 column 14 (char 32)"),
+        ("cr.json", _LINE_3_ERROR.replace("\n", "\r").encode(),
+         "is not valid JSON: Expecting value: line 3 column 14 (char 32)"),
+        ("bom.json", b'\xef\xbb\xbf{"population": {"strata": []}}',
+         "is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("utf16.json", '{"population": {"strata": []}}'.encode("utf-16"),
+         "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("ff.json", b'{"population": \xff}',
+         "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+        ("empty.json", b"", "is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["crlf", "lone-cr", "utf8-bom", "utf16", "mid-file-ff", "empty"],
+)
+def test_malformed_scenario_file_error_text(tmp_path, monkeypatch, capsys, name, data, err):
+    # Line and column count newlines as text-mode reading translates them; byte positions count raw bytes.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(data)
+    assert main(["validate", name]) == 2
+    assert capsys.readouterr() == ("", f"error: scenario file {name} {err}\n")
+
+
+def test_unreadable_scenario_file_error_text(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "."]) == 2
+    assert capsys.readouterr() == ("", "error: cannot read scenario file .: [Errno 21] Is a directory: '.'\n")
+
+
+def test_crlf_scenario_file_loads_as_its_lf_form(write_json, capsys):
+    path = write_json(BENCHMARK_POP)
+    code, out, err = run(capsys, ["validate", path])
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for newline in (b"\r\n", b"\r"):
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b", ", b"," + newline))
+        assert run(capsys, ["validate", path]) == (code, out, err) == (0, out, "")
+
+
 def _one_stratum(**fields):
     return {"population": {"strata": [dict({"tag": "C1C2", "prob": 1.0, "means": [0.0, 1.0, 2.0]}, **fields)]}}
 
@@ -831,12 +876,13 @@ def test_a_numpy_scalar_cell_prints_as_the_float_it_holds():
 
     # numpy 2's repr of an np.float64 wraps the number in its type name; a cell prints the float's own text.
     x = np.float64(0.1)
-    assert (cli._cell(x, "full"), cli._cell(x, "4")) == ("0.1", "0.1000")
-    assert cli._cell((x, x), "full") == "0.1;0.1" and repr(x) != "0.1"
+    full, four = cli._FORMATS["full"], cli._FORMATS["4"]
+    assert (cli._cell(x, full), cli._cell(x, four)) == ("0.1", "0.1000")
+    assert cli._cell((x, x), full) == "0.1;0.1" and repr(x) != "0.1"
     # A numpy integer, such as a count taken from an array, prints as the integer it holds; np.bool_ is no integer.
     for i in (np.int64(3), np.intp(3), np.uint8(3)):
-        assert (cli._cell(i, "full"), cli._cell(i, "4")) == ("3", "3")
-    assert (cli._cell(np.bool_(True), "full"), cli._cell(np.bool_(True), "4")) == ("1.0", "1.0000")
+        assert (cli._cell(i, full), cli._cell(i, four)) == ("3", "3")
+    assert (cli._cell(np.bool_(True), full), cli._cell(np.bool_(True), four)) == ("1.0", "1.0000")
 
 
 def _in_process(capsys, argv: list[str]) -> tuple:

@@ -64,6 +64,15 @@ def test_first_stage_validation():
         bad.validate()
 
 
+def test_first_stage_stores_floats_and_keeps_a_float_as_it_is():
+    values = {"a10": 0.1, "a11": 0.4, "a12": 0.0, "a20": 0.2, "a21": 0.1, "a22": 0.3}
+    fs = FirstStage(**values)
+    assert all(getattr(fs, name) is v for name, v in values.items())
+    mixed = FirstStage(**dict(values, a10=1, a22=np.float64(0.3)))
+    assert (type(mixed.a10), type(mixed.a22)) == (float, float) and (mixed.a10, mixed.a22) == (1.0, 0.3)
+    assert mixed.a11 is values["a11"]
+
+
 @pytest.mark.parametrize("coefs,listed", [
     # Each first stage breaks one bound (and a cross slope above 1 drags its never-taker share below 0 with it).
     ({"a11": 1.2, "a21": -0.3}, ["a11 = 1.2 outside [0, 1]"]),

@@ -5,10 +5,11 @@ import itertools
 import json
 import math
 import re
+from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivstrata import (
@@ -28,7 +29,7 @@ from ivstrata import (
 )
 from ivstrata import strata
 from ivstrata.strata import EFFECT_BOUND, EFFECT_SLOTS, MAX_MAGNITUDE, PROB_SUM_TOL
-from support import random_population, swapped
+from support import _reference_entry, random_population, reference_population, swapped
 
 J = JointStratum
 G = MarginalGroup
@@ -153,6 +154,90 @@ def test_population_validation():
         f = StratumEntry(J.NT1NT2, 0.5 + dust, (0.0, 0.0, 0.0))
         with pytest.raises(ConfigError, match="sum") if fails else contextlib.nullcontext():
             Population(entries=(e, f))
+
+
+def _outcome(build, *args):
+    """What `build(*args)` gives: each stored number's type and repr and the means' type, or the error's type and
+    text."""
+    try:
+        made = build(*args)
+    except (ConfigError, TypeError, ValueError, OverflowError) as err:
+        return type(err), str(err)
+    if isinstance(made, Population):
+        return repr(made)
+    return [(type(v), repr(v)) for v in (made.prob, *made.means, made.noise_sd)], type(made.means)
+
+
+# Each bound of a stratum value with its two float neighbours, -0.0 and the values that are no number's; then ints
+# at and past the bounds.
+_EDGES = [x for bound in (0.0, 1.0, MAX_MAGNITUDE, -MAX_MAGNITUDE)
+          for x in (bound, math.nextafter(bound, math.inf), math.nextafter(bound, -math.inf))]
+_EDGES += [-0.0, math.nan, math.inf, -math.inf]
+_EDGE_INTS = [0, 1, -1, 2, int(MAX_MAGNITUDE), int(MAX_MAGNITUDE) + 1, -int(MAX_MAGNITUDE) - 1]
+_EDGE_NUMBERS = st.one_of(
+    st.sampled_from(_EDGES), st.sampled_from(_EDGES).map(np.float64), st.booleans(), st.sampled_from(_EDGE_INTS),
+)
+
+
+def test_a_mean_past_the_bound_is_refused_whatever_the_other_means():
+    # int(MAX_MAGNITUDE) + 1 exceeds the bound, though numpy, comparing it with an np.float64, rounds it onto it.
+    for means in ((np.float64(-MAX_MAGNITUDE), int(MAX_MAGNITUDE) + 1, 0.0),
+                  (int(MAX_MAGNITUDE) + 1, np.float64(-MAX_MAGNITUDE), 0.0)):
+        with pytest.raises(ConfigError, match="exceeds 1e\\+100 in magnitude"):
+            StratumEntry(J.C1C2, 0.5, means)
+
+
+def test_stratum_entry_range_checks_match_the_reference_at_each_place():
+    # Each edge value as the prob, as each of the three means and as noise_sd, with ordinary values elsewhere.
+    for v in [*_EDGES, *map(np.float64, _EDGES), True, False, *_EDGE_INTS]:
+        for prob, means, noise_sd in ((v, (0.0, 0.0, 0.0), 0.0), (0.5, (v, 0.0, 0.0), 0.0),
+                                      (0.5, (0.0, v, 0.0), 0.0), (0.5, (0.0, 0.0, v), 0.0), (0.5, (0.0, 0.0, 0.0), v)):
+            args = (J.C1C2, prob, means, noise_sd)
+            assert _outcome(StratumEntry, *args) == _outcome(_reference_entry, *args), args
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    stratum=st.sampled_from(list(J)),
+    prob=_EDGE_NUMBERS,
+    means=st.lists(_EDGE_NUMBERS, min_size=2, max_size=4).flatmap(lambda m: st.sampled_from([m, tuple(m)])),
+    noise_sd=_EDGE_NUMBERS,
+)
+def test_stratum_entry_range_checks_match_the_reference_at_the_bounds(stratum, prob, means, noise_sd):
+    # The same acceptance, stored types and values, or the same first message.
+    assert _outcome(StratumEntry, stratum, prob, means, noise_sd) == _outcome(
+        _reference_entry, stratum, prob, means, noise_sd)
+
+
+_A, _B, _C = (StratumEntry(s, p, (0.0, 1.0, 2.0)) for s, p in ((J.C1C2, 0.5), (J.NT1NT2, 0.25), (J.ID1C2, 0.25)))
+
+
+@pytest.mark.parametrize("entries, assignment, message", [
+    ([], (1.0, 0.0, 0.0), "population has no strata"),
+    ([_A, _B, _B, _A], (0.5, 0.5), "stratum NT1NT2 appears more than once"),
+    ([_A, _B], (0.5, 0.5), "stratum probabilities sum to 0.75, expected 1 within 1e-12"),
+    ([_A, _B, _C], (0.5, 0.5), "assignment must have 3 entries, got 2"),
+    ([_A, _B, _C], (0.5, math.inf, 0.5), "assignment probabilities must be >= 0, got (0.5, inf, 0.5)"),
+    ([_A, _B, _C], (0.5, -math.inf, 0.5), "assignment probabilities must be >= 0, got (0.5, -inf, 0.5)"),
+    ([_A, _B, _C], (0.5, math.nan, 0.5), "assignment probabilities must be >= 0, got (0.5, nan, 0.5)"),
+    ([_A, _B, _C], (1.25, -0.25, 0.0), "assignment probabilities must be >= 0, got (1.25, -0.25, 0.0)"),
+    ([_A, _B, _C], (0.5, 0.5, 0.5), "assignment probabilities sum to 1.5, expected 1 within 1e-12"),
+    ([_A, _B, _C], (1.0, -0.0, 0.0), None),
+    ([_C, _A, _B], (0.0, 0.0, 1.0), None),
+], ids=["no-strata", "duplicate", "prob-sum", "assignment-length", "assignment-inf", "assignment-minus-inf",
+        "assignment-nan", "assignment-negative", "assignment-sum", "assignment-minus-zero", "assignment-point"])
+def test_population_rules_and_their_order_match_the_reference(entries, assignment, message):
+    """Each case breaks the named rule and may break later ones: the first rule broken names the error."""
+    got = _outcome(Population, entries, assignment)
+    assert got == _outcome(reference_population, entries, assignment)
+    if message is None:
+        assert isinstance(got, str)  # the Population's repr
+    else:
+        assert got == (ConfigError, message)
+    # A scenario file's population, JSON's Infinity and NaN included, is refused with the same text.
+    doc = {"strata": [{"tag": e.stratum.name, "prob": e.prob, "means": list(e.means)} for e in entries],
+           "assignment": list(assignment)}
+    assert _outcome(population_from_dict, json.loads(json.dumps(doc))) == got
 
 
 def test_population_stores_tuples_of_entries_and_float_probabilities():
@@ -313,6 +398,16 @@ def test_population_json_round_trip():
         assignment=(0.5, 0.25, 0.25),
     )
     assert population_from_dict(doc) == population_from_dict(json.loads(json.dumps(doc))) == pop
+
+
+def test_population_from_dict_takes_any_mapping():
+    # JSON gives dicts; a library caller may pass another Mapping, for the document or for each stratum.
+    doc = {"strata": [
+        {"tag": "C1C2", "prob": 0.5, "means": [0.0, 1.0, 2.0]},
+        {"tag": "NT1NT2", "prob": 0.5, "means": [0.0, 0.0, 0.0]},
+    ]}
+    proxy = MappingProxyType({"strata": [MappingProxyType(item) for item in doc["strata"]]})
+    assert population_from_dict(proxy) == population_from_dict(doc)
 
 
 def test_population_from_dict_rejects_unknown_keys():
