@@ -18,7 +18,6 @@ from .strata import (
     MarginalSpec,
     Population,
     StratumEntry,
-    Target,
     UNIFORM_ASSIGNMENT,
     group_effect,
     group_prob,
@@ -38,7 +37,6 @@ from .estimands import (
     solve_moment_system,
 )
 from .identification import (
-    DefierBounds,
     FirstStage,
     defier_bounds,
     feasible_set_scan,
@@ -60,8 +58,8 @@ from .clustering import (
 __version__ = "0.1.0"
 
 # Served on first access (PEP 562): only code that draws samples loads montecarlo, and with it numpy.
-_MONTECARLO = ("CellTable", "ParamSummary", "ReplicationSummary", "estimate_2sls", "estimate_cluster_wald",
-               "generate", "replicate", "replication_seed")
+_MONTECARLO = ("CellTable", "ParamSummary", "estimate_2sls", "estimate_cluster_wald", "generate", "replicate",
+               "replication_seed")
 
 # Every public name imported above or served lazily; the submodules themselves are not exported.
 __all__ = sorted(

@@ -20,15 +20,16 @@ loads; command-line flags override block values.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import numbers
 import os
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Iterator, Optional
 
 from .clustering import (
     DEFAULT_SIG_LEVEL,
@@ -58,7 +59,6 @@ from .strata import (
     MarginalGroup,
     MarginalSpec,
     Population,
-    Target,
     as_enum,
     as_float,
     check_count,
@@ -73,8 +73,8 @@ from .strata import (
 class ScenarioFile:
     """Parsed scenario file: the primitive plus each command's converted block values."""
 
-    population: Optional[Population]
-    spec: Optional[MarginalSpec]
+    population: Population | None
+    spec: MarginalSpec | None
     options: dict[str, dict]
 
     def require_population(self, command: str) -> Population:
@@ -123,6 +123,13 @@ def _values(cls) -> list[str]:
 
 def _sample_size(value, what: str) -> int:
     return check_count("sample size", _as_int(value, what), 1)
+
+
+class Target(enum.Enum):
+    """What `simulate` replicates: field 2SLS, or the clustered Wald ratio under a scenario."""
+
+    FIELD_2SLS = "field-2sls"
+    CLUSTER_WALD = "cluster-wald"
 
 
 # Each command's scenario-block options: key -> (convert, default, flag). A
@@ -304,10 +311,10 @@ def _cmd_bounds(args: argparse.Namespace) -> Iterator[tuple]:
         shares = shares_from_first_stage(fs, Regime(args.maintained))
         rows = [(group.name, shares[group], shares[group]) for group in MarginalGroup]
     else:
-        rows = [(name, lo, hi) for name, (lo, hi) in defier_bounds(fs).intervals().items()]
+        rows = [(group.name, lo, hi) for group, (lo, hi) in defier_bounds(fs).items()]
         if args.scan:
             scan = feasible_set_scan(fs, step=DEFAULT_SCAN_STEP if args.step is None else args.step)
-            rows += [(f"{name}_scan", lo, hi) for name, (lo, hi) in scan.intervals().items()]
+            rows += [(f"{group.name}_scan", lo, hi) for group, (lo, hi) in scan.items()]
     yield ("group", "lo", "hi")
     yield from rows
 
@@ -360,14 +367,14 @@ def _cmd_simulate(args: argparse.Namespace) -> Iterator[tuple]:
         scenario = choose_clustering(first_stage_from_shares(marginal_shares(pop)))
     from .montecarlo import replicate  # numpy loads only where a command draws
 
-    summary = replicate(pop, opts["n"], opts["reps"], opts["seed"], scenario)  # a scenario means cluster-wald
-    yield "n", summary.n
-    yield "reps", summary.reps
-    yield "seed", summary.master_seed
-    yield "target", summary.target.value
+    rows = replicate(pop, opts["n"], opts["reps"], opts["seed"], scenario)  # a scenario means cluster-wald
+    yield "n", opts["n"]
+    yield "reps", opts["reps"]
+    yield "seed", opts["seed"]
+    yield "target", opts["target"].value
     yield ()
     yield ("param", "truth", "mean", "sd", "bias", "coverage")
-    for row in summary.rows:
+    for row in rows:
         yield row.param, row.truth, row.mean, row.sd, row.bias, row.coverage
 
 
@@ -461,26 +468,27 @@ _FORMATS = {"full": repr, "4": "{:.4f}".format}
 
 
 def _cell(x, fmt) -> str:
-    """One CSV cell: "" for None, a tuple's cells joined by ";", a str or integer (numpy's too) as it is, and any
-    other number as the float it holds, in `fmt` (which `main` applies to a float cell directly)."""
+    """One CSV cell that is neither a str nor a float (`main` writes those directly): "" for None, a tuple's
+    numbers joined by ";", an integer (numpy's too) as it is, and any other number as the float it holds, in `fmt`."""
     if x is None:
         return ""
     if isinstance(x, tuple):
         return ";".join(_cell(v, fmt) for v in x)
-    if isinstance(x, (str, numbers.Integral)):
+    if isinstance(x, numbers.Integral):
         return str(x)
     return fmt(float(x))
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
         args = _parse(argv)  # --grid and --levels raise ConfigError while parsing
         # Looked up by name at call time (the parser holds no handler); each row is written as it comes, in one
-        # write, its float cells (most cells) formatted inline.
+        # write, its float cells (most cells) formatted inline and its str cells as they are.
         fmt, write = _FORMATS[args.precision], sys.stdout.write
         for row in globals()[f"_cmd_{args.command}"](args):
-            write(",".join([fmt(x) if type(x) is float else _cell(x, fmt) for x in row]) + "\n")
+            cells = [fmt(x) if type(x) is float else x if type(x) is str else _cell(x, fmt) for x in row]
+            write(",".join(cells) + "\n")
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return 0
     except BrokenPipeError:

@@ -17,7 +17,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 from .estimands import BiasTerm
 from .exceptions import ConfigError, AssumptionError, RankError
@@ -76,7 +75,7 @@ def _std_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def _sign(coef: float, se: Optional[float], sig_level: float) -> int:
+def _sign(coef: float, se: float | None, sig_level: float) -> int:
     """Sign classification, exact when no standard error is supplied."""
     if se is not None and se < 0.0:
         raise ConfigError(f"standard error must be nonnegative, got {se}")
@@ -100,8 +99,8 @@ def check_sig_level(sig_level: float) -> float:
 
 def choose_clustering(
     fs: FirstStage,
-    se21: Optional[float] = None,
-    se12: Optional[float] = None,
+    se21: float | None = None,
+    se12: float | None = None,
     sig_level: float = DEFAULT_SIG_LEVEL,
     neg_neg_rule: NegNegRule = NegNegRule.UNDEFINED,
 ) -> ClusterScenario:

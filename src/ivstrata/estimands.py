@@ -15,8 +15,8 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
 
 from .exceptions import AssumptionError, ConfigError, RankError
 from .strata import DEN_TOL, SWAPPED_NAME, MarginalSpec, absent_effect, as_enum, check_effect, check_share
@@ -156,7 +156,7 @@ def _check_regime(spec: MarginalSpec, regime: Regime) -> None:
         raise AssumptionError(f"regime {regime.value!r} requires {'='.join(ruled_out)}=0, got {got}")
 
 
-def _first_terms(values: Mapping[str, Optional[float]], regime: Regime, swapped: bool = False):
+def _first_terms(values: Mapping[str, float | None], regime: Regime, swapped: bool = False):
     """The first estimand's denominator, LATE and (label, omega, delta, sign) terms, each adding sign*omega*delta,
     from `values`, a spec's fields by name (its `vars`, or a sweep point's)."""
     den = _denominator(values)
@@ -179,7 +179,7 @@ def _first_terms(values: Mapping[str, Optional[float]], regime: Regime, swapped:
     return den, late, terms
 
 
-def _decompose_first(values: Mapping[str, Optional[float]], regime: Regime, swapped: bool = False) -> BiasDecomposition:
+def _decompose_first(values: Mapping[str, float | None], regime: Regime, swapped: bool = False) -> BiasDecomposition:
     den, late, raw = _first_terms(values, regime, swapped)
     # A BiasTerm's weight is >= 0: fold the denominator's sign into the term sign.
     terms = tuple(BiasTerm(lb, -w, d, -s) if w < 0.0 else BiasTerm(lb, w, d, s) for lb, w, d, s in raw)

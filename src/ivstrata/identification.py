@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Mapping
 
 from .estimands import Regime
 from .exceptions import AssumptionError, ConfigError, InfeasibleError
@@ -108,7 +108,9 @@ def shares_from_first_stage(fs: FirstStage, maintained: Regime) -> dict[Marginal
     cross slopes *are* the irrelevance defier shares; maintaining
     irrelevance sets the irrelevance shares to zero, so the cross slopes are
     the negated next-best shares. Either way every share must land in
-    [0, 1]; any that does not refutes the maintained assumption.
+    [0, 1], and under next-best each irrelevance defier group must fit in the
+    other instrument's compliers (C1ID2 and ID1C2 comply with the other
+    instrument); any share that does not refutes the maintained assumption.
 
     Raises
     ------
@@ -144,23 +146,20 @@ def shares_from_first_stage(fs: FirstStage, maintained: Regime) -> dict[Marginal
         for grp, v in shares.items()
         if v < -SHARE_ATOL or v > 1.0 + SHARE_ATOL
     ]
+    if maintained is Regime.NEXT_BEST_ONLY:  # under irrelevance both ID shares are 0 and this is P(Ck) >= 0
+        violations += [
+            f"P({d.name}) = {shares[d]:.6g} exceeds P({c.name}) = {shares[c]:.6g}"
+            for d, c in ((g.ID2, g.C1), (g.ID1, g.C2))
+            if shares[d] > shares[c] + SHARE_ATOL
+        ]
     if violations:
         raise AssumptionError(f"data refute maintained assumption {maintained.value!r}: " + "; ".join(violations))
     # Clamp float dust so downstream probability checks see clean values.
     return {grp: min(1.0, max(0.0, v)) for grp, v in shares.items()}
 
 
-@dataclass(frozen=True)
-class DefierBounds:
-    """Closed intervals [lo, hi] for the four defier shares."""
-
-    nd1: tuple[float, float]
-    id1: tuple[float, float]
-    nd2: tuple[float, float]
-    id2: tuple[float, float]
-
-    def intervals(self) -> dict[str, tuple[float, float]]:
-        return {"ND1": self.nd1, "ID1": self.id1, "ND2": self.nd2, "ID2": self.id2}
+# The four defier groups, in the order of every bounds mapping.
+_DEFIERS = (MarginalGroup.ND1, MarginalGroup.ID1, MarginalGroup.ND2, MarginalGroup.ID2)
 
 
 def _polygon(a10, a11, a12, a20, a21, a22):
@@ -171,8 +170,8 @@ def _polygon(a10, a11, a12, a20, a21, a22):
     return l1, min(a20, u - l2), l2, min(a10, u - l1), u
 
 
-def defier_bounds(fs: FirstStage) -> DefierBounds:
-    """Sharp bounds on the defier shares from a first stage.
+def defier_bounds(fs: FirstStage) -> dict[MarginalGroup, tuple[float, float]]:
+    """Sharp bounds [lo, hi] on the defier shares from a first stage, keyed ND1, ID1, ND2, ID2.
 
     Given the two next-best defier shares n1 = P(ND1), n2 = P(ND2) and the
     double-complier share, the six coefficients pin the other seven joint
@@ -209,14 +208,14 @@ def defier_bounds(fs: FirstStage) -> DefierBounds:
             )
         nd_hi = max(nd_hi, nd_lo)  # float dust within SHARE_ATOL
         intervals += [(nd_lo, nd_hi), (cross + nd_lo, cross + nd_hi)]
-    return DefierBounds(*intervals)
+    return dict(zip(_DEFIERS, intervals))
 
 
 DEFAULT_SCAN_STEP = 0.05  # the grid step of feasible_set_scan and `bounds --scan`
 
 
-def feasible_set_scan(fs: FirstStage, step: float = DEFAULT_SCAN_STEP) -> DefierBounds:
-    """Attained defier-share ranges from exact feasibility on a grid.
+def feasible_set_scan(fs: FirstStage, step: float = DEFAULT_SCAN_STEP) -> dict[MarginalGroup, tuple[float, float]]:
+    """Attained defier-share ranges [lo, hi] from exact feasibility on a grid, keyed ND1, ID1, ND2, ID2.
 
     Keeps every probability vector over the ten joint strata on the 1/k
     grid, k = round(1/step), that sums to one and reproduces all six
@@ -252,7 +251,7 @@ def feasible_set_scan(fs: FirstStage, step: float = DEFAULT_SCAN_STEP) -> Defier
             return range(0)
         return range(math.ceil(target - tol), math.floor(target + tol) + 1)
 
-    lo, hi = [math.inf] * 4, [-math.inf] * 4  # indexed like DefierBounds
+    lo, hi = [math.inf] * 4, [-math.inf] * 4  # indexed like _DEFIERS
     grid = map(candidates, (fs.a10, fs.a11, fs.a12, fs.a20, fs.a21, fs.a22))
     for m10, m11, m12, m20, m21, m22 in itertools.product(*grid):
         l1, h1, l2, h2, u = _polygon(m10, m11, m12, m20, m21, m22)
@@ -265,4 +264,4 @@ def feasible_set_scan(fs: FirstStage, step: float = DEFAULT_SCAN_STEP) -> Defier
             f"no stratum probability vector on the 1/{k} grid reproduces these "
             f"first-stage coefficients within {step / 2:g}"
         )
-    return DefierBounds(*zip(lo, hi))
+    return dict(zip(_DEFIERS, zip(lo, hi)))

@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .clustering import ClusterScenario, cluster_wald_oracle
 from .estimands import solve_moment_system
 from .exceptions import ConfigError, RankError
 from .identification import COEFFICIENTS, FirstStage, first_stage_from_shares
-from .strata import MAX_MAGNITUDE, RANK_TOL, Population, Target, check_count, marginal_shares, marginalize
+from .strata import MAX_MAGNITUDE, RANK_TOL, Population, check_count, marginal_shares, marginalize
 
 
 def _as_codes(label: str, arr: np.ndarray) -> np.ndarray:
@@ -298,36 +298,22 @@ class ParamSummary:
     coverage: float
 
 
-@dataclass(frozen=True)
-class ReplicationSummary:
-    rows: tuple[ParamSummary, ...]
-    n: int
-    reps: int
-    master_seed: int
-    target: Target
-
-
 def replication_seed(master_seed: int, rep: int) -> int:
     """Stable 64-bit seed of stream `rep` (0 counts, 1 normals, 2 gammas) of the study at `master_seed`."""
     digest = hashlib.sha256(f"{master_seed}:{rep}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
 
 
-def replicate(
-    pop: Population,
-    n: int,
-    reps: int,
-    master_seed: int,
-    scenario: Optional[ClusterScenario] = None,
-) -> ReplicationSummary:
-    """Run seeded replications and summarize against exact estimands.
+def replicate(pop: Population, n: int, reps: int, master_seed: int,
+              scenario: ClusterScenario | None = None) -> tuple[ParamSummary, ...]:
+    """Run seeded replications and summarize each parameter against its exact value.
 
-    The scenario decides the target. Without one (FIELD_2SLS) it tracks
+    The scenario decides the target. Without one (field 2SLS) the rows track
     (beta1, beta2) against the moment-system solution of the marginalized
     population and the six first-stage coefficients against their share
-    identities; with one (CLUSTER_WALD), the two-arm ratio against the pooled
-    Wald oracle. Coverage is the fraction of replications whose nominal 95
-    percent interval (1.96 standard errors) covers the exact value.
+    identities; with one, the one "wald" row tracks the two-arm ratio against
+    the pooled Wald oracle. Coverage is the fraction of replications whose
+    nominal 95 percent interval (1.96 standard errors) covers the exact value.
 
     Each replication draws its (z, d) cell table directly, never its n
     rows (see `_draws`): the estimators read only that table, so the
@@ -340,8 +326,7 @@ def replicate(
     """
     check_count("replications", reps, 2)
     check_count("sample size", n, 1)
-    target = Target.FIELD_2SLS if scenario is None else Target.CLUSTER_WALD
-    if target is Target.CLUSTER_WALD:
+    if scenario is not None:
         truths = [("wald", cluster_wald_oracle(pop, scenario))]
         estimate = functools.partial(estimate_cluster_wald, scenario=scenario)
     else:
@@ -370,6 +355,5 @@ def replicate(
     dev = estimates - mean[:, None]
     sd = np.sqrt(np.add.reduce(dev * dev, axis=1) / (reps - 1))
     coverage = np.count_nonzero(np.abs(estimates - truth) <= 1.96 * ses, axis=1) / reps
-    rows = tuple(ParamSummary(param=param, truth=float(t), mean=m, sd=s, bias=m - float(t), coverage=c)
+    return tuple(ParamSummary(param=param, truth=float(t), mean=m, sd=s, bias=m - float(t), coverage=c)
                  for (param, t), m, s, c in zip(truths, mean.tolist(), sd.tolist(), coverage.tolist()))
-    return ReplicationSummary(rows=rows, n=n, reps=reps, master_seed=master_seed, target=target)

@@ -33,13 +33,11 @@ import math
 import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
-from typing import Optional
 
 from .exceptions import ConfigError
 
-# Fields and instruments are plain ints in {0,1,2}; validated at boundaries.
+# Fields are plain ints in {0,1,2}; validated at boundaries.
 Field = int
-Instrument = int
 
 # Tolerances shared by every module.
 PROB_SUM_TOL = 1e-12  # probability vectors must sum to 1 this tightly; never renormalized
@@ -61,13 +59,6 @@ def check_count(what: str, value: int, least: int) -> int:
     if not least <= value <= _MAX_COUNT:
         raise ConfigError(f"{what} must be between {least} and {_MAX_COUNT}, got {value}")
     return value
-
-
-class Target(enum.Enum):
-    """What `montecarlo.replicate` estimates and which exact values it compares to."""
-
-    FIELD_2SLS = "field-2sls"
-    CLUSTER_WALD = "cluster-wald"
 
 
 def _check_level(value: int, what: str) -> None:
@@ -130,14 +121,6 @@ class MarginalGroup(enum.Enum):
 
     __hash__ = object.__hash__  # as JointStratum's
 
-    @property
-    def instrument(self) -> Instrument:
-        return int(self.name[-1])
-
-    @property
-    def kind(self) -> str:
-        return self.name[:-1]
-
     def members(self) -> frozenset[JointStratum]:
         return _MEMBERS[self]
 
@@ -155,11 +138,9 @@ _KIND_RULES = {
 
 # Membership of every marginal group, decided once from the trajectories.
 _MEMBERS: dict[MarginalGroup, frozenset[JointStratum]] = {
-    g: frozenset(
-        s for s in JointStratum
-        if (s.trajectory[0], s.trajectory[g.instrument]) == _KIND_RULES[g.kind](g.instrument)
-    )
+    g: frozenset(s for s in JointStratum if (s.trajectory[0], s.trajectory[k]) == _KIND_RULES[kind](k))
     for g in MarginalGroup
+    for kind, k in [(g.name[:-1], int(g.name[-1]))]  # a group's name is its kind, then its instrument
 }
 
 # The constant membership matrix by rows: each stratum's positions in `_GROUPS`, one group per instrument.
@@ -390,14 +371,14 @@ class MarginalSpec:
     pID2: float = 0.0
     pND1: float = 0.0
     pND2: float = 0.0
-    eff_c1: Optional[float] = None
-    eff_c2: Optional[float] = None
-    eff_id1: Optional[float] = None
-    eff_id2: Optional[float] = None
-    eff_nd1_1: Optional[float] = None
-    eff_nd1_2: Optional[float] = None
-    eff_nd2_1: Optional[float] = None
-    eff_nd2_2: Optional[float] = None
+    eff_c1: float | None = None
+    eff_c2: float | None = None
+    eff_id1: float | None = None
+    eff_id2: float | None = None
+    eff_nd1_1: float | None = None
+    eff_nd1_2: float | None = None
+    eff_nd2_1: float | None = None
+    eff_nd2_2: float | None = None
 
     def __post_init__(self):
         for name in _SHARE_KEYS.values():

@@ -18,19 +18,17 @@ from ivstrata import (
     BiasTerm,
     ClusterScenario,
     ConfigError,
-    DefierBounds,
     FirstStage,
     InfeasibleError,
     JointStratum,
+    MarginalGroup,
     MarginalSpec,
     ParamSummary,
     Population,
     RankError,
-    ReplicationSummary,
     StratumEntry,
     SweepAxis,
     SweepRow,
-    Target,
     cluster_wald_oracle,
     estimate_2sls,
     estimate_cluster_wald,
@@ -347,13 +345,12 @@ def reference_replicate(
     reps: int,
     master_seed: int,
     scenario: Optional[ClusterScenario] = None,
-) -> ReplicationSummary:
+) -> tuple[ParamSummary, ...]:
     """`replicate` one replication at a time: each cell table drawn by
-    `reference_tables` and estimated on its own, then the same summary, one
+    `reference_tables` and estimated on its own, then the same rows, one
     column at a time. A failing replication raises at once, named as
     `replicate` names it."""
-    target = Target.FIELD_2SLS if scenario is None else Target.CLUSTER_WALD
-    if target is Target.CLUSTER_WALD:
+    if scenario is not None:
         truths = [("wald", cluster_wald_oracle(pop, scenario))]
         estimate = partial(estimate_cluster_wald, scenario=scenario)
     else:
@@ -376,7 +373,7 @@ def reference_replicate(
         mean = float(np.mean(col))
         coverage = float(np.mean(np.abs(col - truth) <= 1.96 * ses[:, j]))
         rows.append(ParamSummary(param, float(truth), mean, float(np.std(col, ddof=1)), mean - float(truth), coverage))
-    return ReplicationSummary(rows=tuple(rows), n=n, reps=reps, master_seed=master_seed, target=target)
+    return tuple(rows)
 
 
 FIELD_ARMS = (frozenset({1}), frozenset({2}))
@@ -489,7 +486,7 @@ def exact_iv_hc0(
     return b[1:], [cov[j][j] for j in range(1, k)], a
 
 
-def reference_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:
+def reference_scan(fs: FirstStage, step: float = 0.05) -> dict[MarginalGroup, tuple[float, float]]:
     """Outer-product restatement of `feasible_set_scan`: for each grid value
     of the six coefficients it builds the n1 x n2 block of next-best defier
     masses and keeps the pairs for which a double-complier mass leaves every
@@ -542,9 +539,4 @@ def reference_scan(fs: FirstStage, step: float = 0.05) -> DefierBounds:
             f"no stratum probability vector on the 1/{k} grid reproduces these "
             f"first-stage coefficients within {step / 2:g}"
         )
-    return DefierBounds(
-        nd1=(lo["nd1"], hi["nd1"]),
-        id1=(lo["id1"], hi["id1"]),
-        nd2=(lo["nd2"], hi["nd2"]),
-        id2=(lo["id2"], hi["id2"]),
-    )
+    return {MarginalGroup[name.upper()]: (lo[name], hi[name]) for name in ("nd1", "id1", "nd2", "id2")}

@@ -163,13 +163,14 @@ def test_c06_bounds_containment_and_scan():
         shares = marginal_shares(pop)
         fs = first_stage_from_shares(shares)
         formula = defier_bounds(fs)
-        for grp, (lo, hi) in zip((G.ND1, G.ID1), (formula.nd1, formula.id1)):
+        for grp in (G.ND1, G.ID1):
+            lo, hi = formula[grp]
             if not (lo - 1e-9 <= shares[grp] <= hi + 1e-9):
                 contain_failures += 1
         scan = feasible_set_scan(fs, step=0.02)
         pop_attain = 0.0
-        for name in ("nd1", "id1", "nd2", "id2"):
-            (flo, fhi), (slo, shi) = getattr(formula, name), getattr(scan, name)
+        for grp, (flo, fhi) in formula.items():
+            slo, shi = scan[grp]
             max_exit = max(max_exit, flo - slo, shi - fhi)
             pop_attain = max(pop_attain, abs(slo - flo), abs(shi - fhi))
         attain_fail_pops += pop_attain > 0.04

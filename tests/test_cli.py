@@ -309,6 +309,16 @@ def test_bounds_maintained_points_and_refutation(capsys):
     assert out == [] and "error:" in err
 
 
+def test_bounds_maintained_next_best_refutes_a_first_stage_no_population_has(capsys):
+    # Every share lies in [0, 1], but the C1ID2 stratum is both ID2 and C1, so P(ID2) = 0.3 cannot exceed
+    # P(C1) = 0.1. Plain bounds finds no population (exit 4); maintained next-best is refuted (exit 3).
+    base = ["bounds", "--a10", "0.1", "--a11", "0.1", "--a12", "0.3", "--a20", "0.1", "--a21", "0.0", "--a22", "0.3"]
+    assert run(capsys, base)[0] == 4
+    code, out, err = run(capsys, base + ["--maintained", "next-best"])
+    assert (code, out) == (3, [])
+    assert err == "error: data refute maintained assumption 'next-best': P(ID2) = 0.3 exceeds P(C1) = 0.1\n"
+
+
 def test_bounds_infeasible_exits_4(capsys):
     code, _, err = run(capsys, ["bounds", "--a10", "0.1", "--a11", "0.5", "--a12", "0.0",
                                 "--a20", "0.1", "--a21", "-0.2", "--a22", "0.3"])

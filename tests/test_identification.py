@@ -10,7 +10,6 @@ import pytest
 from ivstrata import (
     AssumptionError,
     ConfigError,
-    DefierBounds,
     FirstStage,
     InfeasibleError,
     JointStratum,
@@ -166,10 +165,7 @@ def test_no_point_identification_without_a_maintained_assumption():
 def test_defier_bounds_worked_example():
     fs = FirstStage(a10=0.0, a11=0.5, a12=0.0, a20=0.3, a21=0.1, a22=0.4)
     b = defier_bounds(fs)
-    assert b.nd1 == (0.0, 0.3)
-    assert b.id1 == (0.1, 0.4)
-    assert b.nd2 == (0.0, 0.0)
-    assert b.id2 == (0.0, 0.0)
+    assert list(b.items()) == [(G.ND1, (0.0, 0.3)), (G.ID1, (0.1, 0.4)), (G.ND2, (0.0, 0.0)), (G.ID2, (0.0, 0.0))]
 
 
 def test_defier_bounds_infeasible_cross_slope():
@@ -204,15 +200,12 @@ def test_defier_bounds_tolerate_float_dust_on_the_boundary():
     # interval inverts by rounding error only; the first stage is feasible.
     fs = FirstStage(a10=0.04, a11=0.21, a12=0.17, a20=0.21, a21=-0.04, a22=0.07)
     b = defier_bounds(fs)
-    assert b.nd1 == (0.04, 0.04)
-    assert b.id1 == (0.0, 0.0)
-    assert b.nd2 == (0.0, 0.0)
-    assert b.id2 == (0.17, 0.17)
-    for lo, hi in b.intervals().values():
+    assert b == {G.ND1: (0.04, 0.04), G.ID1: (0.0, 0.0), G.ND2: (0.0, 0.0), G.ID2: (0.17, 0.17)}
+    for lo, hi in b.values():
         assert lo <= hi
     # An interval inverted by exactly SHARE_ATOL is dust too: P(ND1) >= -a21 = SHARE_ATOL, P(ND1) <= a20 = 0.
     edge = FirstStage(a10=0.1, a11=0.5, a12=0.0, a20=0.0, a21=-SHARE_ATOL, a22=0.4)
-    assert defier_bounds(edge).nd1 == (SHARE_ATOL, SHARE_ATOL)
+    assert defier_bounds(edge)[G.ND1] == (SHARE_ATOL, SHARE_ATOL)
 
 
 def test_bounds_contain_truth_randomized():
@@ -220,7 +213,7 @@ def test_bounds_contain_truth_randomized():
         pop = random_population(rng)
         shares = marginal_shares(pop)
         b = defier_bounds(first_stage_from_shares(shares))
-        for grp, (lo, hi) in zip((G.ND1, G.ID1, G.ND2, G.ID2), b.intervals().values()):
+        for grp, (lo, hi) in b.items():
             assert lo - 1e-9 <= shares[grp] <= hi + 1e-9, grp
 
 
@@ -230,7 +223,7 @@ def test_scan_matches_formula_on_worked_example():
     # exactly; its cost does not grow with 1/step.
     for step in (0.1, 1e-5, 1e-7):
         scan = feasible_set_scan(fs, step=step)
-        assert scan.intervals() == defier_bounds(fs).intervals(), step
+        assert scan == defier_bounds(fs), step
 
 
 def test_scan_step_validation():
@@ -242,7 +235,7 @@ def test_scan_step_validation():
             feasible_set_scan(fs, step=bad)
     # Both ends of [1e-15, 0.1] are steps.
     for step in (1e-15, 0.1):
-        assert isinstance(feasible_set_scan(fs, step=step), DefierBounds), step
+        assert list(feasible_set_scan(fs, step=step)) == [G.ND1, G.ID1, G.ND2, G.ID2], step
 
 
 def test_scan_rejects_infeasible_first_stage():
@@ -265,11 +258,11 @@ def test_scan_detects_formula_slack():
     formula = defier_bounds(fs)
     scan = feasible_set_scan(fs, step=0.02)
     assert min(fs.a11, fs.a20) == 0.4
-    assert scan.nd1 == (0.0, pytest.approx(0.3, abs=1e-12))
-    assert formula.nd1 == (0.0, 0.3)
+    assert scan[G.ND1] == (0.0, pytest.approx(0.3, abs=1e-12))
+    assert formula[G.ND1] == (0.0, 0.3)
     # The scan never claims anything outside the formula interval.
-    for name in ("nd1", "id1", "nd2", "id2"):
-        (flo, fhi), (slo, shi) = getattr(formula, name), getattr(scan, name)
+    for grp, (flo, fhi) in formula.items():
+        slo, shi = scan[grp]
         assert flo - 1e-9 <= slo and shi <= fhi + 1e-9
 
 
@@ -279,21 +272,21 @@ def test_scan_contains_truth_on_grid_populations():
         shares = marginal_shares(pop)
         fs = first_stage_from_shares(shares)
         scan = feasible_set_scan(fs, step=0.02)
-        for grp, (lo, hi) in zip((G.ND1, G.ID1, G.ND2, G.ID2), scan.intervals().values()):
+        for grp, (lo, hi) in scan.items():
             assert lo - 1e-9 <= shares[grp] <= hi + 1e-9, grp
 
 
 def test_scan_endpoints_sit_on_the_grid():
     fs = FirstStage(a10=0.0, a11=0.5, a12=0.0, a20=0.3, a21=0.1, a22=0.4)
     scan = feasible_set_scan(fs, step=0.05)
-    for lo, hi in scan.intervals().values():
+    for lo, hi in scan.values():
         assert round(lo * 20) == pytest.approx(lo * 20, abs=1e-9)
         assert round(hi * 20) == pytest.approx(hi * 20, abs=1e-9)
 
 
 def _scan_outcome(scan, fs, step):
     try:
-        return scan(fs, step=step).intervals()
+        return scan(fs, step=step)
     except InfeasibleError as err:
         return str(err)
 
@@ -379,10 +372,43 @@ def test_defier_bounds_are_the_lp_bounds():
             with pytest.raises(InfeasibleError):
                 defier_bounds(fs)
             continue
-        for row, (lo, hi) in zip(defier_cols, defier_bounds(fs).intervals().values()):
+        for row, (lo, hi) in zip(defier_cols, defier_bounds(fs).values()):
             low = linprog(row, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
             high = linprog(-row, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
             assert low.status == 0 and high.status == 0
             assert lo == pytest.approx(low.fun, abs=1e-9)
             assert hi == pytest.approx(-high.fun, abs=1e-9)
     assert 0 < infeasible < 25
+
+
+def test_maintained_verdict_is_the_lp_feasibility():
+    # With the maintained regime's two defier strata held at 0, an LP over the ten stratum probabilities says
+    # whether any population reproduces the first stage; shares_from_first_stage must refute exactly the first
+    # stages it finds infeasible. The cases are populations that satisfy the regime, their six coefficients
+    # perturbed. Some next-best ones have every share in [0, 1] and are refuted only because P(ID2) exceeds
+    # P(C1) or P(ID1) exceeds P(C2): the C1ID2 and ID1C2 strata comply with the other instrument.
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+
+    coef_cols, _ = _unit_columns()
+    a_eq = np.vstack([coef_cols, np.ones(len(ALL_STRATA))])
+    ruled_out = {Regime.NEXT_BEST_ONLY: (J.ND1AT2, J.AT1ND2), Regime.IRRELEVANCE_ONLY: (J.C1ID2, J.ID1C2)}
+    local = np.random.default_rng(53)
+    verdicts, containment_only = set(), 0
+    for _ in range(300):
+        for regime, zero in ruled_out.items():
+            pop = random_population(local, tuple(s for s in ALL_STRATA if s not in zero))
+            fs = first_stage_from_shares(marginal_shares(pop))
+            fs = FirstStage(*(v + float(local.uniform(-0.1, 0.1)) for v in dataclasses.astuple(fs)))
+            lp = linprog(np.zeros(len(ALL_STRATA)), A_eq=a_eq, b_eq=np.append(dataclasses.astuple(fs), 1.0),
+                         bounds=[(0, 0) if s in zero else (0, None) for s in ALL_STRATA], method="highs")
+            assert lp.status in (0, 2), lp.message
+            try:
+                shares_from_first_stage(fs, regime)
+                refuted = False
+            except AssumptionError as err:
+                refuted = True
+                containment_only += "outside" not in str(err)
+            assert refuted == (lp.status == 2), (fs, regime)
+            verdicts.add((regime, refuted))
+    assert len(verdicts) == 4 and containment_only >= 5, (verdicts, containment_only)

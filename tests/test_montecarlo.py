@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivstrata import montecarlo, strata
+from ivstrata.cli import Target
 from ivstrata import (
     CellTable,
     ClusterScenario,
@@ -23,7 +24,6 @@ from ivstrata import (
     Population,
     RankError,
     StratumEntry,
-    Target,
     cluster_wald_oracle,
     estimate_2sls,
     estimate_cluster_wald,
@@ -48,6 +48,10 @@ from support import (
 )
 
 J = JointStratum
+
+# replicate's two targets, as the scenario picks them: field 2SLS without one, the clustered Wald ratio with one.
+# Tests over both are named by the `simulate --target` choice of each.
+TARGET_IDS = [str(target) for target in Target]
 PARAMS = montecarlo.PARAMS_2SLS
 
 
@@ -245,14 +249,13 @@ def test_table_counts_do_not_depend_on_noise_and_noiseless_cells_are_exact(noise
     assert moved >= 90  # the noise reaches the means of every table whose noisy cells are not all empty
 
 
-@pytest.mark.parametrize("target", list(Target))
-def test_replicate_matches_the_reference_table(monkeypatch, target):
+@pytest.mark.parametrize("scenario", [None, ClusterScenario.CONTROL_1], ids=TARGET_IDS)
+def test_replicate_matches_the_reference_table(monkeypatch, scenario):
     # replicate draws and estimates a block of replications at a time; the
     # reference runs them one at a time. Rep counts on either side of a block
     # edge, at the real block size and at a small one, and at sizes no
     # sample of rows could take.
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
-    scenario = ClusterScenario.CONTROL_1 if target is Target.CLUSTER_WALD else None
     block = montecarlo._BLOCK_REPS
     for reps in (block - 1, block + 1):
         got = replicate(pop, n=2000, reps=reps, master_seed=9, scenario=scenario)
@@ -264,12 +267,11 @@ def test_replicate_matches_the_reference_table(monkeypatch, target):
             assert got == reference_replicate(pop, n, reps, 9, scenario), (n, reps)
 
 
-@pytest.mark.parametrize("target", list(Target))
-def test_the_block_size_changes_no_summary(monkeypatch, target):
+@pytest.mark.parametrize("scenario", [None, ClusterScenario.CONTROL_2], ids=TARGET_IDS)
+def test_the_block_size_changes_no_summary(monkeypatch, scenario):
     # The study's streams are read in replication order, so one replication a block, five and the real 1,024
     # give the same bytes, for studies shorter and longer than a block.
     pop = random_population(np.random.default_rng(3), noise_sd=25.0)
-    scenario = ClusterScenario.CONTROL_2 if target is Target.CLUSTER_WALD else None
     for reps in (2, 13, 1100):
         summaries = []
         for block in (1, 5, 1024):
@@ -382,14 +384,13 @@ def test_a_stack_of_tables_fails_exactly_when_one_of_its_tables_fails_alone(body
     assert mixed >= 50 and passed >= 30, (mixed, passed)
 
 
-@pytest.mark.parametrize("target", list(Target))
-def test_replicate_peak_memory_per_row(target):
+@pytest.mark.parametrize("scenario", [None, ClusterScenario.CONTROL_1], ids=TARGET_IDS)
+def test_replicate_peak_memory_per_row(scenario):
     # numpy reports its buffers to tracemalloc, so the peak is a count of
     # bytes, not a timing. replicate draws cell tables, never rows: its peak
     # is about 20 kB at this n. The bound fails any path that holds a drawn
     # sample, as `generate` alone peaks at 48 bytes a row.
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
-    scenario = ClusterScenario.CONTROL_1 if target is Target.CLUSTER_WALD else None
     n = 200_000
     tracemalloc.start()
     try:
@@ -400,13 +401,12 @@ def test_replicate_peak_memory_per_row(target):
     assert peak / n <= 40
 
 
-@pytest.mark.parametrize("target", list(Target))
-def test_replicate_small_n_peak_memory_per_block(target):
+@pytest.mark.parametrize("scenario", [None, ClusterScenario.CONTROL_1], ids=TARGET_IDS)
+def test_replicate_small_n_peak_memory_per_block(scenario):
     # At n=2,000 a block holds several replications: the study's arrays are
     # sized by the block, not by its 25 replications. The bound is the 2**14
     # rows of 40 bytes that a block took when replications drew rows.
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
-    scenario = ClusterScenario.CONTROL_1 if target is Target.CLUSTER_WALD else None
     tracemalloc.start()
     try:
         replicate(pop, n=2000, reps=25, master_seed=9, scenario=scenario)
@@ -492,10 +492,9 @@ def test_table_engine_matches_the_microdata_path_in_distribution():
     assert np.abs(zs).max() <= crit, (np.abs(zs).max(), crit)
 
 
-def replicate_peak(n, target):
+def replicate_peak(n, scenario):
     """The tracemalloc peak of a 25-replication study, after a first study has filled the estimators' caches."""
     pop = random_population(np.random.default_rng(8), noise_sd=40.0)
-    scenario = ClusterScenario.CONTROL_1 if target is Target.CLUSTER_WALD else None
     replicate(pop, n=n, reps=25, master_seed=9, scenario=scenario)
     tracemalloc.start()
     try:
@@ -505,12 +504,12 @@ def replicate_peak(n, target):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("target", list(Target))
-def test_replicate_peak_memory_does_not_grow_with_n(target):
+@pytest.mark.parametrize("scenario", [None, ClusterScenario.CONTROL_1], ids=TARGET_IDS)
+def test_replicate_peak_memory_does_not_grow_with_n(scenario):
     # A replication draws its group summaries, never its rows, so a study at n = 10**12 takes no more memory
     # than one at n = 2,000 (about 70 kB), where rows would take terabytes. The peak of two identical studies
     # differs by up to a few hundred bytes of the interpreter's own, hence the 2% allowance.
-    assert replicate_peak(10**12, target) <= 1.02 * replicate_peak(2000, target)
+    assert replicate_peak(10**12, scenario) <= 1.02 * replicate_peak(2000, scenario)
 
 
 def test_generate_validation():
@@ -749,11 +748,10 @@ def test_replication_seed_is_frozen():
 def test_replicate_field_2sls_summary():
     pop = benchmark_pop(noise_sd=150.0)
     summary = replicate(pop, n=5_000, reps=20, master_seed=77)
-    assert summary.n == 5_000 and summary.reps == 20 and summary.target is Target.FIELD_2SLS
-    params = [r.param for r in summary.rows]
+    params = [r.param for r in summary]
     assert params == ["beta1", "beta2", "a10", "a11", "a12", "a20", "a21", "a22"]
     beta1, beta2 = solve_moment_system(marginalize(pop))
-    rows = {r.param: r for r in summary.rows}
+    rows = {r.param: r for r in summary}
     row = rows["beta1"]
     assert row.truth == pytest.approx(beta1, abs=1e-9)
     assert row.bias == pytest.approx(row.mean - row.truth, abs=1e-12)
@@ -765,9 +763,8 @@ def test_replicate_field_2sls_summary():
 def test_replicate_cluster_wald_summary():
     pop = benchmark_pop(noise_sd=100.0)
     scen = ClusterScenario.CONTROL_1
-    summary = replicate(pop, n=5_000, reps=10, master_seed=5, scenario=scen)
-    (row,) = summary.rows
-    assert row.param == "wald" and summary.target is Target.CLUSTER_WALD
+    (row,) = replicate(pop, n=5_000, reps=10, master_seed=5, scenario=scen)
+    assert row.param == "wald"
     assert row.truth == pytest.approx(cluster_wald_oracle(pop, scen), abs=1e-9)
     assert abs(row.mean - row.truth) <= 6.0 * row.sd / np.sqrt(10)
 

@@ -17,10 +17,10 @@ README = ROOT / "README.md"
 
 PUBLIC_NAMES = [
     "AssumptionError", "BiasDecomposition", "BiasTerm", "CellTable", "ClusterDecomposition", "ClusterScenario",
-    "ConfigError", "DefierBounds", "FirstStage", "IVStrataError", "InfeasibleError",
+    "ConfigError", "FirstStage", "IVStrataError", "InfeasibleError",
     "JointStratum", "MarginalGroup", "MarginalSpec", "NegNegRule", "ParamSummary", "Population",
-    "RankError", "Regime", "ReplicationSummary", "Semantics", "StratumEntry", "SweepAxis",
-    "SweepRow", "Target", "UNIFORM_ASSIGNMENT", "bias_sweep", "check_cluster_exclusion",
+    "RankError", "Regime", "Semantics", "StratumEntry", "SweepAxis",
+    "SweepRow", "UNIFORM_ASSIGNMENT", "bias_sweep", "check_cluster_exclusion",
     "choose_clustering", "cluster_estimand_constant_effects", "cluster_estimand_formula", "cluster_wald_oracle",
     "decompose", "defier_bounds", "estimate_2sls", "estimate_cluster_wald", "feasible_set_scan",
     "first_stage_from_shares", "generate", "group_effect", "group_prob", "marginal_shares",
@@ -46,7 +46,7 @@ assert set(ivstrata.__all__) <= set(dir(ivstrata)) and not hasattr(ivstrata, "no
 generate = ivstrata.generate
 assert "numpy" in sys.modules
 from ivstrata import montecarlo
-assert generate is montecarlo.generate and montecarlo.Target is ivstrata.Target
+assert generate is montecarlo.generate
 names = {}
 exec("from ivstrata import *", names)
 assert set(ivstrata.__all__) <= set(names)
@@ -56,16 +56,58 @@ assert set(ivstrata.__all__) <= set(names)
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def _fresh_interpreter(script: str) -> tuple[int, str]:
+    """The exit code and stderr of `script` run by `python -S` (no site packages to import anything first) with
+    only src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+def test_dir_lists_the_lazy_names_without_loading_numpy():
+    assert set(ivstrata._MONTECARLO) <= set(dir(ivstrata))
+    script = """
+import sys
+import ivstrata
+assert set(ivstrata._MONTECARLO) <= set(dir(ivstrata))
+assert "numpy" not in sys.modules
+"""
+    assert _fresh_interpreter(script) == (0, "")
+
+
+def test_the_cli_loads_without_typing():
+    # typing costs about 3 ms to import, a share of every command's start-up; annotations are strings here
+    # (`from __future__ import annotations`) and the abstract types come from collections.abc. The check is on who
+    # imports it, since on Python 3.13 (3.13.13, say) `inspect`, which `dataclasses` imports, loads it on its own.
+    script = """
+import builtins, sys
+importers, real_import = set(), builtins.__import__
+
+def spy(name, globals=None, *args):
+    if name.partition(".")[0] == "typing":
+        importers.add((globals or {}).get("__name__"))
+    return real_import(name, globals, *args)
+
+builtins.__import__ = spy
+import ivstrata.cli
+ours = sorted(str(m) for m in importers if str(m).partition(".")[0] == "ivstrata")
+assert not ours and (importers or "typing" not in sys.modules), (ours, importers)
+"""
+    assert _fresh_interpreter(script) == (0, "")
+
+
 def test_readme_quick_start_runs_and_holds():
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     names = {}
     exec(block, names)
-    dec1, b, est, se, summary = (names[key] for key in ("dec1", "b", "est", "se", "summary"))
+    dec1, b, est, se, rows = (names[key] for key in ("dec1", "b", "est", "se", "rows"))
+    G = ivstrata.MarginalGroup
     # What the block's comments claim.
     assert dec1.total == pytest.approx(1006.6667) and dec1.late == 1000.0
-    assert (b.nd1, b.id1) == ((0.0, 0.3), (0.1, 0.4))
-    assert names["shares"][ivstrata.MarginalGroup.ID1] == 0.1
-    assert abs(est[0] - {r.param: r for r in summary.rows}["beta1"].truth) <= 5 * se[0]
+    assert (b[G.ND1], b[G.ID1]) == ((0.0, 0.3), (0.1, 0.4))
+    assert names["shares"][G.ID1] == 0.1
+    assert abs(est[0] - {r.param: r for r in rows}["beta1"].truth) <= 5 * se[0]
+    assert [r.param for r in names["wald"]] == ["wald"]
 
 
 def test_readme_names_the_current_stream_version():
